@@ -241,7 +241,7 @@ def _srb_query(ctx: ExecutionContext, params):
     query = Query(collection=collection, conditions=conditions,
                   recursive=bool(params.get("recursive", True)),
                   limit=params.get("limit"))
-    return [obj.path for obj in ctx.dgms.query(ctx.user, query)]
+    return ctx.dgms.query_paths(ctx.user, query)
 
 
 # --------------------------------------------------------------------------

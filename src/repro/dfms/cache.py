@@ -12,6 +12,9 @@ read paths:
   planner and the per-object permission walk; :meth:`~repro.grid.dgms.
   DataGridManagementSystem.grant` — the DGMS's only ACL mutation path —
   notifies the cache, which drops every query entry (``acl`` cause).
+  An entry also memoizes its answer's path list the first time
+  :meth:`run_query_paths` asks, so a hit from ``srb.query`` copies one
+  list instead of reading every object's path again.
 * **replica choices** — :meth:`DataGridManagementSystem.select_replica`
   results keyed by (object guid, destination domain, policy).
 
@@ -47,7 +50,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.grid.acl import Permission
+from repro.grid.acl import Permission, readable
 from repro.grid.query import Query
 
 __all__ = ["DgmsCache", "attach_cache"]
@@ -62,6 +65,18 @@ _UNCACHEABLE_FIELDS = frozenset({"checksum"})
 #: staleness of surfaces the feed cannot see (none known — belt and
 #: braces) and the memory held by one-off queries.
 DEFAULT_TTL_S = 300.0
+
+
+class _QueryEntry:
+    """One cached query answer: post-ACL objects, and their paths once
+    someone has asked for them."""
+
+    __slots__ = ("expires_at", "results", "paths")
+
+    def __init__(self, expires_at: float, results: Tuple) -> None:
+        self.expires_at = expires_at
+        self.results = results
+        self.paths: Optional[Tuple[str, ...]] = None
 
 
 class DgmsCache:
@@ -81,10 +96,10 @@ class DgmsCache:
         self.query_ttl_s = float(query_ttl_s)
         self.replica_ttl_s = float(replica_ttl_s)
         self.max_entries = int(max_entries)
-        # (user, collection, conditions, recursive, limit) ->
-        # (expires_at, post-ACL results tuple). Insertion-ordered, so
-        # capacity eviction drops the oldest fill first.
-        self._queries: Dict[Tuple, Tuple[float, Tuple]] = {}
+        # (user, collection, conditions, recursive, limit) -> entry.
+        # Insertion-ordered, so capacity eviction drops the oldest fill
+        # first.
+        self._queries: Dict[Tuple, _QueryEntry] = {}
         # (guid, to_domain, policy) -> (expires_at, stamp, replica).
         self._replicas: Dict[Tuple, Tuple[float, Tuple, object]] = {}
         #: Local tallies (always maintained; telemetry mirrors them when
@@ -146,34 +161,61 @@ class DgmsCache:
                 tuple(query.conditions), query.recursive, query.limit)
 
     def _run_filtered(self, user, query: Query) -> List:
-        results = query.run(self.dgms.namespace)
-        return [obj for obj in results
-                if obj.acl.allows(user, Permission.READ)]
+        return readable(user, query.run(self.dgms.namespace), Permission.READ)
 
-    def run_query(self, user, query: Query) -> List:
-        """``dgms.query`` through the cache (per-caller, post-ACL list)."""
+    def _query_entry(self, user, query: Query) -> Optional[_QueryEntry]:
+        """The live entry answering ``query`` for ``user``; None on bypass.
+
+        Counts exactly one hit, miss or bypass. A miss runs the planner
+        and the ACL filter and stores the fresh entry.
+        """
         key = self._query_key(user, query)
         if key is None:
             self.bypasses["query"] += 1
             self._note("query", "bypass")
-            return self._run_filtered(user, query)
+            return None
         now = self.env.now
         entry = self._queries.get(key)
         if entry is not None:
-            if now < entry[0]:
+            if now < entry.expires_at:
                 self.hits["query"] += 1
                 self._note("query", "hit")
-                return list(entry[1])
+                return entry
             del self._queries[key]
             self._evict("ttl")
         self.misses["query"] += 1
         self._note("query", "miss")
-        results = self._run_filtered(user, query)
+        entry = _QueryEntry(now + self.query_ttl_s,
+                            tuple(self._run_filtered(user, query)))
         if len(self._queries) >= self.max_entries:
             self._queries.pop(next(iter(self._queries)))
             self._evict("capacity")
-        self._queries[key] = (now + self.query_ttl_s, tuple(results))
-        return results
+        self._queries[key] = entry
+        return entry
+
+    def run_query(self, user, query: Query) -> List:
+        """``dgms.query`` through the cache (per-caller, post-ACL list)."""
+        entry = self._query_entry(user, query)
+        if entry is None:
+            return self._run_filtered(user, query)
+        return list(entry.results)
+
+    def run_query_paths(self, user, query: Query) -> List[str]:
+        """``dgms.query_paths`` through the cache: the paths of
+        :meth:`run_query`'s answer, in order.
+
+        An entry projects its paths at most once; every later hit is one
+        list copy. Moves and renames reach the cache as catalog
+        deregister/register events, which drop every query entry, so a
+        memoized path cannot go stale.
+        """
+        entry = self._query_entry(user, query)
+        if entry is None:
+            return [obj.path for obj in self._run_filtered(user, query)]
+        paths = entry.paths
+        if paths is None:
+            paths = entry.paths = tuple(obj.path for obj in entry.results)
+        return list(paths)
 
     # -- replica choices -----------------------------------------------------
 

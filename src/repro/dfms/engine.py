@@ -330,7 +330,7 @@ class FlowEngine:
             conditions = parse_conditions(
                 render_template(pattern.query, scope) if pattern.query else "")
             query = Query(collection=collection, conditions=conditions)
-            items = [obj.path for obj in ctx.dgms.query(ctx.user, query)]
+            items = ctx.dgms.query_paths(ctx.user, query)
         scope.declare(pattern.item_variable, None)
         for index, item in enumerate(items):
             yield from self._gate(execution)

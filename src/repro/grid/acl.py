@@ -9,12 +9,12 @@ practice.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.errors import PermissionDenied
 from repro.grid.users import User
 
-__all__ = ["Permission", "AccessControlList"]
+__all__ = ["Permission", "AccessControlList", "readable"]
 
 
 class Permission(enum.IntEnum):
@@ -77,3 +77,24 @@ class AccessControlList:
     def entries(self) -> Dict[str, Permission]:
         """A copy of all explicit entries."""
         return dict(self._entries)
+
+
+def readable(user: User, nodes: Iterable, required: Permission) -> List:
+    """The nodes on which ``user`` holds at least ``required``, in order.
+
+    The same filter as ``node.acl.allows(user, required)`` per node, but
+    the caller's principal keys (qualified name, ``*``, ``group:`` names)
+    are built once per call, and a node is kept as soon as one key grants
+    enough: the effective level is the maximum over those keys.
+    """
+    need = int(required)
+    keys = (user.qualified_name, "*",
+            *(f"group:{group}" for group in user.groups))
+    kept = []
+    for node in nodes:
+        get = node.acl._entries.get
+        for key in keys:
+            if get(key, 0) >= need:
+                kept.append(node)
+                break
+    return kept

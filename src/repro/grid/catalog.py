@@ -16,19 +16,23 @@ Indexes maintained:
   by ``str(value)`` for every value and by ``float(value)`` for numeric
   values — mirroring the query language's mixed string/numeric equality;
 * per-attribute EXISTS sets (attribute → objects carrying it);
-* a sorted size index for range conjuncts (``size > …``, ``size <= …``).
+* a sorted size index for range conjuncts (``size > …``, ``size <= …``),
+  answering every size bound of a query as one merged range.
 
-Index lookups return *candidate supersets*: the query planner in
-:mod:`repro.grid.query` always re-verifies every condition against each
-candidate, so the indexes only have to be complete, never exact. All
-containers are insertion-ordered dicts keyed by object identity, which
-keeps iteration deterministic for a deterministic operation sequence.
+Index lookups return *candidate supersets*, and the query planner in
+:mod:`repro.grid.query` re-verifies the conditions a lookup does not
+guarantee. Two lookups are exact for their own conjunct and are relied
+on as such: the string-keyed posting list (``meta:a = 'v'`` with a
+string value) and the EXISTS set. All containers are insertion-ordered
+dicts keyed by object identity, which keeps iteration deterministic for
+a deterministic operation sequence.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
+                    Tuple)
 
 from repro.grid.metadata import MetadataValue
 
@@ -39,6 +43,9 @@ __all__ = ["GridCatalog"]
 
 #: Sorts after every real guid in the (size, guid) key space.
 _AFTER_ANY_GUID = "\uffff"
+
+#: ``(op, value)`` pairs, ``op`` one of ``=``, ``>``, ``>=``, ``<``, ``<=``.
+SizeBounds = Sequence[Tuple[str, float]]
 
 
 def _is_numeric(value: MetadataValue) -> bool:
@@ -196,11 +203,11 @@ class GridCatalog:
         A superset under the query language's comparison rules (numeric
         compare when both sides are numeric, string compare otherwise).
         """
-        merged: Dict[int, "DataObject"] = {}
-        merged.update(self._meta_str.get(attribute, {}).get(str(value), {}))
-        if _is_numeric(value):
-            merged.update(
-                self._meta_num.get(attribute, {}).get(float(value), {}))
+        by_str = self._meta_str.get(attribute, {}).get(str(value), {})
+        if not _is_numeric(value):
+            return list(by_str.values())
+        merged = dict(by_str)
+        merged.update(self._meta_num.get(attribute, {}).get(float(value), {}))
         return list(merged.values())
 
     def count_meta_exists(self, attribute: str) -> int:
@@ -211,30 +218,34 @@ class GridCatalog:
         """Objects carrying ``attribute`` (exact, not just a superset)."""
         return list(self._meta_exists.get(attribute, {}).values())
 
-    def _size_bounds(self, op_value: str,
-                     value: float) -> Tuple[int, int]:
-        """Index range [lo, hi) of size keys possibly satisfying the op."""
-        if op_value in (">", ">="):
-            lo = bisect.bisect_left(self._size_keys, (value, ""))
-            return lo, len(self._size_keys)
-        if op_value in ("<", "<="):
-            # _AFTER_ANY_GUID sorts after every guid, so the bound lands past every
-            # key whose size equals ``value``.
-            hi = bisect.bisect_right(self._size_keys, (value, _AFTER_ANY_GUID))
-            return 0, hi
-        if op_value == "=":
-            lo = bisect.bisect_left(self._size_keys, (value, ""))
-            hi = bisect.bisect_right(self._size_keys, (value, _AFTER_ANY_GUID))
-            return lo, hi
-        return 0, len(self._size_keys)
+    def _size_range(self, bounds: SizeBounds) -> Tuple[int, int]:
+        """Index range [lo, hi) of size keys possibly satisfying every
+        ``size <op> value`` bound: the max of the lower ends and the min
+        of the upper ends."""
+        keys = self._size_keys
+        lo, hi = 0, len(keys)
+        for op_value, value in bounds:
+            if op_value in (">", ">=", "="):
+                lo = max(lo, bisect.bisect_left(keys, (value, "")))
+            if op_value in ("<", "<=", "="):
+                # _AFTER_ANY_GUID sorts after every guid, so the bound lands
+                # past every key whose size equals ``value``.
+                hi = min(hi, bisect.bisect_right(keys,
+                                                 (value, _AFTER_ANY_GUID)))
+        return lo, max(lo, hi)
 
-    def count_size(self, op_value: str, value: float) -> int:
-        """Upper bound on objects whose size satisfies ``size <op> value``."""
-        lo, hi = self._size_bounds(op_value, value)
+    def count_size(self, bounds: SizeBounds) -> int:
+        """Upper bound on objects whose size satisfies every bound."""
+        lo, hi = self._size_range(bounds)
         return hi - lo
 
-    def candidates_size(self, op_value: str, value: float) -> List["DataObject"]:
-        """Candidate objects whose size may satisfy ``size <op> value``."""
-        lo, hi = self._size_bounds(op_value, value)
+    def candidates_size(self, bounds: SizeBounds) -> List["DataObject"]:
+        """Candidate objects whose size may satisfy every bound.
+
+        ``bounds`` is a sequence of ``(op, value)`` pairs, ``op`` one of
+        ``=``, ``>``, ``>=``, ``<``, ``<=``: the conjunction of a query's
+        numeric ``size`` conditions, answered as one range.
+        """
+        lo, hi = self._size_range(bounds)
         by_guid = self._by_guid
         return [by_guid[guid] for _, guid in self._size_keys[lo:hi]]

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.errors import GridError, NamespaceError, ReplicaError, Retryable
-from repro.grid.acl import Permission
+from repro.grid.acl import Permission, readable
 from repro.grid.domains import DomainRegistry, DomainRole
 from repro.grid.events import EventBus, EventKind, EventPhase, NamespaceEvent
 from repro.grid.metadata import MetadataValue
@@ -264,9 +264,18 @@ class DataGridManagementSystem:
         """
         if self.cache is not None:
             return self.cache.run_query(user, query)
-        results = query.run(self.namespace)
-        return [obj for obj in results
-                if obj.acl.allows(user, Permission.READ)]
+        return readable(user, query.run(self.namespace), Permission.READ)
+
+    def query_paths(self, user: User, query: Query) -> List[str]:
+        """The paths of :meth:`query`'s results, in the same order.
+
+        This is what ``srb.query`` and ``forEach`` iteration consume. With
+        the cache tier attached, a hit returns the entry's memoized path
+        list (copied) instead of re-reading every object's path.
+        """
+        if self.cache is not None:
+            return self.cache.run_query_paths(user, query)
+        return [obj.path for obj in self.query(user, query)]
 
     # ------------------------------------------------------------------
     # Timed data operations (each returns a sim Process to yield on)

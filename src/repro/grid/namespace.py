@@ -14,6 +14,7 @@ and user-defined metadata.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -129,21 +130,22 @@ class _Node:
         self.parent: Optional["Collection"] = None
         #: The owning namespace's catalog while this node is in its tree.
         self._catalog: Optional[GridCatalog] = None
-        self._path_cache: Optional[str] = None
 
-    @property
+    @functools.cached_property
     def path(self) -> str:
         """Full logical path, derived from the parent chain.
 
-        Cached; the cache is invalidated transitively for the whole
+        Cached in the instance, so a read after the first is a plain
+        attribute lookup; :func:`_forget_path` drops it for the whole
         subtree whenever an ancestor is moved or renamed.
         """
-        cached = self._path_cache
-        if cached is None:
-            cached = ("/" if self.parent is None
-                      else join_path(self.parent.path, self.name))
-            self._path_cache = cached
-        return cached
+        return ("/" if self.parent is None
+                else join_path(self.parent.path, self.name))
+
+
+def _forget_path(node: _Node) -> None:
+    """Drop ``node``'s cached :attr:`~_Node.path`."""
+    node.__dict__.pop("path", None)
 
 
 class DataObject(_Node):
@@ -288,7 +290,7 @@ def _adopt_subtree(node: _Node, catalog: Optional[GridCatalog]) -> None:
     stack = [node]
     while stack:
         current = stack.pop()
-        current._path_cache = None
+        _forget_path(current)
         if isinstance(current, Collection):
             current._catalog = catalog
             stack.extend(current._children.values())
@@ -307,7 +309,7 @@ def _release_subtree(node: _Node) -> None:
     stack = [node]
     while stack:
         current = stack.pop()
-        current._path_cache = None
+        _forget_path(current)
         catalog = current._catalog
         current._catalog = None
         if isinstance(current, Collection):

@@ -17,6 +17,9 @@ from __future__ import annotations
 
 import enum
 import fnmatch
+import functools
+import heapq
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import List, Optional, Union
@@ -114,18 +117,32 @@ class Condition:
 #: Operators the size index can bound a candidate range for.
 _SIZE_RANGE_OPS = {Op.EQ, Op.GT, Op.GE, Op.LT, Op.LE}
 
+_PATH = operator.attrgetter("path")
+
+
+def _is_size_bound(condition: Condition) -> bool:
+    """True if ``condition`` narrows the size index (a numeric range)."""
+    value = condition.value
+    return (condition.field == "size" and condition.op in _SIZE_RANGE_OPS
+            and isinstance(value, (int, float))
+            and not isinstance(value, bool))
+
 
 @dataclass
 class Query:
     """A conjunctive query over a collection subtree.
 
     :meth:`run` plans the evaluation against the namespace's
-    :class:`~repro.grid.catalog.GridCatalog`: each conjunct that an index
-    can answer (metadata EQ/EXISTS, guid EQ, size ranges) is scored by its
-    candidate count, evaluation starts from the most selective access
-    path, and every candidate is re-verified against the full conjunction
-    — so results are always identical to a brute-force scan
-    (:meth:`run_scan`), just sublinear for selective queries.
+    :class:`~repro.grid.catalog.GridCatalog`. Each conjunct that an index
+    can answer (metadata EQ/EXISTS, guid and path EQ) is scored by its
+    candidate count, and every numeric ``size`` bound is merged into one
+    size-index range scored the same way; evaluation starts from the most
+    selective access path. Candidates are verified against the conditions
+    the access path does not already guarantee: all of them, unless the
+    winner is *exact* for its conjunct (``meta:`` EQ with a string value,
+    ``meta:`` EXISTS), in which case only the rest. Results are always
+    identical to a brute-force scan (:meth:`run_scan`), just sublinear
+    for selective queries.
     """
 
     collection: str = "/"
@@ -135,7 +152,10 @@ class Query:
 
     def matches(self, obj: DataObject) -> bool:
         """True if every condition holds."""
-        return all(condition.matches(obj) for condition in self.conditions)
+        for condition in self.conditions:
+            if not condition.matches(obj):
+                return False
+        return True
 
     def run(self, namespace: LogicalNamespace) -> List[DataObject]:
         """Evaluate against ``namespace``, in deterministic path order."""
@@ -144,37 +164,52 @@ class Query:
         if not self.recursive:
             children = [c for c in scope.children()
                         if isinstance(c, DataObject)]
-            results = [c for c in children if self.matches(c)]
-            results.sort(key=lambda o: o.path)
             if telemetry is not None:
                 self._account(telemetry, "children", len(children))
-            return results[: self.limit] if self.limit is not None else results
+            return self._first_by_path(filter(self.matches, children))
 
-        candidates = self._best_index_candidates(namespace)
-        if candidates is not None:
+        plan = self._plan(namespace)
+        if plan is not None:
+            candidates, residual = plan
             scope_path = scope.path
-            in_scope = (candidates if scope_path == "/" else
-                        [o for o in candidates
-                         if o.path.startswith(scope_path + "/")])
-            results = [obj for obj in in_scope if self.matches(obj)]
-            results.sort(key=lambda o: o.path)
+            if scope_path == "/":
+                in_scope = candidates
+            else:
+                prefix = scope_path + "/"
+                in_scope = [o for o in candidates if o.path.startswith(prefix)]
             if telemetry is not None:
                 self._account(telemetry, "index", len(in_scope))
-            return results[: self.limit] if self.limit is not None else results
+            if residual is not None:
+                in_scope = filter(residual.matches, in_scope)
+            return self._first_by_path(in_scope)
 
         # Scan path: path-ordered traversal allows a true early exit once
         # ``limit`` matches are in hand.
+        limit = self.limit
         results = []
         examined = 0
         for obj in namespace.iter_objects_in_path_order(self.collection):
+            if limit is not None and len(results) >= limit:
+                break
             examined += 1
             if self.matches(obj):
                 results.append(obj)
-                if self.limit is not None and len(results) >= self.limit:
-                    break
         if telemetry is not None:
             self._account(telemetry, "scan", examined)
         return results
+
+    def _first_by_path(self, objects) -> List[DataObject]:
+        """``objects`` in path order, cut to :attr:`limit`.
+
+        A limit takes the ``limit`` smallest paths through a bounded heap
+        instead of sorting every match; a negative limit keeps the
+        slicing semantics of ``sorted(...)[:limit]``.
+        """
+        limit = self.limit
+        if limit is None or limit < 0:
+            results = sorted(objects, key=_PATH)
+            return results if limit is None else results[:limit]
+        return heapq.nsmallest(limit, objects, key=_PATH)
 
     @staticmethod
     def _account(telemetry, access_path: str, examined: int) -> None:
@@ -202,59 +237,86 @@ class Query:
 
     # -- planning -----------------------------------------------------------
 
-    def _best_index_candidates(
-            self, namespace: LogicalNamespace) -> Optional[List[DataObject]]:
-        """Candidates from the most selective indexed conjunct, or None.
+    def _plan(self, namespace: LogicalNamespace):
+        """``(candidates, residual)`` from the cheapest access path, or None.
 
         Scores every index-eligible conjunct by its (cheaply counted)
-        candidate population and fetches only the winner; returns None when
-        no conjunct is indexable, sending :meth:`run` down the scan path.
+        candidate population, plus one size-index range merged from every
+        numeric ``size`` bound, and fetches only the winner. ``residual``
+        is the query left to verify on each candidate: None when the
+        winner is exact for the only condition, a :class:`Query` of the
+        other conditions when it is exact for its own, else this query.
+        Returns None when nothing is indexable, sending :meth:`run` down
+        the scan path.
         """
         catalog = getattr(namespace, "catalog", None)
         if catalog is None:
             return None
         best_count: Optional[int] = None
         best_fetch = None
-        for condition in self.conditions:
-            count, fetch = self._access_path(namespace, catalog, condition)
+        exact_index: Optional[int] = None
+        size_bounds = []
+        for index, condition in enumerate(self.conditions):
+            if _is_size_bound(condition):
+                size_bounds.append((condition.op.value,
+                                    float(condition.value)))
+                continue
+            count, fetch, exact = self._access_path(namespace, catalog,
+                                                    condition)
             if fetch is None:
                 continue
             if best_count is None or count < best_count:
                 best_count, best_fetch = count, fetch
-        return None if best_fetch is None else best_fetch()
+                exact_index = index if exact else None
+        if size_bounds:
+            count = catalog.count_size(size_bounds)
+            if best_count is None or count < best_count:
+                best_count = count
+                best_fetch = functools.partial(catalog.candidates_size,
+                                               size_bounds)
+                exact_index = None
+        if best_fetch is None:
+            return None
+        if exact_index is None:
+            return best_fetch(), self
+        rest = [condition for index, condition in enumerate(self.conditions)
+                if index != exact_index]
+        return best_fetch(), (Query(self.collection, rest) if rest else None)
 
     @staticmethod
     def _access_path(namespace: LogicalNamespace, catalog, condition):
-        """(estimated candidate count, fetch thunk) for one conjunct."""
+        """(estimated candidate count, fetch thunk, exact) for one conjunct.
+
+        ``exact`` means the fetched candidates are precisely the objects
+        satisfying the conjunct, so it needs no re-verification: the
+        string-keyed posting list of ``meta:`` EQ with a ``str`` value
+        (the query language compares that case as strings), and the
+        ``meta:`` EXISTS set.
+        """
         field_name, op, value = condition.field, condition.op, condition.value
         if field_name.startswith("meta:"):
             attribute = field_name[len("meta:"):]
             if op is Op.EQ:
                 return (catalog.count_meta_eq(attribute, value),
-                        lambda: catalog.candidates_meta_eq(attribute, value))
-            if op is Op.EXISTS or op in (Op.NE, Op.GT, Op.GE, Op.LT, Op.LE,
-                                         Op.LIKE, Op.CONTAINS):
-                # Every non-EQ operator still requires the attribute to be
-                # present, so the EXISTS set bounds its candidates.
-                return (catalog.count_meta_exists(attribute),
-                        lambda: catalog.candidates_meta_exists(attribute))
+                        lambda: catalog.candidates_meta_eq(attribute, value),
+                        isinstance(value, str))
+            # Every other operator still requires the attribute to be
+            # present, so the EXISTS set bounds its candidates.
+            return (catalog.count_meta_exists(attribute),
+                    lambda: catalog.candidates_meta_exists(attribute),
+                    op is Op.EXISTS)
         if field_name == "guid" and op is Op.EQ:
             def fetch_guid():
                 obj = catalog.lookup_guid(str(value))
                 return [obj] if obj is not None else []
             found = catalog.lookup_guid(str(value))
-            return (1 if found is not None else 0, fetch_guid)
+            return (1 if found is not None else 0, fetch_guid, False)
         if field_name == "path" and op is Op.EQ and isinstance(value, str):
             def fetch_path():
                 node = namespace.try_resolve(str(value))
                 return [node] if isinstance(node, DataObject) else []
-            return (1, fetch_path)
-        if (field_name == "size" and op in _SIZE_RANGE_OPS
-                and isinstance(value, (int, float))
-                and not isinstance(value, bool)):
-            return (catalog.count_size(op.value, float(value)),
-                    lambda: catalog.candidates_size(op.value, float(value)))
-        return (None, None)
+            return (1, fetch_path, False)
+        return (None, None, False)
 
 
 # --------------------------------------------------------------------------

@@ -121,6 +121,91 @@ def test_move_invalidates_through_the_catalog_feed(cached):
     assert grid.dgms.query(grid.alice, narrowed) == []
 
 
+def paths_of(objects):
+    return [obj.path for obj in objects]
+
+
+def test_query_paths_projects_query_on_miss_hit_and_bypass(cached):
+    grid, cache = cached
+    for name in ("c.dat", "a.dat", "b.dat"):
+        grid.put_file(f"/home/alice/{name}")
+    plain = hot_query()
+    checksummed = hot_query(conditions=[Condition("checksum", Op.EXISTS)])
+    assert grid.dgms.query_paths(grid.alice, plain) == [
+        "/home/alice/a.dat", "/home/alice/b.dat", "/home/alice/c.dat"]
+    assert cache.misses["query"] == 1
+    assert grid.dgms.query_paths(grid.alice, plain) == paths_of(
+        grid.dgms.query(grid.alice, plain))
+    assert cache.hits["query"] == 2
+    assert grid.dgms.query_paths(grid.alice, checksummed) == paths_of(
+        grid.dgms.query(grid.alice, checksummed)) == []
+    assert cache.bypasses["query"] == 2
+
+
+def test_query_paths_without_cache_is_the_projection(grid):
+    grid.put_file("/home/alice/a.dat")
+    query = hot_query()
+    assert grid.dgms.query_paths(grid.alice, query) == paths_of(
+        grid.dgms.query(grid.alice, query)) == ["/home/alice/a.dat"]
+
+
+def test_mutating_returned_paths_does_not_leak_into_hits(cached):
+    grid, cache = cached
+    grid.put_file("/home/alice/a.dat")
+    first = grid.dgms.query_paths(grid.alice, hot_query())
+    first.append("/forged")
+    first[0] = "/tampered"
+    assert grid.dgms.query_paths(grid.alice, hot_query()) == [
+        "/home/alice/a.dat"]
+    objects = grid.dgms.query(grid.alice, hot_query())
+    objects.clear()
+    assert len(grid.dgms.query(grid.alice, hot_query())) == 1
+
+
+def test_move_invalidates_memoized_paths(cached):
+    grid, cache = cached
+    grid.put_file("/home/alice/a.dat")
+    assert grid.dgms.query_paths(grid.alice, hot_query()) == [
+        "/home/alice/a.dat"]
+    grid.dgms.move(grid.alice, "/home/alice", "/home/carol")
+    assert grid.dgms.query_paths(grid.alice, hot_query()) == [
+        "/home/carol/a.dat"]
+    assert cache.invalidations["deregister"] >= 1
+
+
+def _mixed_calls(grid, surface):
+    """One call sequence touching every counter: misses, hits, a bypass,
+    a metadata eviction, a TTL expiry, and an arrival."""
+    obj = grid.put_file("/home/alice/a.dat")
+    obj.metadata.set("stage", "raw")
+    stage = hot_query(conditions=[Condition("meta:stage", Op.EQ, "raw")])
+    checksummed = hot_query(conditions=[Condition("checksum", Op.EXISTS)])
+    call = getattr(grid.dgms, surface)
+    for query in (hot_query(), hot_query(), stage, stage, checksummed):
+        call(grid.alice, query)
+    obj.metadata.set("stage", "cooked")
+    call(grid.alice, stage)
+
+    def _wait():
+        yield grid.env.timeout(6.0)
+
+    grid.run(_wait())
+    call(grid.alice, hot_query())
+    grid.put_file("/home/alice/b.dat")
+    call(grid.alice, hot_query())
+    call(grid.alice, hot_query())
+
+
+def test_query_paths_counts_exactly_like_query(grid):
+    stats = {}
+    for surface, fresh in (("query", grid), ("query_paths", type(grid)())):
+        cache = DgmsCache(fresh.dgms, query_ttl_s=5.0).attach()
+        _mixed_calls(fresh, surface)
+        stats[surface] = cache.stats()
+    assert stats["query_paths"] == stats["query"]
+    assert stats["query"]["evictions"] == {"ttl": 1}
+
+
 def test_checksum_conditions_bypass_the_cache(cached):
     grid, cache = cached
     grid.put_file("/home/alice/a.dat")

@@ -8,7 +8,9 @@ only allowed to make it faster, never different.
 
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.grid import (
     Condition,
@@ -51,22 +53,35 @@ def build_random_namespace(seed: int, n_objects: int = 120) -> LogicalNamespace:
 
 
 def random_query(rng: random.Random, ns: LogicalNamespace) -> Query:
+    """A random conjunction over the fields the planner indexes and
+    verifies: exact and inexact metadata paths, merged size windows,
+    numeric-looking strings (``'2'`` vs ``2``), and unindexed names."""
+    sizes = [obj.size for obj in ns.iter_objects("/")] or [0.0]
+    low = rng.randint(0, 5000)
+    high = low + rng.randint(0, 1500)
     pool = [
-        Condition("meta:stage", Op.EQ, rng.choice(STAGES)),
-        Condition("meta:stage", Op.EXISTS),
-        Condition("meta:tag", Op.EQ, rng.choice(TAGS)),
-        Condition("meta:tag", Op.NE, rng.choice(TAGS)),
-        Condition("meta:rare", Op.EQ, "yes"),
-        Condition("size", Op.GT, rng.randint(0, 5000)),
-        Condition("size", Op.LE, rng.randint(0, 5000)),
-        Condition("name", Op.LIKE, "*.dat"),
-        Condition("name", Op.CONTAINS, str(rng.randint(0, 9))),
+        [Condition("meta:stage", Op.EQ, rng.choice(STAGES))],
+        [Condition("meta:stage", Op.EXISTS)],
+        [Condition("meta:stage", Op.NE, rng.choice(STAGES))],
+        [Condition("meta:tag", Op.EQ, rng.choice(TAGS + ["2.0"]))],
+        [Condition("meta:tag", Op.NE, rng.choice(TAGS))],
+        [Condition("meta:tag", Op.EXISTS)],
+        [Condition("meta:rare", Op.EQ, "yes")],
+        [Condition("size", Op.GT, rng.randint(0, 5000))],
+        [Condition("size", Op.LE, rng.randint(0, 5000))],
+        [Condition("size", Op.GT, low), Condition("size", Op.LT, high)],
+        [Condition("size", Op.GE, low), Condition("size", Op.LE, high)],
+        [Condition("size", Op.EQ, rng.choice(sizes))],
+        [Condition("name", Op.LIKE, "*.dat")],
+        [Condition("name", Op.CONTAINS, str(rng.randint(0, 9)))],
     ]
-    conditions = rng.sample(pool, k=rng.randint(0, 3))
+    conditions = [condition
+                  for clause in rng.sample(pool, k=rng.randint(0, 3))
+                  for condition in clause]
     collections = ["/"] + [c.path for c, _, _ in ns.walk("/") if c.path != "/"]
     return Query(collection=rng.choice(collections), conditions=conditions,
                  recursive=rng.random() < 0.9,
-                 limit=rng.choice([None, None, 1, 5]))
+                 limit=rng.choice([None, None, 0, 1, 5]))
 
 
 def assert_equivalent(query: Query, ns: LogicalNamespace) -> None:
@@ -86,37 +101,131 @@ def test_planner_equals_scan_on_random_namespaces(seed):
         assert_equivalent(random_query(rng, ns), ns)
 
 
+MUTATIONS = ["move", "remove", "meta_set", "meta_del", "tag_set", "resize",
+             "move_collection"]
+
+
+def mutate(ns: LogicalNamespace, rng: random.Random, action: str,
+           round_number: int) -> None:
+    """Apply one namespace mutation the catalog must track."""
+    objects = list(ns.iter_objects("/"))
+    if action == "move" and objects:
+        obj = rng.choice(objects)
+        dst = f"/c0/moved-{round_number}.dat"
+        if not ns.exists(dst) and ns.exists("/c0"):
+            ns.move(obj.path, dst)
+    elif action == "remove" and objects:
+        ns.remove(rng.choice(objects).path)
+    elif action == "meta_set" and objects:
+        rng.choice(objects).metadata.set("stage", rng.choice(STAGES))
+    elif action == "meta_del" and objects:
+        rng.choice(objects).metadata.remove("stage")
+    elif action == "tag_set" and objects:
+        rng.choice(objects).metadata.set("tag", rng.choice(TAGS))
+    elif action == "resize" and objects:
+        rng.choice(objects).size = rng.randint(0, 5000)
+    elif action == "move_collection":
+        subtrees = [c.path for c, _, _ in ns.walk("/")
+                    if c.path.count("/") == 1 and c.path != "/"]
+        if subtrees:
+            src = rng.choice(subtrees)
+            dst = f"/moved-{round_number}"
+            if not ns.exists(dst):
+                ns.move(src, dst)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_planner_equals_scan_after_mutations(seed):
     ns = build_random_namespace(seed)
     rng = random.Random(2000 + seed)
     for round_number in range(12):
-        objects = list(ns.iter_objects("/"))
-        action = rng.choice(["move", "remove", "meta_set", "meta_del",
-                             "resize", "move_collection"])
-        if action == "move" and objects:
-            obj = rng.choice(objects)
-            dst = f"/c0/moved-{round_number}.dat"
-            if not ns.exists(dst) and ns.exists("/c0"):
-                ns.move(obj.path, dst)
-        elif action == "remove" and objects:
-            ns.remove(rng.choice(objects).path)
-        elif action == "meta_set" and objects:
-            rng.choice(objects).metadata.set("stage", rng.choice(STAGES))
-        elif action == "meta_del" and objects:
-            rng.choice(objects).metadata.remove("stage")
-        elif action == "resize" and objects:
-            rng.choice(objects).size = rng.randint(0, 5000)
-        elif action == "move_collection":
-            subtrees = [c.path for c, _, _ in ns.walk("/")
-                        if c.path.count("/") == 1 and c.path != "/"]
-            if subtrees:
-                src = rng.choice(subtrees)
-                dst = f"/moved-{round_number}"
-                if not ns.exists(dst):
-                    ns.move(src, dst)
+        mutate(ns, rng, rng.choice(MUTATIONS), round_number)
         for _ in range(8):
             assert_equivalent(random_query(rng, ns), ns)
+
+
+@settings(max_examples=40, deadline=None)
+@given(namespace_seed=st.integers(0, 2**16),
+       steps=st.lists(st.tuples(st.sampled_from(MUTATIONS + ["query"]),
+                                st.integers(0, 2**16)),
+                      min_size=1, max_size=16))
+def test_planner_equals_scan_under_interleaved_mutations(namespace_seed,
+                                                         steps):
+    ns = build_random_namespace(namespace_seed, n_objects=60)
+    for round_number, (action, seed) in enumerate(steps):
+        rng = random.Random(seed)
+        if action == "query":
+            for _ in range(3):
+                assert_equivalent(random_query(rng, ns), ns)
+        else:
+            mutate(ns, rng, action, round_number)
+    assert_equivalent(random_query(random.Random(namespace_seed), ns), ns)
+
+
+# -- exact access paths -------------------------------------------------------
+
+@pytest.fixture
+def counted_matches(monkeypatch):
+    """Count every ``Query.matches`` call (one per candidate verified)."""
+    calls = []
+    original = Query.matches
+
+    def counting(self, obj):
+        calls.append(obj)
+        return original(self, obj)
+
+    monkeypatch.setattr(Query, "matches", counting)
+    return calls
+
+
+@pytest.mark.parametrize("condition", [
+    Condition("meta:stage", Op.EQ, "raw"),
+    Condition("meta:stage", Op.EXISTS),
+], ids=["eq-str", "exists"])
+@pytest.mark.parametrize("limit", [None, 3])
+def test_single_exact_conjunct_verifies_nothing(counted_matches, condition,
+                                                limit):
+    ns = build_random_namespace(7)
+    query = Query(conditions=[condition], limit=limit)
+    results = query.run(ns)
+    assert counted_matches == []
+    assert results
+    assert [o.path for o in results] == [o.path for o in query.run_scan(ns)]
+
+
+def test_exact_winner_verifies_only_the_residual(counted_matches):
+    ns = build_random_namespace(7)
+    rare = Condition("meta:rare", Op.EQ, "yes")
+    query = Query(conditions=[Condition("name", Op.LIKE, "*.dat"), rare])
+    planned = query.run(ns)
+    # One verification per candidate of the winning (rare) posting list.
+    assert len(counted_matches) == ns.catalog.count_meta_eq("rare", "yes")
+    assert [o.path for o in planned] == [o.path for o in query.run_scan(ns)]
+
+
+def test_numeric_eq_candidates_are_verified(counted_matches):
+    """A numeric EQ's posting lists are only a superset: a NaN value is
+    filed under the string key ``'nan'`` but never compares equal, so
+    the planner must verify numeric candidates."""
+    ns, a, b = small_namespace()
+    a.metadata.set("score", float("nan"))
+    b.metadata.set("score", 2)
+    query = Query(conditions=[Condition("meta:score", Op.EQ, float("nan"))])
+    assert query.run(ns) == []
+    assert counted_matches == [a]
+    assert query.run_scan(ns) == []
+
+
+def test_size_bounds_merge_into_one_range():
+    ns = build_random_namespace(5)
+    window = [Condition("size", Op.GT, 1000), Condition("size", Op.LE, 1400)]
+    bounds = [(">", 1000.0), ("<=", 1400.0)]
+    inside = [o for o in ns.iter_objects("/") if 1000 <= o.size <= 1400]
+    # The merged range holds the window (plus ties at the open end), not
+    # either half-range.
+    assert ns.catalog.count_size(bounds) == len(inside)
+    assert ns.catalog.count_size([(">", 1400.0), ("<", 1000.0)]) == 0
+    assert_equivalent(Query(conditions=window), ns)
 
 
 # -- targeted invalidation cases ----------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.errors import CapacityExceeded, StorageError
 from repro.grid import AccessControlList, Permission, User
+from repro.grid.acl import readable
 from repro.storage import GB, PhysicalStorageResource, StorageClass
 
 # --------------------------------------------------------------------------
@@ -126,6 +127,27 @@ def test_granting_directly_never_reduces_access(acl, user, level):
 def test_wildcard_grant_is_a_floor_for_everyone(acl, user):
     acl.grant("*", Permission.READ)
     assert acl.allows(user, Permission.READ)
+
+
+@st.composite
+def revoked_acls(draw):
+    acl = draw(acls())
+    for principal in draw(st.lists(principals, max_size=3)):
+        acl.revoke(principal)
+    return acl
+
+
+class _Node:
+    def __init__(self, acl):
+        self.acl = acl
+
+
+@given(st.lists(revoked_acls(), max_size=12), users(), levels)
+def test_readable_equals_filtering_with_allows(acl_list, user, required):
+    """The batch filter keeps exactly the nodes ``allows`` keeps, in order."""
+    nodes = [_Node(acl) for acl in acl_list]
+    expected = [node for node in nodes if node.acl.allows(user, required)]
+    assert readable(user, nodes, required) == expected
 
 
 @given(acls(), users())
