@@ -1,8 +1,11 @@
-"""Shared deployment builders for the benchmark suite."""
+"""Shared deployment builders and result plumbing for the benchmark suite."""
 
 from __future__ import annotations
 
-from typing import List, Optional
+import json
+import os
+from pathlib import Path
+from typing import List, Optional, Sequence
 
 from repro.dfms import (
     SLA,
@@ -17,6 +20,39 @@ from repro.grid import DataGridManagementSystem, Permission
 from repro.network import Topology
 from repro.sim import Environment
 from repro.storage import GB, MB, PhysicalStorageResource, StorageClass
+
+#: Pinned sweep fingerprint files, each with the seed count it covers.
+PINNED_SWEEPS = {"chaos_sweep_baseline.sha256": 20,
+                 "federation_chaos_baseline.sha256": 10}
+
+
+def env_int(name: str, default: int) -> int:
+    """An integer knob from the environment (unset or empty = default)."""
+    raw = os.environ.get(name, "")
+    return int(raw) if raw else default
+
+
+def merge_results(path: Path, **sections) -> None:
+    """Merge ``sections`` into the JSON result file at ``path``."""
+    payload = json.loads(path.read_text()) if path.exists() else {}
+    payload.update(sections)
+    path.write_text(json.dumps(payload, indent=2) + "\n")
+
+
+def check_pinned_sweep(fingerprint: str, seeds: Sequence[int],
+                       baseline: str, what: str) -> Optional[bool]:
+    """Assert a sweep fingerprint equals its pinned ``baseline`` file.
+
+    Returns True on a match, or None when ``seeds`` is not the pinned
+    seed list (a shrunk smoke sweep has nothing to compare against).
+    """
+    if list(seeds) != list(range(PINNED_SWEEPS[baseline])):
+        return None
+    pinned = (Path(__file__).parent / baseline).read_text().strip()
+    assert fingerprint == pinned, (
+        f"{what} drifted from {baseline} "
+        f"({fingerprint[:12]} vs {pinned[:12]})")
+    return True
 
 
 class BenchGrid:

@@ -42,17 +42,14 @@ asserted at default sizes — shrunk runs are smoke); ``KERNEL_FARM_SEEDS``
 (a count) shrinks the farm sweep.
 """
 
-import hashlib
-import json
-import os
 import time
 from pathlib import Path
 
-from _helpers import BenchGrid  # noqa: F401  (sys.path side effect only)
+from _helpers import check_pinned_sweep, env_int, merge_results
 import _kernel_reference as reference_kernel
 from repro.farm import default_jobs
 from repro.sim import kernel as batched_kernel
-from repro.workloads import run_chaos_sweep
+from repro.workloads import run_chaos_sweep, sweep_fingerprint
 
 _REPO_ROOT = Path(__file__).resolve().parents[1]
 _RESULT_PATH = _REPO_ROOT / "BENCH_kernel.json"
@@ -64,11 +61,6 @@ DEFAULT_STORM = 150_000
 DEFAULT_ROOTS = 400
 DEFAULT_DEPTH = 200
 DEFAULT_BACKGROUND = 5000
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "")
-    return int(raw) if raw else default
 
 
 def trigger_storm(kernel, n_events: int, n_background: int):
@@ -160,10 +152,10 @@ def mixed_workload(kernel, n_chains: int, rounds: int, cascade: int,
 
 
 def test_e22_kernel_batching_speedup(benchmark, experiment):
-    n_storm = _env_int("KERNEL_BENCH_STORM", DEFAULT_STORM)
-    n_roots = _env_int("KERNEL_BENCH_ROOTS", DEFAULT_ROOTS)
-    depth = _env_int("KERNEL_BENCH_DEPTH", DEFAULT_DEPTH)
-    n_background = _env_int("KERNEL_BENCH_BACKGROUND", DEFAULT_BACKGROUND)
+    n_storm = env_int("KERNEL_BENCH_STORM", DEFAULT_STORM)
+    n_roots = env_int("KERNEL_BENCH_ROOTS", DEFAULT_ROOTS)
+    depth = env_int("KERNEL_BENCH_DEPTH", DEFAULT_DEPTH)
+    n_background = env_int("KERNEL_BENCH_BACKGROUND", DEFAULT_BACKGROUND)
     full_size = (n_storm, n_roots, depth, n_background) == (
         DEFAULT_STORM, DEFAULT_ROOTS, DEFAULT_DEPTH, DEFAULT_BACKGROUND)
 
@@ -219,7 +211,7 @@ def test_e22_kernel_batching_speedup(benchmark, experiment):
         rounds=1, iterations=1)
     benchmark.extra_info["speedup"] = round(speedup, 2)
 
-    _merge_results(single_core={
+    merge_results(_RESULT_PATH, single_core={
         "workload": {"storm_events": n_storm, "cascade_roots": n_roots,
                      "cascade_depth": depth, "background": n_background},
         "events": events,
@@ -240,7 +232,7 @@ def test_e22_kernel_batching_speedup(benchmark, experiment):
 
 
 def test_e22_seed_farm_scaling(benchmark, experiment):
-    n_seeds = _env_int("KERNEL_FARM_SEEDS", 20)
+    n_seeds = env_int("KERNEL_FARM_SEEDS", 20)
     seeds = list(range(n_seeds))
     cores = default_jobs()
     jobs = max(2, cores)  # force a real pool even on a one-core host
@@ -281,18 +273,12 @@ def test_e22_seed_farm_scaling(benchmark, experiment):
     # hash recorded under the pre-batching kernel, so any kernel change
     # that moves a single float fails here, not in some downstream paper
     # figure. Only comparable on the default sweep shape.
-    sweep_sha = hashlib.sha256("\n".join(
-        repr(r.signature) for r in farmed).encode()).hexdigest()
-    baseline_path = Path(__file__).with_name("chaos_sweep_baseline.sha256")
-    comparable = n_seeds == 20 and not os.environ.get("CHAOS_SEEDS")
-    bit_identical = None
-    if comparable and baseline_path.exists():
-        bit_identical = sweep_sha == baseline_path.read_text().strip()
-        assert bit_identical, (
-            "20-seed chaos sweep signature drifted from the pre-batching "
-            f"kernel baseline ({sweep_sha[:12]} vs recorded)")
+    sweep_sha = sweep_fingerprint(farmed)
+    bit_identical = check_pinned_sweep(
+        sweep_sha, seeds, "chaos_sweep_baseline.sha256",
+        "farmed chaos sweep")
 
-    _merge_results(farm={
+    merge_results(_RESULT_PATH, farm={
         "seeds": len(seeds),
         "jobs": jobs,
         "cores": cores,
@@ -306,11 +292,3 @@ def test_e22_seed_farm_scaling(benchmark, experiment):
     assert speedup > FARM_EFFICIENCY_GATE * effective, (
         f"farm speedup {speedup:.2f}x below gate "
         f"{FARM_EFFICIENCY_GATE} x {effective} effective workers")
-
-
-def _merge_results(**sections) -> None:
-    payload = {}
-    if _RESULT_PATH.exists():
-        payload = json.loads(_RESULT_PATH.read_text())
-    payload.update(sections)
-    _RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")

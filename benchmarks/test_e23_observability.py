@@ -25,14 +25,16 @@ only fires on the default 20-seed shape.
 """
 
 import gc
-import hashlib
-import json
-import os
 import time
 from pathlib import Path
 
-from _helpers import BenchGrid  # noqa: F401  (sys.path side effect only)
-from repro.workloads import default_chaos_seeds, run_chaos, run_chaos_sweep
+from _helpers import check_pinned_sweep, merge_results
+from repro.workloads import (
+    default_chaos_seeds,
+    run_chaos,
+    run_chaos_sweep,
+    sweep_fingerprint,
+)
 
 _REPO_ROOT = Path(__file__).resolve().parents[1]
 _RESULT_PATH = _REPO_ROOT / "BENCH_observe.json"
@@ -98,7 +100,7 @@ def test_e23_observability_overhead(benchmark, experiment):
                        rounds=1, iterations=1)
     benchmark.extra_info["overhead_pct"] = round(overhead_pct, 2)
 
-    _merge_results(overhead={
+    merge_results(_RESULT_PATH, overhead={
         "seed": BENCH_SEED,
         "repeats": REPEATS,
         "plain_s": round(best["plain"], 4),
@@ -121,8 +123,7 @@ def test_e23_observed_sweep_bit_identical(benchmark, experiment):
 
     observed = run_chaos_sweep(seeds=seeds, observe=True)
     assert all(r.ok for r in observed), "chaos invariants violated"
-    sweep_sha = hashlib.sha256("\n".join(
-        repr(r.signature) for r in observed).encode()).hexdigest()
+    sweep_sha = sweep_fingerprint(observed)
 
     # Recall, per seed: every injected fault window raised its alert.
     uncovered = sum(len(r.observe.uncovered_windows) for r in observed)
@@ -132,14 +133,9 @@ def test_e23_observed_sweep_bit_identical(benchmark, experiment):
         f"{uncovered} fault windows raised no alert across the sweep")
     assert total_windows == sum(r.faults_begun for r in observed)
 
-    baseline_path = Path(__file__).with_name("chaos_sweep_baseline.sha256")
-    comparable = len(seeds) == 20 and not os.environ.get("CHAOS_SEEDS")
-    bit_identical = None
-    if comparable and baseline_path.exists():
-        bit_identical = sweep_sha == baseline_path.read_text().strip()
-        assert bit_identical, (
-            "observed 20-seed chaos sweep drifted from the "
-            f"pre-observability baseline ({sweep_sha[:12]} vs recorded)")
+    bit_identical = check_pinned_sweep(
+        sweep_sha, seeds, "chaos_sweep_baseline.sha256",
+        "observed chaos sweep")
 
     report.row(len(seeds), all(r.ok for r in observed), total_alerts,
                uncovered, sweep_sha[:12])
@@ -153,7 +149,7 @@ def test_e23_observed_sweep_bit_identical(benchmark, experiment):
         rounds=1, iterations=1)
     benchmark.extra_info["sweep_sha12"] = sweep_sha[:12]
 
-    _merge_results(sweep={
+    merge_results(_RESULT_PATH, sweep={
         "seeds": len(seeds),
         "fault_windows": total_windows,
         "uncovered_windows": uncovered,
@@ -178,15 +174,7 @@ def test_e23_alert_precision_on_clean_runs(experiment):
     report.row(len(seeds), false_positives)
     report.conclusion = "zero alerts across the fault-free sweep"
 
-    _merge_results(precision={
+    merge_results(_RESULT_PATH, precision={
         "seeds": len(seeds),
         "false_positives": false_positives,
     })
-
-
-def _merge_results(**sections) -> None:
-    payload = {}
-    if _RESULT_PATH.exists():
-        payload = json.loads(_RESULT_PATH.read_text())
-    payload.update(sections)
-    _RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")

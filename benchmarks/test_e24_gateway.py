@@ -30,20 +30,19 @@ shrink the saturation sweep, ``CHAOS_SEEDS`` shrinks the sweep — the
 hard gates only fire at the default shapes.
 """
 
-import hashlib
-import json
 import os
 import time
 from pathlib import Path
 from statistics import median
 
-from _helpers import BenchGrid  # noqa: F401  (sys.path side effect only)
+from _helpers import check_pinned_sweep, env_int, merge_results
 from repro.dfms.cache import attach_cache
 from repro.grid.query import Query
 from repro.workloads import (
     default_chaos_seeds,
     run_chaos_sweep,
     run_saturation_curve,
+    sweep_fingerprint,
 )
 from repro.workloads.scenarios import cms_scenario
 
@@ -58,11 +57,6 @@ DEFAULT_HORIZON = 60.0
 #: Last three curve points must sit within this relative band for the
 #: goodput to count as a plateau.
 PLATEAU_TOLERANCE = 0.10
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "")
-    return int(raw) if raw else default
 
 
 def _hot_lookup_scenario(n_events: int):
@@ -94,8 +88,8 @@ def _measure_rounds(scenario, user, objects, domains, rounds: int):
 
 
 def test_e24_hot_lookup_speedup(benchmark, experiment):
-    n_events = _env_int("GATEWAY_BENCH_EVENTS", DEFAULT_EVENTS)
-    rounds = _env_int("GATEWAY_BENCH_ROUNDS", DEFAULT_ROUNDS)
+    n_events = env_int("GATEWAY_BENCH_EVENTS", DEFAULT_EVENTS)
+    rounds = env_int("GATEWAY_BENCH_ROUNDS", DEFAULT_ROUNDS)
     full_size = (n_events, rounds) == (DEFAULT_EVENTS, DEFAULT_ROUNDS)
 
     report = experiment(
@@ -131,7 +125,7 @@ def test_e24_hot_lookup_speedup(benchmark, experiment):
         rounds=1, iterations=1)
     benchmark.extra_info["speedup"] = round(speedup, 2)
 
-    _merge_results(hot_lookup={
+    merge_results(_RESULT_PATH, hot_lookup={
         "events": n_events,
         "rounds": rounds,
         "uncached_p50_us": round(uncached_p50 * 1e6, 3),
@@ -190,7 +184,7 @@ def test_e24_gateway_saturation_curve(benchmark, experiment):
         rounds=1, iterations=1)
     benchmark.extra_info["plateau_goodput"] = round(plateau[-1], 3)
 
-    _merge_results(saturation={
+    merge_results(_RESULT_PATH, saturation={
         "loads": loads,
         "horizon_s": horizon,
         "workers": 4,
@@ -223,17 +217,10 @@ def test_e24_cached_sweep_bit_identical(benchmark, experiment):
 
     cached = run_chaos_sweep(seeds=seeds, cache=True)
     assert all(r.ok for r in cached), "chaos invariants violated under cache"
-    sweep_sha = hashlib.sha256("\n".join(
-        repr(r.signature) for r in cached).encode()).hexdigest()
-
-    baseline_path = Path(__file__).with_name("chaos_sweep_baseline.sha256")
-    comparable = len(seeds) == 20 and not os.environ.get("CHAOS_SEEDS")
-    bit_identical = None
-    if comparable and baseline_path.exists():
-        bit_identical = sweep_sha == baseline_path.read_text().strip()
-        assert bit_identical, (
-            "cache-attached 20-seed chaos sweep drifted from the "
-            f"pre-cache baseline ({sweep_sha[:12]} vs recorded)")
+    sweep_sha = sweep_fingerprint(cached)
+    bit_identical = check_pinned_sweep(
+        sweep_sha, seeds, "chaos_sweep_baseline.sha256",
+        "cache-attached chaos sweep")
 
     report.row(len(seeds), all(r.ok for r in cached), sweep_sha[:12])
     report.conclusion = (
@@ -244,15 +231,7 @@ def test_e24_cached_sweep_bit_identical(benchmark, experiment):
                        rounds=1, iterations=1)
     benchmark.extra_info["sweep_sha12"] = sweep_sha[:12]
 
-    _merge_results(sweep={
+    merge_results(_RESULT_PATH, sweep={
         "seeds": len(seeds),
         "sweep_sha256": sweep_sha,
     }, cached_bit_identical=bit_identical)
-
-
-def _merge_results(**sections) -> None:
-    payload = {}
-    if _RESULT_PATH.exists():
-        payload = json.loads(_RESULT_PATH.read_text())
-    payload.update(sections)
-    _RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")

@@ -26,12 +26,11 @@ shrinks the index scaling sweep, ``FEDERATION_CHAOS_SEEDS`` shrinks the
 chaos sweep — the hard gates only fire at the default shapes.
 """
 
-import json
 import os
 import time
 from pathlib import Path
 
-from _helpers import BenchGrid  # noqa: F401  (sys.path side effect only)
+from _helpers import check_pinned_sweep, merge_results
 from repro.federation import (
     FlatReplicaDirectory,
     LocalReplicaCatalog,
@@ -160,7 +159,7 @@ def test_e25_sharded_rls_lookup_scales_flat(benchmark, experiment):
                        rounds=3, iterations=1)
     benchmark.extra_info["speedup_at_max"] = rows[-1]["speedup"]
 
-    _merge_results(rls_scaling={
+    merge_results(_RESULT_PATH, rls_scaling={
         "sizes": sizes,
         "sharded_probes": SHARDED_PROBES,
         "rows": rows,
@@ -201,16 +200,9 @@ def test_e25_federation_chaos_sweep_survives_and_is_pinned(benchmark,
     assert any(r.faults_begun > 0 for r in reports)
 
     fingerprint = sweep_fingerprint(reports)
-    baseline_path = Path(__file__).with_name(
-        "federation_chaos_baseline.sha256")
-    comparable = (len(seeds) >= 10
-                  and not os.environ.get("FEDERATION_CHAOS_SEEDS"))
-    pinned = None
-    if comparable and baseline_path.exists():
-        pinned = fingerprint == baseline_path.read_text().strip()
-        assert pinned, (
-            f"{len(seeds)}-seed federation chaos sweep drifted from the "
-            f"pinned baseline ({fingerprint[:12]} vs recorded)")
+    pinned = check_pinned_sweep(
+        fingerprint, seeds, "federation_chaos_baseline.sha256",
+        "federation chaos sweep")
 
     report.conclusion = (
         f"{len(seeds)} seeds survived; fingerprint "
@@ -222,7 +214,7 @@ def test_e25_federation_chaos_sweep_survives_and_is_pinned(benchmark,
                        rounds=1, iterations=1)
     benchmark.extra_info["fingerprint12"] = fingerprint[:12]
 
-    _merge_results(chaos_sweep={
+    merge_results(_RESULT_PATH, chaos_sweep={
         "seeds": len(seeds),
         "fingerprint_sha256": fingerprint,
         "all_ok": all(r.ok for r in reports),
@@ -231,11 +223,3 @@ def test_e25_federation_chaos_sweep_survives_and_is_pinned(benchmark,
         "stale_misses": sum(r.stale_misses for r in reports),
         "wrong_answers": sum(r.wrong_answers for r in reports),
     }, pinned_baseline_matched=pinned)
-
-
-def _merge_results(**sections) -> None:
-    payload = {}
-    if _RESULT_PATH.exists():
-        payload = json.loads(_RESULT_PATH.read_text())
-    payload.update(sections)
-    _RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")

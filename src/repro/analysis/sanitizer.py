@@ -143,11 +143,18 @@ class ScheduleRace:
 
 
 def _item_key(key: Any) -> str:
-    """A stable per-run label for one dict/set element."""
-    if key is None or isinstance(key, (str, int, float, bool, tuple)):
+    """A label for one dict/set element: ``repr`` for scalars and
+    tuples, sorted element reprs for sets (their own order follows string
+    hashes, which differ between processes), else ``type@id``, which
+    holds only within one process."""
+    if isinstance(key, (set, frozenset)):
+        items = ", ".join(sorted(map(repr, key)))
+        text = f"{type(key).__name__}({{{items}}})"
+    elif key is None or isinstance(key, (str, int, float, bool, tuple)):
         text = repr(key)
-        return text if len(text) <= 60 else text[:57] + "..."
-    return f"{type(key).__name__}@{id(key):#x}"
+    else:
+        return f"{type(key).__name__}@{id(key):#x}"
+    return text if len(text) <= 60 else text[:57] + "..."
 
 
 class TrackedDict(dict):

@@ -34,6 +34,7 @@ Exposed as the ``datagridflow`` and ``repro`` console scripts (see
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
 from typing import Optional, Sequence
 
@@ -366,33 +367,41 @@ def _parse_seeds(raw: str) -> list:
     return list(range(int(raw)))
 
 
+def _print_table(header, rows) -> None:
+    """Print ``rows`` under ``header`` in left-justified columns."""
+    widths = [max(len(str(cell)) for cell in column)
+              for column in zip(header, *rows)]
+    for row in (header, *rows):
+        print("  ".join(str(cell).ljust(width)
+                        for cell, width in zip(row, widths)))
+
+
+def _print_violations(reports) -> None:
+    """Echo every report's invariant violations to stderr."""
+    for report in reports:
+        for violation in report.violations:
+            print(f"  seed {report.seed}: {violation}", file=sys.stderr)
+
+
+def _signature_sha256(report) -> str:
+    return hashlib.sha256(repr(report.signature).encode()).hexdigest()
+
+
 def _cmd_sanitize(args) -> int:
     from repro.analysis.report import Report, render_text
-    from repro.federation.chaos import (
-        default_federation_seeds,
-        prove_federation_order_independence,
-    )
-    from repro.workloads.chaos import (
-        default_chaos_seeds,
-        prove_chaos_order_independence,
-    )
+    from repro.federation.chaos import FEDERATION_CHAOS
+    from repro.workloads.chaos import CHAOS
 
-    chaos_seeds = (_parse_seeds(args.chaos_seeds)
-                   if args.chaos_seeds else default_chaos_seeds())
-    federation_seeds = (_parse_seeds(args.federation_seeds)
-                        if args.federation_seeds
-                        else default_federation_seeds())
     scenarios = []
     races_total = 0
     proved = True
-    for kind, seeds, prove in (
-            ("chaos", chaos_seeds, prove_chaos_order_independence),
-            ("federation", federation_seeds,
-             prove_federation_order_independence)):
-        for seed in seeds:
-            proof = prove(seed, order=args.order,
-                          permute_seed=args.permute_seed,
-                          max_runs=args.max_runs)
+    for kind, harness, raw in (
+            ("chaos", CHAOS, args.chaos_seeds),
+            ("federation", FEDERATION_CHAOS, args.federation_seeds)):
+        for seed in _parse_seeds(raw) if raw else harness.seeds():
+            proof = harness.prove(seed, order=args.order,
+                                  permute_seed=args.permute_seed,
+                                  max_runs=args.max_runs)
             proved = proved and proof.proved
             races_total += proof.races_total
             scenarios.append({"kind": kind, "seed": seed,
@@ -408,45 +417,32 @@ def _cmd_sanitize(args) -> int:
 
 
 def _cmd_farm(args) -> int:
-    import hashlib
     import json
     import time
 
-    from repro.farm import default_jobs, run_farm
-    from repro.workloads.chaos import run_chaos
+    from repro.farm import default_jobs
+    from repro.workloads.chaos import CHAOS
 
     seeds = _parse_seeds(args.seeds)
     jobs = args.jobs if args.jobs else default_jobs()
     # Wall clock, deliberately: the farm is host-side tooling reporting
     # real sweep throughput; nothing below feeds back into any simulation.
     started = time.perf_counter()  # dgf: noqa[DGF001]: farm orchestration is host-side, not sim code — this measures real seeds/sec and never touches a kernel clock
-    reports = run_farm(run_chaos, seeds, jobs=jobs)
+    reports = CHAOS.sweep(seeds, jobs=jobs)
     elapsed = time.perf_counter() - started  # dgf: noqa[DGF001]: same wall-clock throughput measurement as above
 
-    rows = []
-    failures = 0
-    for report in reports:
-        digest = hashlib.sha256(
-            repr(report.signature).encode()).hexdigest()[:12]
-        if not report.ok:
-            failures += 1
-        rows.append((report.seed, f"{report.makespan:.2f}",
-                     report.faults_begun, report.restarts,
-                     sum(report.recovery_actions.values()),
-                     "ok" if report.ok else "VIOLATED", digest))
-    header = ("seed", "makespan_s", "faults", "restarts", "actions",
-              "invariants", "signature")
-    widths = [max(len(str(header[i])), *(len(str(row[i])) for row in rows))
-              for i in range(len(header))] if rows else [len(h) for h in header]
-    print("  ".join(str(h).ljust(w) for h, w in zip(header, widths)))
-    for row in rows:
-        print("  ".join(str(cell).ljust(w) for cell, w in zip(row, widths)))
+    failures = sum(not report.ok for report in reports)
+    _print_table(
+        ("seed", "makespan_s", "faults", "restarts", "actions",
+         "invariants", "signature"),
+        [(report.seed, f"{report.makespan:.2f}", report.faults_begun,
+          report.restarts, sum(report.recovery_actions.values()),
+          "ok" if report.ok else "VIOLATED",
+          _signature_sha256(report)[:12]) for report in reports])
     rate = len(seeds) / elapsed if elapsed else float("inf")
     print(f"{len(seeds)} seeds on {jobs} worker(s) in {elapsed:.2f} s "
           f"({rate:.2f} seeds/s); {failures} invariant failure(s)")
-    for report in reports:
-        for violation in report.violations:
-            print(f"  seed {report.seed}: {violation}", file=sys.stderr)
+    _print_violations(reports)
     if args.json is not None:
         payload = {
             "seeds": seeds, "jobs": jobs, "elapsed_s": round(elapsed, 3),
@@ -457,8 +453,7 @@ def _cmd_farm(args) -> int:
                 "faults_begun": report.faults_begun,
                 "restarts": report.restarts,
                 "recovery_actions": report.recovery_actions,
-                "signature_sha256": hashlib.sha256(
-                    repr(report.signature).encode()).hexdigest(),
+                "signature_sha256": _signature_sha256(report),
                 "violations": report.violations,
             } for report in reports],
         }
@@ -480,19 +475,15 @@ def _cmd_gateway(args) -> int:
         rates, seed=args.seed, horizon_s=args.horizon,
         workers=args.workers, queue_limit=args.queue_limit,
         cache=not args.no_cache, jobs=args.jobs)
-    header = ("offered/s", "goodput/s", "p50_soj_s", "p99_soj_s",
-              "shed", "peak_q", "cache_hit")
-    rows = [(f"{p['offered_rate']:.2f}", f"{p['goodput_rate']:.3f}",
-             f"{p['p50_sojourn_s']:.2f}", f"{p['p99_sojourn_s']:.2f}",
-             p["shed_total"], p["peak_queue_depth"],
-             "-" if p["cache_hit_rate"] is None
-             else f"{p['cache_hit_rate']:.2f}")
-            for p in points]
-    widths = [max(len(str(header[i])), *(len(str(row[i])) for row in rows))
-              for i in range(len(header))]
-    print("  ".join(str(h).ljust(w) for h, w in zip(header, widths)))
-    for row in rows:
-        print("  ".join(str(cell).ljust(w) for cell, w in zip(row, widths)))
+    _print_table(
+        ("offered/s", "goodput/s", "p50_soj_s", "p99_soj_s", "shed",
+         "peak_q", "cache_hit"),
+        [(f"{p['offered_rate']:.2f}", f"{p['goodput_rate']:.3f}",
+          f"{p['p50_sojourn_s']:.2f}", f"{p['p99_sojourn_s']:.2f}",
+          p["shed_total"], p["peak_queue_depth"],
+          "-" if p["cache_hit_rate"] is None
+          else f"{p['cache_hit_rate']:.2f}")
+         for p in points])
     if args.json is not None:
         _write(args.json, json.dumps({
             "seed": args.seed, "horizon_s": args.horizon,
@@ -503,7 +494,6 @@ def _cmd_gateway(args) -> int:
 
 
 def _cmd_federation(args) -> int:
-    import hashlib
     import json
 
     from repro.federation import run_federation_sweep, sweep_fingerprint
@@ -513,32 +503,19 @@ def _cmd_federation(args) -> int:
         seeds=seeds, jobs=args.jobs or None,
         faults=not args.no_faults, recovery=not args.no_recovery,
         n_zones=args.zones, placement_policy=args.policy)
-    rows = []
-    failures = 0
-    for report in reports:
-        digest = hashlib.sha256(
-            repr(report.signature).encode()).hexdigest()[:12]
-        if not report.ok:
-            failures += 1
-        rows.append((report.seed, f"{report.makespan:.2f}",
-                     f"{report.copies_completed}/{report.copies_attempted}",
-                     report.faults_begun, report.stale_misses,
-                     report.wrong_answers,
-                     "ok" if report.ok else "VIOLATED", digest))
-    header = ("seed", "makespan_s", "copies", "faults", "stale", "wrong",
-              "invariants", "signature")
-    widths = [max(len(str(header[i])), *(len(str(row[i])) for row in rows))
-              for i in range(len(header))] if rows else [len(h)
-                                                         for h in header]
-    print("  ".join(str(h).ljust(w) for h, w in zip(header, widths)))
-    for row in rows:
-        print("  ".join(str(cell).ljust(w) for cell, w in zip(row, widths)))
+    failures = sum(not report.ok for report in reports)
+    _print_table(
+        ("seed", "makespan_s", "copies", "faults", "stale", "wrong",
+         "invariants", "signature"),
+        [(report.seed, f"{report.makespan:.2f}",
+          f"{report.copies_completed}/{report.copies_attempted}",
+          report.faults_begun, report.stale_misses, report.wrong_answers,
+          "ok" if report.ok else "VIOLATED",
+          _signature_sha256(report)[:12]) for report in reports])
     print(f"{len(seeds)} seed(s), {args.zones} zones, "
           f"policy {args.policy}; {failures} invariant failure(s); "
           f"fingerprint {sweep_fingerprint(reports)[:12]}")
-    for report in reports:
-        for violation in report.violations:
-            print(f"  seed {report.seed}: {violation}", file=sys.stderr)
+    _print_violations(reports)
     if args.json is not None:
         _write(args.json, json.dumps({
             "seeds": seeds, "zones": args.zones, "policy": args.policy,

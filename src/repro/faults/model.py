@@ -48,6 +48,7 @@ __all__ = [
     "ZoneOutage",
     "BridgeDegradation",
     "FaultSchedule",
+    "ScheduleDriver",
     "FaultDriver",
     "attach_faults",
 ]
@@ -310,27 +311,75 @@ class FaultSchedule:
         return cls(events)
 
 
-class FaultDriver:
-    """Applies a schedule to one datagrid through kernel timeouts.
+class ScheduleDriver:
+    """Arms a fault schedule through kernel timeouts and accounts for it.
 
-    Each event gets a begin timer and an end timer; the callbacks mutate
-    the grid (resource ``online`` flags, topology links, transfer-service
-    outage set) and emit a telemetry record per transition, so every fault
-    is visible to invariant checkers as a begin/end pair.
+    Each event gets a begin timer and an end timer. Subclasses check the
+    schedule's targets in ``_resolve_targets`` at arm time and apply a
+    transition in ``_begin``/``_end``, which end by calling
+    :meth:`_note`: it counts the transition, logs it, and emits a
+    telemetry record, so every fault is visible to invariant checkers as
+    a begin/end pair.
     """
 
-    def __init__(self, dgms, schedule: FaultSchedule,
-                 streams: Optional[RandomStreams] = None) -> None:
-        self.dgms = dgms
-        self.env = dgms.env
+    def __init__(self, env, schedule: FaultSchedule) -> None:
+        self.env = env
         self.schedule = schedule
-        self._streams = streams if streams is not None else RandomStreams(0)
         self.begun = 0
         self.ended = 0
         #: (time, phase, kind, target) per transition, for assertions that
         #: run without a telemetry session.
         self.log: List[Tuple[float, str, str, str]] = []
         self._armed = False
+
+    @property
+    def open_faults(self) -> int:
+        """Fault windows currently open (begin seen, end not yet)."""
+        return self.begun - self.ended
+
+    def arm(self) -> "ScheduleDriver":
+        """Validate the schedule against its target and schedule every
+        begin/end as a kernel timeout. One-shot."""
+        if self._armed:
+            raise FaultError(f"{type(self).__name__} is already armed")
+        self._armed = True
+        self._resolve_targets()
+        now = self.env.now
+        for event in self.schedule:
+            begin = self.env.timeout(max(0.0, event.start - now))
+            begin.callbacks.append(lambda _e, ev=event: self._begin(ev))
+            end = self.env.timeout(max(0.0, event.end - now))
+            end.callbacks.append(lambda _e, ev=event: self._end(ev))
+        return self
+
+    def _note(self, phase: str, event: FaultEvent) -> None:
+        if phase == "begin":
+            self.begun += 1
+        else:
+            self.ended += 1
+        self.log.append((self.env.now, phase, event.kind, event.target))
+        t = self.env.telemetry
+        if t is not None:
+            t.fault_events.labels(kind=event.kind, phase=phase).inc()
+            # start/duration give SLO probes and causal traces the full
+            # window geometry from either transition record alone.
+            t.log.emit(f"fault.{phase}", fault=event.kind,
+                       target=event.target, start=event.start,
+                       duration=event.duration)
+
+
+class FaultDriver(ScheduleDriver):
+    """Applies a schedule to one datagrid.
+
+    The transitions mutate the grid: resource ``online`` flags, topology
+    links, and the transfer service's outage set.
+    """
+
+    def __init__(self, dgms, schedule: FaultSchedule,
+                 streams: Optional[RandomStreams] = None) -> None:
+        super().__init__(dgms.env, schedule)
+        self.dgms = dgms
+        self._streams = streams if streams is not None else RandomStreams(0)
         # Pristine Link per ends, captured before any mutation.
         self._base: Dict[FrozenSet[str], object] = {}
         # Refcounts: how many open events hold this link / resource down.
@@ -344,26 +393,6 @@ class FaultDriver:
         self._domain_members: Dict[DomainOutage,
                                    Tuple[List[str],
                                          List[FrozenSet[str]]]] = {}
-
-    @property
-    def open_faults(self) -> int:
-        """Fault windows currently open (begin seen, end not yet)."""
-        return self.begun - self.ended
-
-    def arm(self) -> "FaultDriver":
-        """Validate the schedule against the grid and schedule every
-        begin/end as a kernel timeout. One-shot."""
-        if self._armed:
-            raise FaultError("fault driver is already armed")
-        self._armed = True
-        self._resolve_targets()
-        now = self.env.now
-        for event in self.schedule:
-            begin = self.env.timeout(max(0.0, event.start - now))
-            begin.callbacks.append(lambda _e, ev=event: self._begin(ev))
-            end = self.env.timeout(max(0.0, event.end - now))
-            end.callbacks.append(lambda _e, ev=event: self._end(ev))
-        return self
 
     # -- composable hold/release (for higher-level drivers) ------------------
     #
@@ -430,21 +459,6 @@ class FaultDriver:
                 self._domain_members[event] = (names, ends_list)
 
     # -- transitions ---------------------------------------------------------
-
-    def _note(self, phase: str, event: FaultEvent) -> None:
-        if phase == "begin":
-            self.begun += 1
-        else:
-            self.ended += 1
-        self.log.append((self.env.now, phase, event.kind, event.target))
-        t = self.env.telemetry
-        if t is not None:
-            t.fault_events.labels(kind=event.kind, phase=phase).inc()
-            # start/duration give SLO probes and causal traces the full
-            # window geometry from either transition record alone.
-            t.log.emit(f"fault.{phase}", fault=event.kind,
-                       target=event.target, start=event.start,
-                       duration=event.duration)
 
     def _begin(self, event: FaultEvent) -> None:
         if isinstance(event, StorageOutage):

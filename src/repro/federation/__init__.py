@@ -34,7 +34,6 @@ from repro.federation.chaos import (
     federation_run_signature,
     run_federation_chaos,
     run_federation_sweep,
-    sweep_fingerprint,
 )
 from repro.federation.namespace import FederatedNamespace
 from repro.federation.placement import (
@@ -61,6 +60,7 @@ from repro.federation.scenario import (
     zone_name,
 )
 from repro.federation.sync import DigestSyncer
+from repro.workloads.chaos import sweep_fingerprint
 
 __all__ = [
     "BloomDigest",

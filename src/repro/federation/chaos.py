@@ -28,13 +28,15 @@ federation's survival invariants:
 * **post-flush convergence** — once every digest syncer flushes, the
   RLS locates every surviving object in every zone that holds it.
 
-Everything is seeded; a violating schedule replays from its seed.
+The seed list, farmed sweep, permutation proof, sanitizer wiring, the
+lost-replica and accounting checks, and the signature parts come from
+:mod:`repro.workloads.chaos`; :data:`FEDERATION_CHAOS` is this
+scenario's :class:`~repro.workloads.chaos.ChaosHarness`. Everything is
+seeded; a violating schedule replays from its seed.
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -45,17 +47,28 @@ from repro.faults.model import (
     FaultDriver,
     FaultEvent,
     FaultSchedule,
+    ScheduleDriver,
     ZoneOutage,
 )
-from repro.faults.recovery import attach_recovery
+from repro.faults.recovery import RecoveryService, attach_recovery
 from repro.federation.placement import cross_zone_copy_by_guid
 from repro.federation.scenario import FederationScenario, federation_scenario
 from repro.sim.rng import RandomStreams
 from repro.storage import MB
 from repro.telemetry.instrument import attach_telemetry
-from repro.workloads.chaos import CHAOS_POLICY, _coerce_sanitizer
+from repro.workloads.chaos import (
+    CHAOS_POLICY,
+    ChaosHarness,
+    accounting_violations,
+    completed_transfers,
+    finish_sanitizer,
+    lost_replica_violations,
+    replica_placement,
+    start_sanitizer,
+)
 
 __all__ = [
+    "FEDERATION_CHAOS",
     "FederationChaosReport",
     "FederationFaultDriver",
     "attach_federation_faults",
@@ -66,7 +79,6 @@ __all__ = [
     "prove_federation_order_independence",
     "run_federation_chaos",
     "run_federation_sweep",
-    "sweep_fingerprint",
 ]
 
 #: Stream :func:`federation_fault_schedule` draws from.
@@ -77,12 +89,6 @@ WORKLOAD_STREAM = "federation/workload"
 
 #: Zone-scoped event kinds the random schedule picks between.
 FEDERATION_RANDOM_KINDS = ("zone-outage", "bridge-degradation")
-
-
-def default_federation_seeds(count: int = 10) -> List[int]:
-    """Seeds the federation chaos sweep runs (``FEDERATION_CHAOS_SEEDS``
-    shrinks or grows it — CI smoke runs a handful, E25 at least ten)."""
-    return list(range(int(os.environ.get("FEDERATION_CHAOS_SEEDS", count))))
 
 
 def federation_fault_schedule(streams: RandomStreams, federation,
@@ -126,7 +132,7 @@ def federation_fault_schedule(streams: RandomStreams, federation,
     return FaultSchedule(events)
 
 
-class FederationFaultDriver:
+class FederationFaultDriver(ScheduleDriver):
     """Arms zone-scoped schedules against a federation.
 
     A zone outage is "hold every physical resource and every intra-zone
@@ -142,15 +148,8 @@ class FederationFaultDriver:
 
     def __init__(self, federation, schedule: FaultSchedule,
                  streams: Optional[RandomStreams] = None) -> None:
+        super().__init__(federation.env, schedule)
         self.federation = federation
-        self.env = federation.env
-        self.schedule = schedule
-        self.begun = 0
-        self.ended = 0
-        #: (time, phase, kind, target) per transition (mirrors
-        #: :attr:`FaultDriver.log`).
-        self.log: List[Tuple[float, str, str, str]] = []
-        self._armed = False
         # One mechanics driver per zone, sharing the run's streams so a
         # caller can arm intra-zone schedules on the same drivers.
         self.mechanics: Dict[str, FaultDriver] = {
@@ -163,26 +162,6 @@ class FederationFaultDriver:
                                  Tuple[List[str],
                                        List[Tuple[str, str]]]] = {}
         self._bridges: Dict[BridgeDegradation, object] = {}
-
-    @property
-    def open_faults(self) -> int:
-        """Fault windows currently open (begin seen, end not yet)."""
-        return self.begun - self.ended
-
-    def arm(self) -> "FederationFaultDriver":
-        """Validate the schedule against the federation and schedule
-        every begin/end as a kernel timeout. One-shot."""
-        if self._armed:
-            raise FaultError("federation fault driver is already armed")
-        self._armed = True
-        self._resolve_targets()
-        now = self.env.now
-        for event in self.schedule:
-            begin = self.env.timeout(max(0.0, event.start - now))
-            begin.callbacks.append(lambda _e, ev=event: self._begin(ev))
-            end = self.env.timeout(max(0.0, event.end - now))
-            end.callbacks.append(lambda _e, ev=event: self._end(ev))
-        return self
 
     def _resolve_targets(self) -> None:
         for event in self.schedule:
@@ -206,19 +185,6 @@ class FederationFaultDriver:
                 self._bridges[event] = bridge
 
     # -- transitions ---------------------------------------------------------
-
-    def _note(self, phase: str, event: FaultEvent) -> None:
-        if phase == "begin":
-            self.begun += 1
-        else:
-            self.ended += 1
-        self.log.append((self.env.now, phase, event.kind, event.target))
-        t = self.env.telemetry
-        if t is not None:
-            t.fault_events.labels(kind=event.kind, phase=phase).inc()
-            t.log.emit(f"fault.{phase}", fault=event.kind,
-                       target=event.target, start=event.start,
-                       duration=event.duration)
 
     def _begin(self, event: FaultEvent) -> None:
         if isinstance(event, ZoneOutage):
@@ -310,8 +276,7 @@ def federation_run_signature(scenario: FederationScenario) -> Tuple:
     zones = tuple(
         (name,
          scenario.zones[name].transfers.total_bytes_moved,
-         tuple((s.src, s.dst, s.nbytes, s.start_time, s.end_time)
-               for s in scenario.zones[name].transfers.completed))
+         completed_transfers(scenario.zones[name]))
         for name in sorted(scenario.zones))
     rls = scenario.rls
     return (
@@ -339,14 +304,8 @@ def federation_canonical_signature(scenario: FederationScenario) -> Tuple:
     timestamp may legitimately be observed in either order (the
     invariant is "stale but never wrong", checked separately).
     """
-    zones = tuple(
-        (name,
-         tuple(sorted(
-             (obj.path,
-              tuple(sorted(replica.physical_name
-                           for replica in obj.good_replicas())))
-             for obj in scenario.zones[name].namespace.iter_objects("/"))))
-        for name in sorted(scenario.zones))
+    zones = tuple((name, replica_placement(scenario.zones[name]))
+                  for name in sorted(scenario.zones))
     return (
         scenario.env.now,
         zones,
@@ -354,12 +313,6 @@ def federation_canonical_signature(scenario: FederationScenario) -> Tuple:
         scenario.federation.copies_failed,
         scenario.rls.lookups,
     )
-
-
-def sweep_fingerprint(reports: Sequence[FederationChaosReport]) -> str:
-    """One hex digest over a whole sweep's signatures (the E25 pin)."""
-    blob = "\n".join(repr(report.signature) for report in reports)
-    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def _run_workload(scenario: FederationScenario, horizon: float,
@@ -449,30 +402,14 @@ def _run_workload(scenario: FederationScenario, horizon: float,
 
 def _check_federation_invariants(scenario: FederationScenario,
                                  driver: Optional[FederationFaultDriver],
-                                 services: Dict[str, object],
+                                 services: Dict[str, RecoveryService],
                                  copies: List[Dict],
                                  audits: Dict) -> List[str]:
-    violations: List[str] = []
     federation = scenario.federation
-    telemetry = scenario.env.telemetry
-
-    # No lost replicas, federation-wide: every zone's catalog and
-    # physical allocations agree.
+    violations: List[str] = []
     for name in sorted(scenario.zones):
-        dgms = scenario.zones[name]
-        for obj in dgms.namespace.iter_objects("/"):
-            good = obj.good_replicas()
-            if not good:
-                violations.append(f"{name}:{obj.path}: no good replicas "
-                                  "left")
-            for replica in good:
-                physical = dgms.resources.physical(
-                    replica.physical_name).physical
-                if not physical.holds(replica.allocation_id):
-                    violations.append(
-                        f"{name}:{obj.path}: replica "
-                        f"{replica.allocation_id} missing from "
-                        f"{replica.physical_name}")
+        violations += lost_replica_violations(scenario.zones[name],
+                                              f"{name}:")
 
     # Stale but never wrong: the audit may count misses (bounded
     # staleness) but must never have caught an unvouched location.
@@ -501,35 +438,10 @@ def _check_federation_invariants(scenario: FederationScenario,
             violations.append(
                 f"{label}: completed but has no good replica")
 
-    # Accounted faults: every window opened, closed, and (with telemetry
-    # attached) left a begin/end record pair.
-    if driver is not None:
-        if driver.begun != len(driver.schedule):
-            violations.append(
-                f"{driver.begun}/{len(driver.schedule)} zone fault "
-                "windows began")
-        if driver.ended != driver.begun:
-            violations.append(
-                f"{driver.ended}/{driver.begun} zone fault windows ended")
-        if telemetry is not None:
-            begins = len(telemetry.log.of_kind("fault.begin"))
-            ends = len(telemetry.log.of_kind("fault.end"))
-            if begins != driver.begun or ends != driver.ended:
-                violations.append(
-                    f"telemetry saw {begins} begins/{ends} ends for "
-                    f"{driver.begun}/{driver.ended} fault transitions")
-
-    # Recovery actions mirrored into telemetry (all zones share the log).
-    if services and telemetry is not None:
-        kinds = set()
-        for service in services.values():
-            kinds.update(service.counts)
-        logged = sum(len(telemetry.log.of_kind(f"recovery.{kind}"))
-                     for kind in kinds)
-        total = sum(service.total_actions for service in services.values())
-        if logged != total:
-            violations.append(
-                f"telemetry logged {logged} of {total} recovery actions")
+    # Accounted faults and recovery (all zones share one telemetry log).
+    violations += accounting_violations(
+        driver, list(services.values()), scenario.env.telemetry,
+        "zone fault windows")
 
     # Post-flush convergence: with every digest published, the RLS must
     # locate every surviving object in every zone that holds it.
@@ -571,20 +483,13 @@ def run_federation_chaos(seed: int, faults: bool = True,
         objects_per_zone=objects_per_zone, object_size=object_size,
         seed=seed, sync_period_s=sync_period_s)
     attach_telemetry(scenario.env)
-    sanitizer = _coerce_sanitizer(sanitize)
-    if sanitizer is not None:
-        sanitizer.attach(scenario.env)
-        # Before recovery/fault attachment: spawn() children (the
-        # per-zone recovery families) and later-pulled substreams
-        # (workload stagger, fault schedule) inherit draw tracking.
-        sanitizer.track_streams(scenario.streams)
-        for name in sorted(scenario.zones):
-            dgms = scenario.zones[name]
-            sanitizer.track_object(f"{name}.transfers", dgms.transfers)
-            sanitizer.track_object(f"{name}.namespace", dgms.namespace)
-        sanitizer.track_object("rls", scenario.rls)
-        sanitizer.track_object("federation", scenario.federation)
-    services: Dict[str, object] = {}
+    zones = scenario.zones
+    state = {f"{name}.{part}": getattr(zones[name], part)
+             for name in sorted(zones) for part in ("transfers", "namespace")}
+    state.update(rls=scenario.rls, federation=scenario.federation)
+    sanitizer = start_sanitizer(sanitize, scenario.env, scenario.streams,
+                                state)
+    services: Dict[str, RecoveryService] = {}
     if recovery:
         for zone in sorted(scenario.zones):
             services[zone] = attach_recovery(
@@ -624,51 +529,15 @@ def run_federation_chaos(seed: int, faults: bool = True,
     )
     report.violations = _check_federation_invariants(
         scenario, driver, services, copies, audits)
-    if sanitizer is not None:
-        sanitizer.detach()
-        report.sanitizer = sanitizer.to_dict()
-        # A permuted schedule that breaks a survival invariant must
-        # refute the proof even if the terminal placement matches.
-        report.canonical = (federation_canonical_signature(scenario)
-                            + (tuple(report.violations),))
+    finish_sanitizer(sanitizer, report,
+                     lambda: federation_canonical_signature(scenario))
     return report
 
 
-def prove_federation_order_independence(seed: int, *,
-                                        order: str = "reverse",
-                                        permute_seed: int = 0,
-                                        max_runs: int = 40, **kwargs):
-    """Prove (or refute with a minimized witness) that the federation
-    chaos run for ``seed`` is independent of legal same-timestamp
-    dispatch order — the zone-scoped counterpart of
-    :func:`repro.workloads.chaos.prove_chaos_order_independence`.
-    """
-    from repro.analysis.sanitizer import (
-        ScheduleSanitizer,
-        prove_order_independence,
-    )
-
-    def _run(config):
-        sanitizer = ScheduleSanitizer(config)
-        report = run_federation_chaos(seed, sanitize=sanitizer, **kwargs)
-        return report.canonical, sanitizer
-
-    return prove_order_independence(_run, order=order,
-                                    permute_seed=permute_seed,
-                                    max_runs=max_runs)
-
-
-def run_federation_sweep(seeds: Optional[List[int]] = None,
-                         jobs: Optional[int] = None,
-                         **kwargs) -> List[FederationChaosReport]:
-    """:func:`run_federation_chaos` for every seed, farmed across cores.
-
-    Each seed's run is fully determined by the seed and shares nothing
-    with other seeds; reports come back in seed order, byte-identical to
-    the serial loop (``jobs=1``).
-    """
-    from repro.farm import run_farm
-
-    if seeds is None:
-        seeds = default_federation_seeds()
-    return run_farm(run_federation_chaos, seeds, jobs=jobs, kwargs=kwargs)
+#: The federation chaos scenario's harness; ``FEDERATION_CHAOS_SEEDS``
+#: resizes its sweep.
+FEDERATION_CHAOS = ChaosHarness(run_federation_chaos,
+                                "FEDERATION_CHAOS_SEEDS", 10)
+default_federation_seeds = FEDERATION_CHAOS.seeds
+run_federation_sweep = FEDERATION_CHAOS.sweep
+prove_federation_order_independence = FEDERATION_CHAOS.prove

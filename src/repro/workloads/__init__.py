@@ -5,9 +5,8 @@ from repro.workloads.chaos import (
     default_chaos_seeds,
     run_chaos,
     run_chaos_sweep,
-    run_federation_chaos,
-    run_federation_sweep,
     run_signature,
+    sweep_fingerprint,
 )
 from repro.workloads.generators import (
     lognormal_sizes,
@@ -39,8 +38,7 @@ __all__ = [
     "Scenario", "bbsrc_scenario", "cms_scenario", "scec_scenario",
     "ucsd_library_scenario",
     "ChaosReport", "run_chaos", "run_chaos_sweep", "run_signature",
-    "run_federation_chaos", "run_federation_sweep",
-    "default_chaos_seeds",
+    "default_chaos_seeds", "sweep_fingerprint",
     "TrafficGenerator", "TrafficProfile", "TrafficStats", "pareto_gaps",
     "run_saturation_point", "run_saturation_curve",
 ]

@@ -17,15 +17,24 @@ supervision), then checks the survival invariants:
 * **accounted faults** — every fault window begin/end pair and every
   recovery action is visible in telemetry.
 
+It also holds what every chaos scenario shares (the federation's
+:mod:`repro.federation.chaos` is the other one): :class:`ChaosHarness`
+(seed list, farmed sweep, permutation proof), the sanitizer attach and
+detach, the lost-replica and accounting invariants, and the signature
+parts both scenarios pin. A scenario supplies only its builder, its
+workload, its report, its exact and canonical signatures, and the
+invariants only it checks.
+
 Everything is seeded, so a violating schedule is a reproducible test
 case: rerun :func:`run_chaos` with the reported seed.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.dgl.builder import flow_builder
 from repro.dgl.model import DataGridRequest, ExecutionState
@@ -47,25 +56,18 @@ from repro.telemetry.instrument import (
 from repro.workloads.scenarios import Scenario, cms_scenario
 
 __all__ = ["ChaosReport", "ObserveReport", "run_chaos", "run_chaos_sweep",
-           "run_federation_chaos", "run_federation_sweep",
            "run_signature", "canonical_signature",
            "prove_chaos_order_independence",
-           "CHAOS_POLICY", "default_chaos_seeds"]
+           "CHAOS_POLICY", "default_chaos_seeds",
+           "ChaosHarness", "CHAOS", "start_sanitizer", "finish_sanitizer",
+           "lost_replica_violations", "accounting_violations",
+           "completed_transfers", "replica_placement", "sweep_fingerprint"]
 
 #: Generous budget: a chaos outage can hold a resource down for a fifth
 #: of the horizon, so retries must be able to outwait the longest window
 #: (capped delays sum well past it) without spinning hot.
 CHAOS_POLICY = RetryPolicy(max_attempts=12, base_delay=1.0, multiplier=2.0,
                            max_delay=30.0, jitter=0.1)
-
-
-def default_chaos_seeds(count: int = 20) -> List[int]:
-    """The seed list the invariant suite sweeps (env-overridable size).
-
-    ``CHAOS_SEEDS`` shrinks or grows the sweep — CI smoke jobs run a
-    handful, the acceptance run does at least twenty.
-    """
-    return list(range(int(os.environ.get("CHAOS_SEEDS", count))))
 
 
 @dataclass
@@ -131,12 +133,10 @@ def run_signature(scenario: Scenario) -> Tuple:
     record count — enough that any behavioural drift in the no-fault path
     shows up as a signature mismatch.
     """
-    transfers = scenario.dgms.transfers
     return (
         scenario.env.now,
-        tuple((s.src, s.dst, s.nbytes, s.start_time, s.end_time)
-              for s in transfers.completed),
-        transfers.total_bytes_moved,
+        completed_transfers(scenario.dgms),
+        scenario.dgms.transfers.total_bytes_moved,
         tuple(sorted((e.request_id, e.state.value, e.finished_at)
                      for e in scenario.server.executions())),
         len(scenario.provenance.records()),
@@ -162,49 +162,191 @@ def canonical_signature(scenario: Scenario) -> Tuple:
     converges to the same terminal state in the same sim time with all
     survival invariants intact.
     """
-    dgms = scenario.dgms
-    placement = tuple(sorted(
-        (obj.path,
-         tuple(sorted(replica.physical_name
-                      for replica in obj.good_replicas())))
-        for obj in dgms.namespace.iter_objects("/")))
     return (
         scenario.env.now,
-        placement,
+        replica_placement(scenario.dgms),
         tuple(sorted((e.request_id, e.state.value)
                      for e in scenario.server.executions())),
     )
 
 
-def _coerce_sanitizer(sanitize):
-    """Normalize ``run_chaos(sanitize=...)`` to a ScheduleSanitizer.
+# --------------------------------------------------------------------------
+# What every chaos scenario shares
+# --------------------------------------------------------------------------
 
-    Accepts ``None`` (off), ``True`` (default config), a
-    :class:`~repro.analysis.sanitizer.SanitizeConfig`, or an existing
-    :class:`~repro.analysis.sanitizer.ScheduleSanitizer` (the proof
-    driver passes one in so it can read the run's results back).
-    Imported lazily so the workload stays importable without the
-    analysis package.
+
+@dataclass(frozen=True)
+class ChaosHarness:
+    """The seed list, sweep and permutation proof of one chaos scenario.
+
+    ``run(seed, **kwargs)`` returns a report with ``signature`` (and
+    ``canonical`` when sanitized); it stays module-level because
+    :func:`repro.farm.run_farm` pickles it. The ``seeds_env`` variable
+    resizes the default sweep of ``seed_count`` seeds.
+    """
+
+    run: Callable[..., Any]
+    seeds_env: str
+    seed_count: int
+
+    def seeds(self) -> List[int]:
+        """The default seed list (CI smoke jobs shrink it via the env)."""
+        return list(range(int(os.environ.get(self.seeds_env,
+                                             self.seed_count))))
+
+    def sweep(self, seeds: Optional[List[int]] = None,
+              jobs: Optional[int] = None, **kwargs) -> List[Any]:
+        """``run`` for every seed, farmed by :func:`repro.farm.run_farm`.
+
+        Reports come back in seed order, byte-identical to the serial
+        loop (``jobs=1``); ``seeds`` defaults to :meth:`seeds`, ``jobs``
+        to every core, and ``kwargs`` reach every run.
+        """
+        from repro.farm import run_farm
+
+        if seeds is None:
+            seeds = self.seeds()
+        return run_farm(self.run, seeds, jobs=jobs, kwargs=kwargs)
+
+    def prove(self, seed: int, *, order: str = "reverse",
+              permute_seed: int = 0, max_runs: int = 40, **kwargs):
+        """Prove (or refute with a minimized witness) that the run for
+        ``seed`` is independent of legal same-timestamp dispatch order.
+
+        Drives :func:`repro.analysis.sanitizer.prove_order_independence`
+        over fresh runs, diffing their ``canonical`` signatures;
+        ``kwargs`` reach every run.
+        """
+        from repro.analysis.sanitizer import (
+            ScheduleSanitizer,
+            prove_order_independence,
+        )
+
+        def _run(config):
+            sanitizer = ScheduleSanitizer(config)
+            report = self.run(seed, sanitize=sanitizer, **kwargs)
+            return report.canonical, sanitizer
+
+        return prove_order_independence(_run, order=order,
+                                        permute_seed=permute_seed,
+                                        max_runs=max_runs)
+
+
+def start_sanitizer(sanitize, env, streams: RandomStreams,
+                    state: Dict[str, object]):
+    """Attach the schedule sanitizer a chaos run asked for (None if off).
+
+    ``sanitize`` is ``None``/``False`` (off), ``True``, a
+    ``SanitizeConfig``, or a ``ScheduleSanitizer`` the caller reads back
+    (the proof driver's). Call it before recovery or faults attach, so
+    every substream of ``streams``, including the shared recovery draws
+    DGF007 guards, is draw-tracked. ``state`` maps labels to the shared
+    objects the race detector watches.
     """
     if sanitize is None or sanitize is False:
         return None
     from repro.analysis.sanitizer import SanitizeConfig, ScheduleSanitizer
 
     if isinstance(sanitize, ScheduleSanitizer):
-        return sanitize
-    if isinstance(sanitize, SanitizeConfig):
-        return ScheduleSanitizer(sanitize)
-    return ScheduleSanitizer(SanitizeConfig())
+        sanitizer = sanitize
+    else:
+        sanitizer = ScheduleSanitizer(
+            sanitize if isinstance(sanitize, SanitizeConfig) else None)
+    sanitizer.attach(env)
+    sanitizer.track_streams(streams)
+    for label, obj in state.items():
+        sanitizer.track_object(label, obj)
+    return sanitizer
 
 
-def _track_chaos_state(sanitizer, scenario: Scenario) -> None:
-    """Register the shared single-grid state the sanitizer watches."""
-    dgms = scenario.dgms
-    sanitizer.track_object("dgms.transfers", dgms.transfers)
-    sanitizer.track_object("dgms.namespace", dgms.namespace)
-    sanitizer.track_object("dgms.resources", dgms.resources)
-    sanitizer.track_object("server", scenario.server)
-    sanitizer.track_object("provenance", scenario.provenance)
+def finish_sanitizer(sanitizer, report,
+                     canonical: Callable[[], Tuple]) -> None:
+    """Detach a run's sanitizer, if any, and fill ``report.sanitizer``
+    and ``report.canonical`` (built by ``canonical()``). The violations
+    join the canonical signature, so a permuted schedule that breaks an
+    invariant refutes the proof even if the placement matches.
+    """
+    if sanitizer is None:
+        return
+    sanitizer.detach()
+    report.sanitizer = sanitizer.to_dict()
+    report.canonical = canonical() + (tuple(report.violations),)
+
+
+def lost_replica_violations(dgms, label: str) -> List[str]:
+    """No lost replicas: every object of ``dgms`` keeps a good replica,
+    and every good replica's allocation exists on its physical resource.
+    ``label`` prefixes each path in the messages (``"z0:"`` or ``""``).
+    """
+    violations: List[str] = []
+    for obj in dgms.namespace.iter_objects("/"):
+        good = obj.good_replicas()
+        if not good:
+            violations.append(f"{label}{obj.path}: no good replicas left")
+        for replica in good:
+            physical = dgms.resources.physical(replica.physical_name).physical
+            if not physical.holds(replica.allocation_id):
+                violations.append(
+                    f"{label}{obj.path}: replica {replica.allocation_id} "
+                    f"missing from {replica.physical_name}")
+    return violations
+
+
+def accounting_violations(driver, services: Sequence[RecoveryService],
+                          telemetry, windows: str) -> List[str]:
+    """Accounted faults: every window of ``driver``'s schedule (if any)
+    began, ended and left a telemetry pair, and every action of the
+    recovery ``services`` reached the telemetry log. ``windows`` names
+    the windows in the messages (``"fault windows"``).
+    """
+    violations: List[str] = []
+    if driver is not None:
+        if driver.begun != len(driver.schedule):
+            violations.append(
+                f"{driver.begun}/{len(driver.schedule)} {windows} began")
+        if driver.ended != driver.begun:
+            violations.append(
+                f"{driver.ended}/{driver.begun} {windows} ended")
+        if telemetry is not None:
+            begins = len(telemetry.log.of_kind("fault.begin"))
+            ends = len(telemetry.log.of_kind("fault.end"))
+            if begins != driver.begun or ends != driver.ended:
+                violations.append(
+                    f"telemetry saw {begins} begins/{ends} ends for "
+                    f"{driver.begun}/{driver.ended} fault transitions")
+    if services and telemetry is not None:
+        kinds = {kind for service in services for kind in service.counts}
+        logged = sum(len(telemetry.log.of_kind(f"recovery.{kind}"))
+                     for kind in kinds)
+        total = sum(service.total_actions for service in services)
+        if logged != total:
+            violations.append(
+                f"telemetry logged {logged} of {total} recovery actions")
+    return violations
+
+
+def completed_transfers(dgms) -> Tuple:
+    """Every completed transfer of ``dgms`` with its exact float timings,
+    in completion order: the exact-replay part of a run signature."""
+    return tuple((s.src, s.dst, s.nbytes, s.start_time, s.end_time)
+                 for s in dgms.transfers.completed)
+
+
+def replica_placement(dgms) -> Tuple:
+    """Each object's path and sorted good-replica homes, by path: the
+    terminal-outcome part of a canonical signature."""
+    return tuple(sorted(
+        (obj.path,
+         tuple(sorted(replica.physical_name
+                      for replica in obj.good_replicas())))
+        for obj in dgms.namespace.iter_objects("/")))
+
+
+def sweep_fingerprint(reports: Sequence[Any]) -> str:
+    """One hex digest over a whole sweep's signatures: the form the
+    pinned ``benchmarks/*_baseline.sha256`` files hold."""
+    blob = "\n".join(repr(report.signature) for report in reports)
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 # --------------------------------------------------------------------------
@@ -280,30 +422,15 @@ def _run_workload(scenario: Scenario,
 
 
 # --------------------------------------------------------------------------
-# Invariants
+# Invariants only the CMS scenario checks
 # --------------------------------------------------------------------------
 
 
 def _check_invariants(scenario: Scenario, driver: Optional[FaultDriver],
-                      service: Optional[RecoveryService],
-                      supervisor: Optional[FlowSupervisor]) -> List[str]:
-    violations: List[str] = []
-    dgms = scenario.dgms
+                      service: Optional[RecoveryService]) -> List[str]:
     server = scenario.server
     provenance = scenario.provenance
-    telemetry = scenario.env.telemetry
-
-    # No lost replicas: the catalog and the physical allocations agree.
-    for obj in dgms.namespace.iter_objects("/"):
-        good = obj.good_replicas()
-        if not good:
-            violations.append(f"{obj.path}: no good replicas left")
-        for replica in good:
-            physical = dgms.resources.physical(replica.physical_name).physical
-            if not physical.holds(replica.allocation_id):
-                violations.append(
-                    f"{obj.path}: replica {replica.allocation_id} missing "
-                    f"from {replica.physical_name}")
+    violations = lost_replica_violations(scenario.dgms, "")
 
     # Every execution reached a terminal state; with recovery attached
     # the chaos workload must come out COMPLETED, not merely terminal.
@@ -340,29 +467,9 @@ def _check_invariants(scenario: Scenario, driver: Optional[FaultDriver],
                     f"{execution.request_id}/{key}: journalled step has no "
                     "completion provenance")
 
-    # Every fault window opened, closed, and left a telemetry pair; every
-    # recovery action was mirrored into the telemetry log.
-    if driver is not None:
-        if driver.begun != len(driver.schedule):
-            violations.append(
-                f"{driver.begun}/{len(driver.schedule)} fault windows began")
-        if driver.ended != driver.begun:
-            violations.append(
-                f"{driver.ended}/{driver.begun} fault windows ended")
-        if telemetry is not None:
-            begins = len(telemetry.log.of_kind("fault.begin"))
-            ends = len(telemetry.log.of_kind("fault.end"))
-            if begins != driver.begun or ends != driver.ended:
-                violations.append(
-                    f"telemetry saw {begins} begins/{ends} ends for "
-                    f"{driver.begun}/{driver.ended} fault transitions")
-    if service is not None and telemetry is not None:
-        logged = sum(len(telemetry.log.of_kind(f"recovery.{kind}"))
-                     for kind in service.counts)
-        if logged != service.total_actions:
-            violations.append(
-                f"telemetry logged {logged} of {service.total_actions} "
-                "recovery actions")
+    violations += accounting_violations(
+        driver, [service] if service is not None else [],
+        scenario.env.telemetry, "fault windows")
     return violations
 
 
@@ -397,22 +504,20 @@ def run_chaos(seed: int, faults: bool = True, recovery: bool = True,
     telemetry export on the report for trace reconstruction. The stack
     is read-only: an observed run's :func:`run_signature` is
     bit-identical to an unobserved one (gated by
-    ``benchmarks/test_e23_observability.py``).
+    ``tests/test_sweep_fingerprints.py``).
 
     ``cache=True`` attaches the memoizing DGMS cache tier
     (:func:`repro.dfms.cache.attach_cache`); its TTLs tick in sim time
     and its invalidation is precise, so a cached run's signature must
-    also be bit-identical — ``benchmarks/test_e24_gateway.py`` sweeps
+    also be bit-identical — ``tests/test_sweep_fingerprints.py`` sweeps
     this against the pinned baseline.
 
     ``sanitize`` attaches the schedule sanitizer
-    (:mod:`repro.analysis.sanitizer`): ``True`` or a ``SanitizeConfig``
-    for race detection (and, with ``permute=True``, schedule
-    permutation), or a ``ScheduleSanitizer`` instance the caller wants
-    to read results back from. With permutation off the dispatch order
-    is untouched, so a sanitized run's :func:`run_signature` stays
-    bit-identical to an unsanitized one; the report gains
-    :attr:`ChaosReport.sanitizer` and :attr:`ChaosReport.canonical`.
+    (:mod:`repro.analysis.sanitizer`) through :func:`start_sanitizer`.
+    With permutation off the dispatch order is untouched, so a sanitized
+    run's :func:`run_signature` stays bit-identical to an unsanitized
+    one; the report gains :attr:`ChaosReport.sanitizer` and
+    :attr:`ChaosReport.canonical`.
     """
     scenario = cms_scenario(n_tier1=2, n_tier2_per_t1=1, n_events=n_events,
                             event_size=event_size, seed=seed)
@@ -425,16 +530,12 @@ def run_chaos(seed: int, faults: bool = True, recovery: bool = True,
         obs = attach_observability(scenario.env, server=scenario.server,
                                    dgms=scenario.dgms,
                                    dump_path=observe_dump_path)
-    sanitizer = _coerce_sanitizer(sanitize)
-    if sanitizer is not None:
-        sanitizer.attach(scenario.env)
-        _track_chaos_state(sanitizer, scenario)
     streams = RandomStreams(seed)
-    if sanitizer is not None:
-        # Before any consumer pulls a substream, so the recovery
-        # backoff/supervisor draws (the shared-stream hazard DGF007
-        # exists for) are draw-tracked.
-        sanitizer.track_streams(streams)
+    dgms = scenario.dgms
+    sanitizer = start_sanitizer(sanitize, scenario.env, streams, {
+        "dgms.transfers": dgms.transfers, "dgms.namespace": dgms.namespace,
+        "dgms.resources": dgms.resources, "server": scenario.server,
+        "provenance": scenario.provenance})
     driver = None
     if faults:
         if schedule is None:
@@ -464,45 +565,12 @@ def run_chaos(seed: int, faults: bool = True, recovery: bool = True,
                     for execution in scenario.server.executions()},
         signature=run_signature(scenario),
     )
-    report.violations = _check_invariants(scenario, driver, service,
-                                          supervisor)
-    if sanitizer is not None:
-        sanitizer.detach()
-        report.sanitizer = sanitizer.to_dict()
-        # A permuted schedule that breaks a survival invariant must
-        # refute the proof even if the terminal placement matches.
-        report.canonical = (canonical_signature(scenario)
-                            + (tuple(report.violations),))
+    report.violations = _check_invariants(scenario, driver, service)
+    finish_sanitizer(sanitizer, report,
+                     lambda: canonical_signature(scenario))
     if obs is not None:
         report.observe = _observe_report(obs, report, observe_export)
     return report
-
-
-def prove_chaos_order_independence(seed: int, *, order: str = "reverse",
-                                   permute_seed: int = 0,
-                                   max_runs: int = 40, **kwargs):
-    """Prove (or refute with a minimized witness) that the chaos run for
-    ``seed`` is independent of legal same-timestamp dispatch order.
-
-    Drives :func:`repro.analysis.sanitizer.prove_order_independence`
-    over fresh :func:`run_chaos` instances, diffing
-    :func:`canonical_signature`; ``kwargs`` forward to every run (e.g.
-    ``horizon=``, ``n_fault_events=``). Returns a
-    :class:`~repro.analysis.sanitizer.PermutationProof`.
-    """
-    from repro.analysis.sanitizer import (
-        ScheduleSanitizer,
-        prove_order_independence,
-    )
-
-    def _run(config):
-        sanitizer = ScheduleSanitizer(config)
-        report = run_chaos(seed, sanitize=sanitizer, **kwargs)
-        return report.canonical, sanitizer
-
-    return prove_order_independence(_run, order=order,
-                                    permute_seed=permute_seed,
-                                    max_runs=max_runs)
 
 
 def _observe_report(obs, report: ChaosReport,
@@ -538,51 +606,8 @@ def _observe_report(obs, report: ChaosReport,
     )
 
 
-def run_chaos_sweep(seeds: Optional[List[int]] = None,
-                    jobs: Optional[int] = None,
-                    **kwargs) -> List[ChaosReport]:
-    """The chaos sweep: :func:`run_chaos` for every seed, farmed out.
-
-    This is the parallel face of the invariant suite. Each seed's run is
-    fully determined by the seed (bit-identity is what the chaos suite
-    *checks*), shares nothing with other seeds, and a
-    :class:`~repro.workloads.chaos.ChaosReport` pickles cleanly — so the
-    sweep rides :func:`repro.farm.run_farm` across all cores. Reports come
-    back in seed order and are byte-identical to running the same seeds
-    serially (``jobs=1`` *is* the serial loop; ``tests/test_farm.py`` and
-    ``benchmarks/test_e22_kernel.py`` hold the two paths equal).
-
-    ``seeds`` defaults to :func:`default_chaos_seeds`; ``jobs`` defaults
-    to every available core; ``kwargs`` are forwarded to every
-    :func:`run_chaos` call.
-    """
-    from repro.farm import run_farm
-
-    if seeds is None:
-        seeds = default_chaos_seeds()
-    return run_farm(run_chaos, seeds, jobs=jobs, kwargs=kwargs)
-
-
-def run_federation_chaos(seed: int, **kwargs):
-    """Multi-zone chaos: one seeded federation run (thin forwarder).
-
-    The zone-scoped counterpart of :func:`run_chaos` — cross-zone copy
-    workloads under :class:`~repro.faults.model.ZoneOutage` /
-    :class:`~repro.faults.model.BridgeDegradation` schedules, with the
-    federation survival invariants checked. Lives in
-    :mod:`repro.federation.chaos` (which borrows this module's
-    :data:`CHAOS_POLICY`); imported lazily here so the single-grid chaos
-    harness stays importable without the federation package.
-    """
-    from repro.federation.chaos import run_federation_chaos as run
-
-    return run(seed, **kwargs)
-
-
-def run_federation_sweep(seeds: Optional[List[int]] = None,
-                         jobs: Optional[int] = None, **kwargs):
-    """Multi-zone chaos sweep, farmed like :func:`run_chaos_sweep`
-    (thin forwarder to :mod:`repro.federation.chaos`)."""
-    from repro.federation.chaos import run_federation_sweep as run
-
-    return run(seeds=seeds, jobs=jobs, **kwargs)
+#: The CMS chaos scenario's harness; ``CHAOS_SEEDS`` resizes its sweep.
+CHAOS = ChaosHarness(run_chaos, "CHAOS_SEEDS", 20)
+default_chaos_seeds = CHAOS.seeds
+run_chaos_sweep = CHAOS.sweep
+prove_chaos_order_independence = CHAOS.prove

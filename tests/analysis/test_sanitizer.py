@@ -18,6 +18,7 @@ import pytest
 from repro.analysis.sanitizer import (
     SanitizeConfig,
     ScheduleSanitizer,
+    _item_key,
     prove_order_independence,
 )
 from repro.errors import AnalysisError
@@ -322,6 +323,20 @@ def test_sanitized_federation_run_keeps_the_exact_signature():
     sanitized = run_federation_chaos(0, sanitize=True)
     assert sanitized.signature == plain.signature
     assert sanitized.sanitizer is not None
+
+
+def test_set_keys_render_the_same_in_every_process():
+    # Set iteration follows string hashes, which are salted per process.
+    assert _item_key(frozenset({"b", "a"})) == "frozenset({'a', 'b'})"
+    assert _item_key({2, 1}) == "set({1, 2})"
+
+
+def test_sanitized_sweep_payloads_match_across_processes():
+    from repro.workloads.chaos import run_chaos_sweep
+
+    serial = run_chaos_sweep([0, 1, 2, 3], jobs=1, sanitize=True)
+    pooled = run_chaos_sweep([0, 1, 2, 3], jobs=2, sanitize=True)
+    assert [r.sanitizer for r in serial] == [r.sanitizer for r in pooled]
 
 
 def test_shipped_chaos_seed_is_order_independent():
