@@ -1,30 +1,36 @@
-"""E20: incremental network engine — affected-set vs global recompute.
+"""E20: route-class network engine vs the frozen reference engines.
 
 The exploding-star workload (§2.1) puts hundreds of concurrent transfers
-on a star of tier links. The reference fluid-flow engine re-rates *every*
-active transfer on every start/finish (O(active × links) per event,
-superlinear per workload); the incremental engine re-rates only the
-transfers sharing a link with the event and tracks finishes in a
-lazily-invalidated min-heap behind one persistent timer. Both are the same
-`TransferService` (``incremental=`` flag), settle a transfer only when its
-rate changes, and therefore produce **bit-identical** per-transfer
-completion times — asserted here, not approximated.
+on a star of tier links. The live engine re-rates only the transfers
+sharing a link with the event, rates each route class (transfers over
+equal links) once, and keeps one heap entry per class behind one
+persistent timer. ``benchmarks/_network_reference.py`` freezes the engine
+it replaced in its two modes: the per-transfer heap (every candidate rated
+on its own, one heap entry per transfer) and the global model that
+re-rates *every* active transfer on every start/finish (O(active × links)
+per event, superlinear per workload). All three settle a transfer only
+when its rate changes, so the live engine's completions equal the
+per-transfer heap's in **completion order**, and the global model's
+completion times **bit for bit** — asserted here, not approximated.
 
 Results land in ``BENCH_network.json`` at the repo root. The speedup gate
-(>=5x) applies at the 5000-transfer point when it is in the sweep.
+(>=5x over the global model) applies at the 5000-transfer point when it
+is in the sweep.
 
 Set ``NETWORK_BENCH_SIZES`` (comma-separated) to override the sweep — CI
-smoke runs ``100,1000`` to keep wall time down (the reference model alone
-needs ~20 s at 5000).
+smoke runs ``100,1000`` to keep wall time down (the global model alone
+needs ~15 s at 5000).
 """
 
 import gc
 import json
 import os
 import time
+from functools import partial
 from pathlib import Path
 
 from _helpers import BenchGrid  # noqa: F401  (sys.path side effect only)
+import _network_reference as reference
 from repro.network import Topology, TransferService
 from repro.sim import Environment
 from repro.storage import MB
@@ -45,13 +51,22 @@ def bench_sizes():
     return [int(part) for part in raw.split(",") if part.strip()]
 
 
-def run_star_sweep(n_transfers: int, incremental: bool):
-    """Wall time + completion record of an n-way exploding-star fan-out."""
+#: The engines compared: the live one and the frozen reference's modes.
+ENGINES = {
+    "live": TransferService,
+    "heap": reference.TransferService,
+    "global": partial(reference.TransferService, incremental=False),
+}
+
+
+def run_star_sweep(n_transfers: int, engine: str = "live"):
+    """Wall time + completion record (in completion order) of an n-way
+    exploding-star fan-out through ``engine``."""
     env = Environment()
     topology = Topology.star(
         "cern", [f"tier-{index}" for index in range(N_LEAVES)],
         latency_s=0.01, bandwidth_bps=100 * MB)
-    service = TransferService(env, topology, incremental=incremental)
+    service = ENGINES[engine](env, topology)
 
     def starter():
         events = []
@@ -70,35 +85,39 @@ def run_star_sweep(n_transfers: int, incremental: bool):
     finally:
         if gc_was_enabled:
             gc.enable()
-    completions = sorted(
+    completions = [
         (stats.src, stats.dst, stats.nbytes, stats.start_time,
          stats.end_time)
-        for stats in service.completed)
+        for stats in service.completed]
     assert len(completions) == n_transfers
     return wall, completions
 
 
-def test_e20_network_incremental_vs_full(benchmark, experiment):
+def test_e20_network_live_vs_frozen_reference(benchmark, experiment):
     report = experiment(
-        "E20", "Incremental network engine: affected-set vs global recompute",
-        header=["transfers", "incremental_s", "reference_s", "speedup",
+        "E20", "Route-class network engine vs the frozen reference",
+        header=["transfers", "live_s", "heap_s", "reference_s", "speedup",
                 "identical"],
         expectation="affected-set recomputation scales near-linearly while "
-                    "the global model is superlinear; completion times are "
-                    "bit-identical")
+                    "the global model is superlinear; route classes beat "
+                    "the per-transfer heap; completions are identical")
     rows = []
     speedup_at_5k = None
     for n_transfers in bench_sizes():
-        incr_wall, incr_completions = run_star_sweep(n_transfers, True)
-        ref_wall, ref_completions = run_star_sweep(n_transfers, False)
-        identical = incr_completions == ref_completions
+        live_wall, live_completions = run_star_sweep(n_transfers, "live")
+        heap_wall, heap_completions = run_star_sweep(n_transfers, "heap")
+        ref_wall, ref_completions = run_star_sweep(n_transfers, "global")
+        identical = (live_completions == heap_completions
+                     and sorted(live_completions) == sorted(ref_completions))
         assert identical, (
-            f"completion times diverged at {n_transfers} transfers")
-        speedup = ref_wall / incr_wall if incr_wall > 0 else float("inf")
-        report.row(n_transfers, incr_wall, ref_wall, speedup, identical)
+            f"completions diverged at {n_transfers} transfers")
+        speedup = ref_wall / live_wall if live_wall > 0 else float("inf")
+        report.row(n_transfers, live_wall, heap_wall, ref_wall, speedup,
+                   identical)
         rows.append({
             "transfers": n_transfers,
-            "incremental_s": round(incr_wall, 4),
+            "live_s": round(live_wall, 4),
+            "heap_s": round(heap_wall, 4),
             "reference_s": round(ref_wall, 4),
             "speedup": round(speedup, 1),
             "identical": identical,
@@ -108,21 +127,22 @@ def test_e20_network_incremental_vs_full(benchmark, experiment):
 
     if speedup_at_5k is not None:
         assert speedup_at_5k >= 5.0, (
-            f"incremental engine only {speedup_at_5k:.1f}x faster than the "
+            f"live engine only {speedup_at_5k:.1f}x faster than the "
             f"global recompute at 5k transfers (needs >=5x)")
         benchmark.extra_info["speedup_at_5k"] = round(speedup_at_5k, 1)
     report.conclusion = (
         "per-link indexing keeps event cost proportional to the contention "
-        "component, not the whole active set")
+        "component, not the whole active set; route classes rate it once "
+        "per class and keep one heap entry each")
 
     _RESULT_PATH.write_text(json.dumps({
         "experiment": "E20",
-        "title": "incremental network engine vs global recompute",
+        "title": "route-class network engine vs frozen reference engines",
         "sizes": bench_sizes(),
         "n_leaves": N_LEAVES,
         "transfer_bytes": TRANSFER_BYTES,
         "rows": rows,
     }, indent=2) + "\n")
 
-    benchmark.pedantic(lambda: run_star_sweep(200, True),
+    benchmark.pedantic(lambda: run_star_sweep(200),
                        rounds=5, iterations=1)

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import NetworkError, NoRouteError
 
@@ -39,8 +40,10 @@ class Link:
         if self.bandwidth_bps <= 0:
             raise NetworkError("bandwidth must be positive")
 
-    @property
+    @cached_property
     def ends(self) -> frozenset:
+        """The unordered end pair, built once per link: the network engine
+        keys its per-link index on it for every transfer event."""
         return frozenset((self.a, self.b))
 
     def other(self, domain: str) -> str:
@@ -52,6 +55,30 @@ class Link:
         raise NetworkError(f"{domain!r} is not an endpoint of {self}")
 
 
+class _Route(NamedTuple):
+    """A cached path with the metrics every transfer and cost estimate
+    reads, so a cache hit costs no walk over the links."""
+
+    links: Tuple[Link, ...]
+    #: Summed latency along the path.
+    latency_s: float
+    #: Minimum bandwidth along the path (``inf`` for local access).
+    bottleneck_bps: float
+    #: The links as sorted "a--b" end-pair names, in route order.
+    names: Tuple[str, ...]
+
+    @classmethod
+    def over(cls, path: List[Link]) -> "_Route":
+        return cls(tuple(path),
+                   sum(link.latency_s for link in path),
+                   min((link.bandwidth_bps for link in path),
+                       default=float("inf")),
+                   tuple("--".join(sorted(link.ends)) for link in path))
+
+
+_LOCAL = _Route.over([])
+
+
 class Topology:
     """An undirected graph of domains and links."""
 
@@ -59,9 +86,9 @@ class Topology:
         self._domains: set = set()
         self._adjacency: Dict[str, List[Link]] = {}
         self._version = 0
-        #: (src, dst) -> (version when computed, path). Entries from an
+        #: (src, dst) -> (version when computed, route). Entries from an
         #: older version are stale and recomputed on the next lookup.
-        self._route_cache: Dict[Tuple[str, str], Tuple[int, List[Link]]] = {}
+        self._route_cache: Dict[Tuple[str, str], Tuple[int, _Route]] = {}
 
     @property
     def version(self) -> int:
@@ -132,8 +159,9 @@ class Topology:
 
     def link_between(self, a: str, b: str) -> Optional[Link]:
         """The direct link between ``a`` and ``b``, if one exists."""
+        ends = frozenset((a, b))
         for link in self._adjacency.get(a, ()):
-            if link.ends == frozenset((a, b)):
+            if link.ends == ends:
                 return link
         return None
 
@@ -146,19 +174,25 @@ class Topology:
         cached per (src, dst) and invalidated by the topology version, so
         repeated transfers between the same pair skip Dijkstra entirely.
         """
+        # A fresh list: callers hold on to (and could mutate) the path.
+        return list(self._route(src, dst).links)
+
+    def _route(self, src: str, dst: str) -> _Route:
+        """The cached route with its metrics (see :meth:`route`)."""
+        # Domains are never removed and local routes are never cached, so
+        # a current entry needs none of the checks below.
+        cached = self._route_cache.get((src, dst))
+        if cached is not None and cached[0] == self._version:
+            return cached[1]
         if src not in self._domains:
             raise NetworkError(f"unknown domain {src!r}")
         if dst not in self._domains:
             raise NetworkError(f"unknown domain {dst!r}")
         if src == dst:
-            return []
-        cached = self._route_cache.get((src, dst))
-        if cached is not None and cached[0] == self._version:
-            # Copy: callers hold on to (and could mutate) the path list.
-            return list(cached[1])
-        path = self._dijkstra(src, dst)
-        self._route_cache[(src, dst)] = (self._version, path)
-        return list(path)
+            return _LOCAL
+        route = _Route.over(self._dijkstra(src, dst))
+        self._route_cache[(src, dst)] = (self._version, route)
+        return route
 
     def _dijkstra(self, src: str, dst: str) -> List[Link]:
         dist: Dict[str, float] = {src: 0.0}
@@ -191,24 +225,20 @@ class Topology:
 
     def path_latency(self, src: str, dst: str) -> float:
         """Summed latency along the route."""
-        return sum(link.latency_s for link in self.route(src, dst))
+        return self._route(src, dst).latency_s
 
     def bottleneck_bandwidth(self, src: str, dst: str) -> float:
         """Minimum bandwidth along the route (``inf`` for local access)."""
-        path = self.route(src, dst)
-        if not path:
-            return float("inf")
-        return min(link.bandwidth_bps for link in path)
+        return self._route(src, dst).bottleneck_bps
 
     def transfer_time(self, src: str, dst: str, nbytes: float) -> float:
         """Uncontended time to move ``nbytes`` from ``src`` to ``dst``."""
         if nbytes < 0:
             raise NetworkError(f"negative transfer size: {nbytes}")
-        path = self.route(src, dst)
-        if not path:
+        route = self._route(src, dst)
+        if not route.links:
             return 0.0
-        bottleneck = min(link.bandwidth_bps for link in path)
-        return sum(link.latency_s for link in path) + nbytes / bottleneck
+        return route.latency_s + nbytes / route.bottleneck_bps
 
     # -- convenience builders ----------------------------------------------
 
