@@ -8,10 +8,18 @@ attached to the pytest-benchmark report via ``extra_info``.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import List, Optional, Sequence
 
 import pytest
+
+# ``_helpers`` reads the checked-out commit through ``benchmarks.e2e``,
+# so the repository root must be importable however pytest was started.
+_ROOT = str(Path(__file__).resolve().parents[1])
+if _ROOT not in sys.path:
+    sys.path.insert(0, _ROOT)
 
 _REPORTS: List["ExperimentReport"] = []
 

@@ -12,31 +12,17 @@ objects.
 
 Results land in ``BENCH_catalog.json`` at the repo root.
 
-Set ``CATALOG_BENCH_SIZES`` (comma-separated) to override the populated
-sizes — CI smoke runs ``1000,10000`` to keep wall time down.
+The smoke shape skips the 100k-object namespace.
 """
 
-import json
-import os
-import time
-from pathlib import Path
-
-from _helpers import BenchGrid  # noqa: F401  (sys.path side effect only)
+from _helpers import REPO_ROOT, merge_results, shape, timed
 from repro.grid import Condition, LogicalNamespace, Op, Query, User
 
-DEFAULT_SIZES = [1_000, 10_000, 100_000]
+SIZES = shape(full=[1_000, 10_000, 100_000], smoke=[1_000, 10_000])
 RARE_EVERY = 100          # 1% of objects carry the selective attribute
 N_COLLECTIONS = 64
 
-_REPO_ROOT = Path(__file__).resolve().parents[1]
-_RESULT_PATH = _REPO_ROOT / "BENCH_catalog.json"
-
-
-def bench_sizes():
-    raw = os.environ.get("CATALOG_BENCH_SIZES", "")
-    if not raw:
-        return list(DEFAULT_SIZES)
-    return [int(part) for part in raw.split(",") if part.strip()]
+_RESULT_PATH = REPO_ROOT / "BENCH_catalog.json"
 
 
 def build_namespace(n_objects: int) -> LogicalNamespace:
@@ -51,16 +37,6 @@ def build_namespace(n_objects: int) -> LogicalNamespace:
         if index % RARE_EVERY == 0:
             obj.metadata.set("flagged", "yes")
     return ns
-
-
-def best_of(callable_, repeats: int = 5) -> float:
-    """Best-of-N wall time in seconds (best filters scheduler noise)."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        callable_()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 QUERIES = [
@@ -91,16 +67,19 @@ def test_e18_catalog_vs_scan(benchmark, experiment):
                     "namespace size")
     rows = []
     speedups_at_10k = {}
-    for n_objects in bench_sizes():
+    for n_objects in SIZES:
         ns = build_namespace(n_objects)
-        # Fewer repeats at the large end: the scan alone costs ~100ms+.
+        # Best of N filters scheduler noise; fewer repeats at the large
+        # end, where the scan alone costs ~100ms+.
         repeats = 5 if n_objects <= 10_000 else 3
         for label, query in QUERIES:
             indexed = query.run(ns)
             scanned = query.run_scan(ns)
             assert [o.path for o in indexed] == [o.path for o in scanned]
-            indexed_s = best_of(lambda: query.run(ns), repeats)
-            scan_s = best_of(lambda: query.run_scan(ns), repeats)
+            indexed_s = min(timed(lambda: query.run(ns))
+                            for _ in range(repeats))
+            scan_s = min(timed(lambda: query.run_scan(ns))
+                         for _ in range(repeats))
             speedup = scan_s / indexed_s if indexed_s > 0 else float("inf")
             report.row(n_objects, label, len(indexed),
                        indexed_s * 1e3, scan_s * 1e3, speedup)
@@ -127,13 +106,9 @@ def test_e18_catalog_vs_scan(benchmark, experiment):
         "catalog answers selective queries in near-constant time while "
         "scan cost grows linearly with namespace size")
 
-    _RESULT_PATH.write_text(json.dumps({
-        "experiment": "E18",
-        "title": "catalog indexed queries vs namespace scan",
-        "sizes": bench_sizes(),
-        "rare_every": RARE_EVERY,
-        "rows": rows,
-    }, indent=2) + "\n")
+    merge_results(_RESULT_PATH, experiment="E18",
+                  title="catalog indexed queries vs namespace scan",
+                  sizes=SIZES, rare_every=RARE_EVERY, rows=rows)
 
     ns = build_namespace(1_000)
     query = QUERIES[0][1]

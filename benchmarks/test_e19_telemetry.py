@@ -22,36 +22,26 @@ instrumentation at all (collect() derives its counts).
 
 Results land in ``BENCH_telemetry.json`` at the repo root.
 
-Set ``TELEMETRY_BENCH_STEPS`` to override the workload size (CI smoke
-uses a smaller flow to keep wall time down).
+The smoke shape skips 50 of the flow's 150 put+replicate pairs.
 """
 
-import gc
-import json
-import os
-import time
-from pathlib import Path
-
-from _helpers import BenchGrid
+from _helpers import (
+    REPO_ROOT,
+    BenchGrid,
+    interleaved_best,
+    least_overhead,
+    merge_results,
+    shape,
+    timed,
+)
 from repro.dgl import flow_builder
 from repro.sim import Environment
 from repro.storage import MB
 from repro.telemetry import attach_telemetry
 
-DEFAULT_STEPS = 150         # put+replicate pairs: 2x this many steps
+STEPS = shape(full=150, smoke=100)  # put+replicate pairs: 2x this many steps
 REPEATS = 7
-#: Re-measure the flow comparison up to this many times before failing:
-#: a process occasionally draws an unlucky allocator layout that taxes
-#: one mode consistently for that process's whole lifetime, which no
-#: amount of within-process repetition averages away.
-MAX_ATTEMPTS = 3
-_REPO_ROOT = Path(__file__).resolve().parents[1]
-_RESULT_PATH = _REPO_ROOT / "BENCH_telemetry.json"
-
-
-def n_steps() -> int:
-    raw = os.environ.get("TELEMETRY_BENCH_STEPS", "")
-    return int(raw) if raw else DEFAULT_STEPS
+_RESULT_PATH = REPO_ROOT / "BENCH_telemetry.json"
 
 
 def workload_flow(count: int):
@@ -70,15 +60,8 @@ def run_once(enabled: bool) -> float:
     grid = BenchGrid(n_domains=2)
     if enabled:
         attach_telemetry(grid.env, server=grid.server)
-    flow = workload_flow(n_steps())
-    gc.collect()
-    gc.disable()
-    try:
-        start = time.perf_counter()
-        grid.submit_sync(flow)
-        return time.perf_counter() - start
-    finally:
-        gc.enable()
+    flow = workload_flow(STEPS)
+    return timed(lambda: grid.submit_sync(flow))
 
 
 def kernel_only(enabled: bool) -> float:
@@ -91,28 +74,7 @@ def kernel_only(enabled: bool) -> float:
         for _ in range(20_000):
             yield env.timeout(1.0)
 
-    gc.collect()
-    gc.disable()
-    try:
-        start = time.perf_counter()
-        env.run_process(ticker())
-        return time.perf_counter() - start
-    finally:
-        gc.enable()
-
-
-def interleaved_best(modes, repeats: int = REPEATS):
-    """Best-of-N per mode, modes alternating within every round.
-
-    One full warmup round runs first and is discarded.
-    """
-    for _, measure in modes:
-        measure()
-    times = {name: [] for name, _ in modes}
-    for _ in range(repeats):
-        for name, measure in modes:
-            times[name].append(measure())
-    return {name: min(samples) for name, samples in times.items()}
+    return timed(lambda: env.run_process(ticker()))
 
 
 def test_e19_telemetry_overhead(benchmark, experiment):
@@ -122,25 +84,16 @@ def test_e19_telemetry_overhead(benchmark, experiment):
         expectation="a detached run re-measures within noise of the "
                     "baseline; an attached session costs <10%")
 
-    attempts = []
-    for _ in range(MAX_ATTEMPTS):
-        flow_best = interleaved_best([
-            ("baseline", lambda: run_once(enabled=False)),
-            ("detached", lambda: run_once(enabled=False)),
-            ("attached", lambda: run_once(enabled=True)),
-        ])
-        overhead = (flow_best["attached"] - flow_best["baseline"]) \
-            / flow_best["baseline"]
-        attempts.append((overhead, flow_best))
-        if overhead * 100 < 10.0:
-            break
-    _, flow_best = min(attempts, key=lambda attempt: attempt[0])
+    enabled_pct, flow_best = least_overhead([
+        ("baseline", lambda: run_once(enabled=False)),
+        ("detached", lambda: run_once(enabled=False)),
+        ("attached", lambda: run_once(enabled=True)),
+    ], REPEATS, base="baseline", probe="attached", gate_pct=10.0)
     baseline_s = flow_best["baseline"]
     detached_s = flow_best["detached"]
     enabled_s = flow_best["attached"]
 
     noise_pct = (detached_s - baseline_s) / baseline_s * 100
-    enabled_pct = (enabled_s - baseline_s) / baseline_s * 100
     report.row("baseline (no session)", baseline_s * 1e3, 0.0)
     report.row("detached re-run", detached_s * 1e3, noise_pct)
     report.row("attached session", enabled_s * 1e3, enabled_pct)
@@ -148,7 +101,7 @@ def test_e19_telemetry_overhead(benchmark, experiment):
     kernel_best = interleaved_best([
         ("baseline", lambda: kernel_only(enabled=False)),
         ("attached", lambda: kernel_only(enabled=True)),
-    ])
+    ], REPEATS)
     kernel_base_s = kernel_best["baseline"]
     kernel_on_s = kernel_best["attached"]
     kernel_pct = (kernel_on_s - kernel_base_s) / kernel_base_s * 100
@@ -165,24 +118,21 @@ def test_e19_telemetry_overhead(benchmark, experiment):
         f"workload (noise floor {noise_pct:.1f}%), "
         f"{kernel_pct:.1f}% on the bare kernel")
 
-    _RESULT_PATH.write_text(json.dumps({
-        "experiment": "E19",
-        "title": "telemetry overhead: detached vs attached",
-        "steps": n_steps(),
-        "repeats": REPEATS,
-        "rows": [
-            {"mode": "baseline", "best_ms": round(baseline_s * 1e3, 3)},
-            {"mode": "detached-rerun", "best_ms": round(detached_s * 1e3, 3),
-             "vs_baseline_pct": round(noise_pct, 2)},
-            {"mode": "attached", "best_ms": round(enabled_s * 1e3, 3),
-             "vs_baseline_pct": round(enabled_pct, 2)},
-            {"mode": "kernel-baseline",
-             "best_ms": round(kernel_base_s * 1e3, 3)},
-            {"mode": "kernel-attached",
-             "best_ms": round(kernel_on_s * 1e3, 3),
-             "vs_baseline_pct": round(kernel_pct, 2)},
-        ],
-    }, indent=2) + "\n")
+    rows = [
+        {"mode": "baseline", "best_ms": round(baseline_s * 1e3, 3)},
+        {"mode": "detached-rerun", "best_ms": round(detached_s * 1e3, 3),
+         "vs_baseline_pct": round(noise_pct, 2)},
+        {"mode": "attached", "best_ms": round(enabled_s * 1e3, 3),
+         "vs_baseline_pct": round(enabled_pct, 2)},
+        {"mode": "kernel-baseline",
+         "best_ms": round(kernel_base_s * 1e3, 3)},
+        {"mode": "kernel-attached",
+         "best_ms": round(kernel_on_s * 1e3, 3),
+         "vs_baseline_pct": round(kernel_pct, 2)},
+    ]
+    merge_results(_RESULT_PATH, experiment="E19",
+                  title="telemetry overhead: detached vs attached",
+                  steps=STEPS, repeats=REPEATS, rows=rows)
 
     benchmark.pedantic(lambda: run_once(enabled=True), rounds=3,
                        iterations=1)

@@ -17,38 +17,24 @@ Results land in ``BENCH_network.json`` at the repo root. The speedup gate
 (>=5x over the global model) applies at the 5000-transfer point when it
 is in the sweep.
 
-Set ``NETWORK_BENCH_SIZES`` (comma-separated) to override the sweep — CI
-smoke runs ``100,1000`` to keep wall time down (the global model alone
-needs ~15 s at 5000).
+The smoke shape skips the 5000-transfer point (the global model alone
+needs ~15 s there), and with it the speedup gate.
 """
 
-import gc
-import json
-import os
-import time
 from functools import partial
-from pathlib import Path
 
-from _helpers import BenchGrid  # noqa: F401  (sys.path side effect only)
+from _helpers import REPO_ROOT, merge_results, shape, timed
 import _network_reference as reference
 from repro.network import Topology, TransferService
 from repro.sim import Environment
 from repro.storage import MB
 
-DEFAULT_SIZES = [100, 1_000, 5_000]
+SIZES = shape(full=[100, 1_000, 5_000], smoke=[100, 1_000])
 N_LEAVES = 64            # tier links fanning out of the source domain
 TRANSFER_BYTES = 50 * MB
 STAGGER_S = 0.001        # start spacing: every start is its own event
 
-_REPO_ROOT = Path(__file__).resolve().parents[1]
-_RESULT_PATH = _REPO_ROOT / "BENCH_network.json"
-
-
-def bench_sizes():
-    raw = os.environ.get("NETWORK_BENCH_SIZES", "")
-    if not raw:
-        return list(DEFAULT_SIZES)
-    return [int(part) for part in raw.split(",") if part.strip()]
+_RESULT_PATH = REPO_ROOT / "BENCH_network.json"
 
 
 #: The engines compared: the live one and the frozen reference's modes.
@@ -76,15 +62,7 @@ def run_star_sweep(n_transfers: int, engine: str = "live"):
             yield env.timeout(STAGGER_S)
         yield env.all_of(events)
 
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        start = time.perf_counter()
-        env.run_process(starter())
-        wall = time.perf_counter() - start
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    wall = timed(lambda: env.run_process(starter()))
     completions = [
         (stats.src, stats.dst, stats.nbytes, stats.start_time,
          stats.end_time)
@@ -103,7 +81,7 @@ def test_e20_network_live_vs_frozen_reference(benchmark, experiment):
                     "the per-transfer heap; completions are identical")
     rows = []
     speedup_at_5k = None
-    for n_transfers in bench_sizes():
+    for n_transfers in SIZES:
         live_wall, live_completions = run_star_sweep(n_transfers, "live")
         heap_wall, heap_completions = run_star_sweep(n_transfers, "heap")
         ref_wall, ref_completions = run_star_sweep(n_transfers, "global")
@@ -135,14 +113,11 @@ def test_e20_network_live_vs_frozen_reference(benchmark, experiment):
         "component, not the whole active set; route classes rate it once "
         "per class and keep one heap entry each")
 
-    _RESULT_PATH.write_text(json.dumps({
-        "experiment": "E20",
-        "title": "route-class network engine vs frozen reference engines",
-        "sizes": bench_sizes(),
-        "n_leaves": N_LEAVES,
-        "transfer_bytes": TRANSFER_BYTES,
-        "rows": rows,
-    }, indent=2) + "\n")
+    merge_results(_RESULT_PATH, experiment="E20",
+                  title="route-class network engine vs frozen reference "
+                        "engines",
+                  sizes=SIZES, n_leaves=N_LEAVES,
+                  transfer_bytes=TRANSFER_BYTES, rows=rows)
 
     benchmark.pedantic(lambda: run_star_sweep(200),
                        rounds=5, iterations=1)

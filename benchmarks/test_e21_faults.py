@@ -16,23 +16,19 @@ buys, on the chaos harness's CMS workload:
 
 Results land in ``BENCH_faults.json`` at the repo root.
 
-Set ``FAULTS_BENCH_SEEDS`` (comma-separated) to override the sweep — CI
-smoke runs a couple of seeds to keep wall time down. The per-seed
+The smoke shape skips seeds 3 and 4. The per-seed
 clean/chaotic/fragile matrix fans out across cores on the
 :mod:`repro.farm` runner; results are deterministic and ordered, so the
 report is identical to the old serial loop's.
 """
 
-import json
-import os
-from pathlib import Path
-
-from _helpers import BenchGrid  # noqa: F401  (sys.path side effect only)
+from _helpers import REPO_ROOT, merge_results, shape
 from repro.farm import run_farm
 from repro.faults import FaultSchedule
 from repro.workloads import run_chaos
 
-DEFAULT_SEEDS = [0, 1, 2, 3, 4]
+SEEDS = shape(full=[0, 1, 2, 3, 4], smoke=[0, 1, 2])
+_RESULT_PATH = REPO_ROOT / "BENCH_faults.json"
 
 
 def _seed_matrix_row(seed):
@@ -46,16 +42,6 @@ def _seed_matrix_row(seed):
     chaotic = run_chaos(seed, recovery=True)
     fragile = run_chaos(seed, recovery=False)
     return clean, chaotic, fragile
-
-_REPO_ROOT = Path(__file__).resolve().parents[1]
-_RESULT_PATH = _REPO_ROOT / "BENCH_faults.json"
-
-
-def bench_seeds():
-    raw = os.environ.get("FAULTS_BENCH_SEEDS", "")
-    if not raw:
-        return list(DEFAULT_SEEDS)
-    return [int(part) for part in raw.split(",") if part.strip()]
 
 
 def test_e21_faults_recovery_overhead(benchmark, experiment):
@@ -80,8 +66,8 @@ def test_e21_faults_recovery_overhead(benchmark, experiment):
 
     rows = []
     total_damage = 0
-    seed_results = run_farm(_seed_matrix_row, bench_seeds())
-    for seed, (clean, chaotic, fragile) in zip(bench_seeds(), seed_results):
+    seed_results = run_farm(_seed_matrix_row, SEEDS)
+    for seed, (clean, chaotic, fragile) in zip(SEEDS, seed_results):
         assert chaotic.ok, chaotic.violations
         assert all(state == "completed"
                    for state in chaotic.executions.values())
@@ -116,13 +102,9 @@ def test_e21_faults_recovery_overhead(benchmark, experiment):
         "runs); under chaos it converts lost executions into bounded "
         "makespan overhead")
 
-    _RESULT_PATH.write_text(json.dumps({
-        "experiment": "E21",
-        "title": "faults & recovery overhead",
-        "seeds": bench_seeds(),
-        "zero_overhead_bit_identical": True,
-        "rows": rows,
-    }, indent=2) + "\n")
+    merge_results(_RESULT_PATH, experiment="E21",
+                  title="faults & recovery overhead", seeds=SEEDS,
+                  zero_overhead_bit_identical=True, rows=rows)
 
     benchmark.pedantic(lambda: run_chaos(0), rounds=3, iterations=1)
     benchmark.extra_info["seeds"] = len(rows)

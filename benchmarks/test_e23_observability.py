@@ -20,54 +20,31 @@ hold those claims:
 
 Results land in ``BENCH_observe.json`` at the repo root.
 
-``CHAOS_SEEDS`` shrinks the sweeps for CI smoke; the baseline comparison
-only fires on the default 20-seed shape.
+The smoke shape sweeps 6 of the 20 seeds, so it skips the baseline
+comparison.
 """
 
-import gc
-import time
-from pathlib import Path
-
-from _helpers import check_pinned_sweep, merge_results
-from repro.workloads import (
-    default_chaos_seeds,
-    run_chaos,
-    run_chaos_sweep,
-    sweep_fingerprint,
+from _helpers import (
+    REPO_ROOT,
+    check_pinned_sweep,
+    least_overhead,
+    merge_results,
+    shape,
+    timed,
 )
+from repro.workloads import run_chaos, run_chaos_sweep, sweep_fingerprint
 
-_REPO_ROOT = Path(__file__).resolve().parents[1]
-_RESULT_PATH = _REPO_ROOT / "BENCH_observe.json"
+_RESULT_PATH = REPO_ROOT / "BENCH_observe.json"
 
 OVERHEAD_GATE_PCT = 10.0
 REPEATS = 5
-#: Re-measure up to this many times before failing: a process can draw
-#: an allocator layout that consistently taxes one mode (see E19).
-MAX_ATTEMPTS = 3
 BENCH_SEED = 5
+SEEDS = shape(full=list(range(20)), smoke=list(range(6)))
 
 
 def _timed_chaos(observe: bool) -> float:
-    """Wall seconds for one chaos run (gc parked outside the region)."""
-    gc.collect()
-    gc.disable()
-    try:
-        start = time.perf_counter()
-        run_chaos(BENCH_SEED, observe=observe)
-        return time.perf_counter() - start
-    finally:
-        gc.enable()
-
-
-def interleaved_best(modes, repeats: int = REPEATS):
-    """Best-of-N per mode, modes alternating within every round."""
-    for _, measure in modes:
-        measure()
-    times = {name: [] for name, _ in modes}
-    for _ in range(repeats):
-        for name, measure in modes:
-            times[name].append(measure())
-    return {name: min(samples) for name, samples in times.items()}
+    """Wall seconds for one chaos run."""
+    return timed(lambda: run_chaos(BENCH_SEED, observe=observe))
 
 
 def test_e23_observability_overhead(benchmark, experiment):
@@ -77,18 +54,11 @@ def test_e23_observability_overhead(benchmark, experiment):
         expectation="recorder + SLO engine attached costs "
                     f"<{OVERHEAD_GATE_PCT:.0f}% on the chaos makespan")
 
-    attempts = []
-    for _ in range(MAX_ATTEMPTS):
-        best = interleaved_best([
-            ("plain", lambda: _timed_chaos(observe=False)),
-            ("observed", lambda: _timed_chaos(observe=True)),
-        ])
-        overhead_pct = ((best["observed"] - best["plain"])
-                        / best["plain"] * 100)
-        attempts.append((overhead_pct, best))
-        if overhead_pct < OVERHEAD_GATE_PCT:
-            break
-    overhead_pct, best = min(attempts, key=lambda attempt: attempt[0])
+    overhead_pct, best = least_overhead([
+        ("plain", lambda: _timed_chaos(observe=False)),
+        ("observed", lambda: _timed_chaos(observe=True)),
+    ], REPEATS, base="plain", probe="observed",
+        gate_pct=OVERHEAD_GATE_PCT)
 
     report.row("plain", round(best["plain"] * 1000, 2), 0.0)
     report.row("observed", round(best["observed"] * 1000, 2),
@@ -114,14 +84,13 @@ def test_e23_observability_overhead(benchmark, experiment):
 
 
 def test_e23_observed_sweep_bit_identical(benchmark, experiment):
-    seeds = default_chaos_seeds()
     report = experiment(
         "E23b", "observed chaos sweep vs pre-observability baseline",
         header=["seeds", "ok", "alerts", "uncovered_windows", "sha12"],
         expectation="watching the sweep moves no float: fingerprint "
                     "equals chaos_sweep_baseline.sha256")
 
-    observed = run_chaos_sweep(seeds=seeds, observe=True)
+    observed = run_chaos_sweep(seeds=SEEDS, observe=True)
     assert all(r.ok for r in observed), "chaos invariants violated"
     sweep_sha = sweep_fingerprint(observed)
 
@@ -134,10 +103,10 @@ def test_e23_observed_sweep_bit_identical(benchmark, experiment):
     assert total_windows == sum(r.faults_begun for r in observed)
 
     bit_identical = check_pinned_sweep(
-        sweep_sha, seeds, "chaos_sweep_baseline.sha256",
+        sweep_sha, SEEDS, "chaos_sweep_baseline.sha256",
         "observed chaos sweep")
 
-    report.row(len(seeds), all(r.ok for r in observed), total_alerts,
+    report.row(len(SEEDS), all(r.ok for r in observed), total_alerts,
                uncovered, sweep_sha[:12])
     report.conclusion = (
         f"{total_windows} fault windows all alerted; fingerprint "
@@ -145,12 +114,12 @@ def test_e23_observed_sweep_bit_identical(benchmark, experiment):
            else "recorded (shrunk sweep: baseline not comparable)"))
 
     benchmark.pedantic(
-        lambda: run_chaos_sweep(seeds=seeds[:2], observe=True),
+        lambda: run_chaos_sweep(seeds=SEEDS[:2], observe=True),
         rounds=1, iterations=1)
     benchmark.extra_info["sweep_sha12"] = sweep_sha[:12]
 
     merge_results(_RESULT_PATH, sweep={
-        "seeds": len(seeds),
+        "seeds": len(SEEDS),
         "fault_windows": total_windows,
         "uncovered_windows": uncovered,
         "alerts": total_alerts,
@@ -159,22 +128,21 @@ def test_e23_observed_sweep_bit_identical(benchmark, experiment):
 
 
 def test_e23_alert_precision_on_clean_runs(experiment):
-    seeds = default_chaos_seeds()
     report = experiment(
         "E23c", "SLO alert precision: fault-free sweep",
         header=["seeds", "alerts"],
         expectation="a clean sweep raises zero alerts (no false positives)")
 
-    clean = run_chaos_sweep(seeds=seeds, faults=False, observe=True)
+    clean = run_chaos_sweep(seeds=SEEDS, faults=False, observe=True)
     false_positives = sum(len(r.observe.alerts) for r in clean)
     assert false_positives == 0, (
         f"{false_positives} alerts raised on fault-free runs: "
         + "; ".join(alert["message"] for r in clean
                     for alert in r.observe.alerts))
-    report.row(len(seeds), false_positives)
+    report.row(len(SEEDS), false_positives)
     report.conclusion = "zero alerts across the fault-free sweep"
 
     merge_results(_RESULT_PATH, precision={
-        "seeds": len(seeds),
+        "seeds": len(SEEDS),
         "false_positives": false_positives,
     })

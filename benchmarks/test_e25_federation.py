@@ -21,31 +21,33 @@ claims and one safety claim:
 
 Results land in ``BENCH_federation.json`` at the repo root.
 
-CI smoke knobs (all optional): ``FEDERATION_BENCH_SIZES`` (comma list)
-shrinks the index scaling sweep, ``FEDERATION_CHAOS_SEEDS`` shrinks the
-chaos sweep — the hard gates only fire at the default shapes.
+The smoke shape indexes 2k and 20k objects instead of 10k to 1M and
+sweeps 3 of the 10 seeds, so it skips the speedup, flatness and baseline
+gates.
 """
 
-import os
-import time
-from pathlib import Path
-
-from _helpers import check_pinned_sweep, merge_results
+from _helpers import (
+    REPO_ROOT,
+    SMOKE,
+    check_pinned_sweep,
+    merge_results,
+    shape,
+    timed,
+)
 from repro.federation import (
     FlatReplicaDirectory,
     LocalReplicaCatalog,
     ReplicaLocation,
     ReplicaLocationService,
-    default_federation_seeds,
     run_federation_sweep,
     sweep_fingerprint,
 )
 
-_REPO_ROOT = Path(__file__).resolve().parents[1]
-_RESULT_PATH = _REPO_ROOT / "BENCH_federation.json"
+_RESULT_PATH = REPO_ROOT / "BENCH_federation.json"
 
 SPEEDUP_GATE = 10.0
-DEFAULT_SIZES = "10000,100000,1000000"
+SIZES = shape(full=[10_000, 100_000, 1_000_000], smoke=[2_000, 20_000])
+SEEDS = shape(full=list(range(10)), smoke=list(range(3)))
 N_ZONES = 8
 N_SHARDS = 64
 #: Sharded probe count per size; the flat baseline probe count shrinks
@@ -56,11 +58,6 @@ FLAT_SCAN_BUDGET = 2_000_000
 #: The sharded per-lookup cost may grow at most this factor from the
 #: smallest to the largest federation to count as ~flat.
 FLATNESS_TOLERANCE = 3.0
-
-
-def _sizes() -> list:
-    raw = os.environ.get("FEDERATION_BENCH_SIZES", "") or DEFAULT_SIZES
-    return [int(x) for x in raw.split(",") if x.strip()]
 
 
 def _build_federation_index(total_objects: int):
@@ -93,16 +90,15 @@ def _probe_guids(guids: list, count: int) -> list:
 
 def _measure(locate, probes: list) -> float:
     """Mean wall seconds per lookup."""
-    start = time.perf_counter()
-    for guid in probes:
-        locate(guid)
-    return (time.perf_counter() - start) / len(probes)
+
+    def run():
+        for guid in probes:
+            locate(guid)
+
+    return timed(run) / len(probes)
 
 
 def test_e25_sharded_rls_lookup_scales_flat(benchmark, experiment):
-    sizes = _sizes()
-    full_size = sizes == [int(x) for x in DEFAULT_SIZES.split(",")]
-
     report = experiment(
         "E25a", "two-tier RLS vs flat catalog: lookup cost vs federation "
         "size",
@@ -113,7 +109,7 @@ def test_e25_sharded_rls_lookup_scales_flat(benchmark, experiment):
                     "federation")
 
     rows = []
-    for total in sizes:
+    for total in SIZES:
         service, flat, guids = _build_federation_index(total)
         probes = _probe_guids(guids, SHARDED_PROBES)
         # Shard-touch accounting: every answer comes from exactly one
@@ -153,21 +149,21 @@ def test_e25_sharded_rls_lookup_scales_flat(benchmark, experiment):
         f"{rows[-1]['objects'] // rows[0]['objects']}x size span while "
         f"the flat scan falls behind {rows[-1]['speedup']:.0f}x")
 
-    service, _, guids = _build_federation_index(sizes[0])
+    service, _, guids = _build_federation_index(SIZES[0])
     probes = _probe_guids(guids, min(SHARDED_PROBES, 64))
     benchmark.pedantic(lambda: [service.locate(g) for g in probes],
                        rounds=3, iterations=1)
     benchmark.extra_info["speedup_at_max"] = rows[-1]["speedup"]
 
     merge_results(_RESULT_PATH, rls_scaling={
-        "sizes": sizes,
+        "sizes": SIZES,
         "sharded_probes": SHARDED_PROBES,
         "rows": rows,
         "flatness": round(flatness, 3),
         "gate": SPEEDUP_GATE,
     })
 
-    if full_size:
+    if not SMOKE:
         assert rows[-1]["speedup"] >= SPEEDUP_GATE, (
             f"sharded RLS only {rows[-1]['speedup']:.1f}x over the flat "
             f"catalog at {rows[-1]['objects']} objects "
@@ -180,7 +176,6 @@ def test_e25_sharded_rls_lookup_scales_flat(benchmark, experiment):
 
 def test_e25_federation_chaos_sweep_survives_and_is_pinned(benchmark,
                                                            experiment):
-    seeds = default_federation_seeds()
     report = experiment(
         "E25b", "cross-zone chaos sweep: survival invariants + pinned "
         "fingerprint",
@@ -190,7 +185,7 @@ def test_e25_federation_chaos_sweep_survives_and_is_pinned(benchmark,
                     "sweep fingerprint matches "
                     "federation_chaos_baseline.sha256")
 
-    reports = run_federation_sweep(seeds=seeds)
+    reports = run_federation_sweep(seeds=SEEDS)
     for r in reports:
         report.row(r.seed, r.ok, r.copies_completed, r.copies_failed,
                    r.faults_begun, r.stale_misses, r.wrong_answers)
@@ -201,21 +196,21 @@ def test_e25_federation_chaos_sweep_survives_and_is_pinned(benchmark,
 
     fingerprint = sweep_fingerprint(reports)
     pinned = check_pinned_sweep(
-        fingerprint, seeds, "federation_chaos_baseline.sha256",
+        fingerprint, SEEDS, "federation_chaos_baseline.sha256",
         "federation chaos sweep")
 
     report.conclusion = (
-        f"{len(seeds)} seeds survived; fingerprint "
+        f"{len(SEEDS)} seeds survived; fingerprint "
         f"{fingerprint[:12]}"
         + (" matches the pinned baseline" if pinned
            else " recorded (shrunk sweep: baseline not comparable)"))
 
-    benchmark.pedantic(lambda: run_federation_sweep(seeds=seeds[:1]),
+    benchmark.pedantic(lambda: run_federation_sweep(seeds=SEEDS[:1]),
                        rounds=1, iterations=1)
     benchmark.extra_info["fingerprint12"] = fingerprint[:12]
 
     merge_results(_RESULT_PATH, chaos_sweep={
-        "seeds": len(seeds),
+        "seeds": len(SEEDS),
         "fingerprint_sha256": fingerprint,
         "all_ok": all(r.ok for r in reports),
         "copies_completed": sum(r.copies_completed for r in reports),

@@ -370,25 +370,9 @@ class ReplicaLocationService:
 
     # -- publishing -----------------------------------------------------------
 
-    def _shard_guids(self, lrc: LocalReplicaCatalog
-                     ) -> Dict[int, List[str]]:
-        partitions: Dict[int, List[str]] = {}
-        n_shards = self.index.n_shards
-        for guid in lrc.guids():
-            partitions.setdefault(shard_of(guid, n_shards), []).append(guid)
-        return partitions
-
     def publish_zone(self, zone_name: str) -> None:
         """(Re)build and publish every shard digest for one zone."""
-        lrc = self.lrc(zone_name)
-        partitions = self._shard_guids(lrc)
-        now = self.now
-        for shard_index in range(self.index.n_shards):
-            guids = partitions.get(shard_index, ())
-            digest = BloomDigest.for_capacity(len(guids))
-            for guid in guids:
-                digest.add(guid)
-            self.index.publish(zone_name, shard_index, digest, now)
+        self.publish_shards(zone_name, range(self.index.n_shards))
 
     def publish_shards(self, zone_name: str,
                        shard_indexes: Sequence[int]) -> None:

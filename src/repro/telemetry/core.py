@@ -37,7 +37,7 @@ class Telemetry:
         # Python frame per timestamp, unlike a lambda.
         clock = partial(getattr, env, "_now")
         self.metrics = MetricsRegistry(clock)
-        self.tracer = Tracer(clock, env)
+        self.tracer = Tracer(clock)
         self.log = EventLog(clock)
 
         # -- sim kernel: derived from its own bookkeeping at collect() ----

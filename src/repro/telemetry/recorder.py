@@ -84,19 +84,13 @@ class FlightRecorder:
     def _span_context(self):
         """(span_id, process_name) of the currently active sim process.
 
-        Reads the engine-pinned ``Process._tspan`` first (the explicit-
-        parent fast path), falling back to the tracer's context stack, so
-        records produced inside an operation handler link to the step
-        span that spawned it.
+        Reads the engine-pinned ``Process._tspan``, so records produced
+        inside an operation handler link to the step span that spawned it.
         """
         active = self.env._active_process
         if active is None:
             return None, ""
         span = active._tspan
-        if span is None:
-            stack = self.telemetry.tracer._stacks.get(id(active))
-            if stack:
-                span = stack[-1]
         name = getattr(active._generator, "__name__", "") or ""
         return (None if span is None else span.span_id), name
 

@@ -83,9 +83,13 @@ def test_records_link_to_spans():
     tracer = obs.telemetry.tracer
 
     def worker():
-        with tracer.span("work") as span:
-            obs.telemetry.log.emit("test.inside")
-            yield env.timeout(1.0)
+        span = tracer.begin("work", None, {})
+        process = env.active_process
+        process._tspan = span
+        obs.telemetry.log.emit("test.inside")
+        yield env.timeout(1.0)
+        process._tspan = None
+        tracer.finish(span)
         obs.telemetry.log.emit("test.outside")
         return span.span_id
 

@@ -77,25 +77,20 @@ def test_histogram_buckets_and_samples():
 
 def test_spans_nest_within_one_context():
     tracer = Tracer(lambda: 7.0)
-    outer = tracer.start_span("outer", kind="demo")
-    inner = tracer.start_span("inner")
+    outer = tracer.begin("outer", None, {"kind": "demo"})
+    inner = tracer.begin("inner", outer, {})
+    assert outer.parent_id is None
     assert inner.parent_id == outer.span_id
-    tracer.end_span(inner)
-    tracer.end_span(outer)
+    tracer.finish(inner)
+    tracer.finish(outer, status="error")
     assert [span.name for span in tracer.finished] == ["inner", "outer"]
-    assert tracer.current_span() is None
+    assert outer.status == "error"
+    assert outer.attrs == {"kind": "demo"}
     # Ending twice is a no-op, ids are deterministic.
-    tracer.end_span(outer)
+    tracer.finish(outer)
     assert len(tracer.finished) == 2
+    assert outer.status == "error"
     assert outer.span_id == 1
-
-
-def test_span_contextmanager_records_errors():
-    tracer = Tracer(lambda: 0.0)
-    with pytest.raises(RuntimeError):
-        with tracer.span("doomed"):
-            raise RuntimeError("boom")
-    assert tracer.finished[0].status == "error"
 
 
 # -- event log ------------------------------------------------------------
