@@ -23,7 +23,8 @@ Two throughput claims land here, both against hard gates:
 
   The two kernels must also process a mixed process/timeout/cascade
   workload in the *same order* — the speedup may not buy any behaviour
-  change.
+  change — and so must the batched kernel with a schedule sanitizer
+  attached, which drains the same hot loop through its own lanes.
 * **seed farm** — fanning the 20-seed chaos sweep across a process pool
   (:func:`repro.farm.run_farm`) must return results byte-identical to
   the serial loop, in the same order, and scale near-linearly: farm
@@ -51,6 +52,8 @@ import time
 
 from _helpers import REPO_ROOT, SMOKE, check_pinned_sweep, merge_results, shape
 import _kernel_reference as reference_kernel
+from repro.analysis.sanitizer import SanitizeConfig, ScheduleSanitizer
+from repro.errors import Interrupt
 from repro.farm import default_jobs
 from repro.sim import kernel as batched_kernel
 from repro.workloads import run_chaos_sweep, sweep_fingerprint
@@ -117,22 +120,22 @@ def cascade_churn(kernel, n_roots: int, depth: int, n_background: int):
     return n_roots * depth, elapsed
 
 
-def mixed_workload(kernel, n_chains: int, rounds: int, cascade: int,
+def mixed_workload(env, n_chains: int, rounds: int, cascade: int,
                    n_background: int, trace):
     """Order-fidelity workload: processes synchronized on a heartbeat,
     delay-0 wake cascades, an interrupt per round, and reschedule churn.
 
     Not timed — it exists so the two kernels can be required to dispatch
-    a realistic mixed workload in the exact same order.
+    a realistic mixed workload in the exact same order. Runs on ``env``
+    (either kernel's environment) and returns it.
     """
-    env = kernel.Environment()
     for i in range(n_background):
         env.timeout(10_000.0 + i)
 
     def sleeper(tag):
         try:
             yield env.timeout(1000.0)
-        except kernel.Interrupt as interrupt:
+        except Interrupt as interrupt:
             trace.append((env.now, "interrupted", tag, interrupt.cause))
 
     def chain(tag):
@@ -164,14 +167,20 @@ def test_e22_kernel_batching_speedup(benchmark, experiment):
                     "on the E1/E3 event mix, with identical dispatch order")
 
     # Order equivalence first: the same mixed process/timeout/interrupt
-    # workload must interleave identically on both kernels before speed
-    # means anything.
-    ref_trace, new_trace = [], []
-    ref_env = mixed_workload(reference_kernel, 20, 10, 4, 100, ref_trace)
-    new_env = mixed_workload(batched_kernel, 20, 10, 4, 100, new_trace)
+    # workload must interleave identically on both kernels, and on the
+    # batched one with a sanitizer attached, before speed means anything.
+    ref_trace, new_trace, san_trace = [], [], []
+    ref_env = mixed_workload(reference_kernel.Environment(),
+                             20, 10, 4, 100, ref_trace)
+    new_env = mixed_workload(batched_kernel.Environment(),
+                             20, 10, 4, 100, new_trace)
+    san_env = batched_kernel.Environment()
+    ScheduleSanitizer(SanitizeConfig()).attach(san_env)
+    mixed_workload(san_env, 20, 10, 4, 100, san_trace)
     assert ref_trace == new_trace, "batched kernel reordered event dispatch"
-    assert ref_env.now == new_env.now
-    assert ref_env._eid == new_env._eid, (
+    assert ref_trace == san_trace, "sanitized kernel reordered event dispatch"
+    assert ref_env.now == new_env.now == san_env.now
+    assert ref_env._eid == new_env._eid == san_env._eid, (
         "kernels scheduled different event counts for identical workloads")
 
     def best_of_3(kernel):

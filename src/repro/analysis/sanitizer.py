@@ -5,9 +5,10 @@ hazards; this module catches the *semantic* ones the batched kernel made
 possible: workload code whose outcome silently depends on the arbitrary
 eid tie-break between events that share a timestamp.
 
-Two cooperating modes, both driven through kernel hooks
-(:meth:`~repro.sim.kernel.Environment` dispatches via
-``_step_batch_sanitized`` while a sanitizer is attached):
+Two cooperating modes, both driven from the kernel's one hot loop:
+while attached, the sanitizer's own lanes stand in for the
+:class:`~repro.sim.kernel.Environment`'s urgent and current FIFOs, so
+every same-timestamp schedule and dispatch passes through it:
 
 * **Race detection** (always on while attached): shared containers on
   registered subsystem objects are replaced with tracked proxies
@@ -42,6 +43,7 @@ import hashlib
 import random
 from collections import deque
 from dataclasses import dataclass, replace
+from heapq import heappop
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import AnalysisError
@@ -371,76 +373,6 @@ class TrackedSet(set):
         set.clear(self)
 
 
-class TrackedDeque(deque):
-    """A deque distinguishing append ends (they do not commute)."""
-
-    __slots__ = ("_san", "_label")
-
-    def __init__(self, san: "ScheduleSanitizer", label: str,
-                 iterable=(), maxlen=None) -> None:
-        deque.__init__(self, iterable, maxlen)
-        self._san = san
-        self._label = label
-
-    def __reduce__(self):
-        return (deque, (list(self), self.maxlen))
-
-    # reads ---------------------------------------------------------------
-    def __getitem__(self, index):
-        self._san.note_read(self._label, None)
-        return deque.__getitem__(self, index)
-
-    def __iter__(self):
-        self._san.note_read(self._label, None)
-        return deque.__iter__(self)
-
-    def __len__(self):
-        self._san.note_read(self._label, None)
-        return deque.__len__(self)
-
-    def __contains__(self, value):
-        self._san.note_read(self._label, None)
-        return deque.__contains__(self, value)
-
-    # commutative accumulation, one tag per end ---------------------------
-    def append(self, value):
-        self._san.note_update(self._label, None, "append")
-        deque.append(self, value)
-
-    def extend(self, iterable):
-        self._san.note_update(self._label, None, "append")
-        deque.extend(self, iterable)
-
-    def appendleft(self, value):
-        self._san.note_update(self._label, None, "appendleft")
-        deque.appendleft(self, value)
-
-    def extendleft(self, iterable):
-        self._san.note_update(self._label, None, "appendleft")
-        deque.extendleft(self, iterable)
-
-    # order-sensitive writes ----------------------------------------------
-    def popleft(self):
-        self._san.note_write(self._label, None)
-        return deque.popleft(self)
-
-    def pop(self):
-        self._san.note_write(self._label, None)
-        return deque.pop(self)
-
-    def remove(self, value):
-        self._san.note_write(self._label, None)
-        deque.remove(self, value)
-
-    def rotate(self, n=1):
-        self._san.note_write(self._label, None)
-        deque.rotate(self, n)
-
-    def clear(self):
-        self._san.note_write(self._label, None)
-        deque.clear(self)
-
-
 class TrackedRandom(random.Random):
     """A substream whose draws count as writes on its stream label.
 
@@ -467,8 +399,7 @@ class TrackedRandom(random.Random):
 
 
 #: Exact container types :meth:`ScheduleSanitizer.track_object` wraps.
-_WRAPPABLE = {dict: TrackedDict, list: TrackedList, set: TrackedSet,
-              deque: TrackedDeque}
+_WRAPPABLE = {dict: TrackedDict, list: TrackedList, set: TrackedSet}
 
 
 def _event_label(event: Any, callbacks: list) -> str:
@@ -499,6 +430,48 @@ def _kind_name(kind: str) -> str:
     return _KIND_NAMES.get(kind, "update")
 
 
+class _Lane(deque):
+    """One kernel FIFO (urgent or current) while a sanitizer is attached.
+
+    The lane holds its priority class's whole same-timestamp ready pool,
+    so the kernel's hot loop drains it unchanged: ``popleft`` dispatches
+    the event :meth:`ScheduleSanitizer.pick` chooses (index 0 is the
+    kernel's own order), and ``append`` records which dispatch scheduled
+    the event. A stale event is handed back unrecorded; the kernel drops
+    it and asks again, as it does without a sanitizer.
+    """
+
+    __slots__ = ("_san", "_priority")
+
+    def __init__(self, san: "ScheduleSanitizer", priority: int,
+                 events: deque) -> None:
+        deque.__init__(self, events)
+        self._san = san
+        self._priority = priority
+
+    def append(self, event) -> None:
+        san = self._san
+        current = san._cur
+        if current is not None:
+            san._pending[id(event)] = (san._anc[current] | {current},
+                                       self._priority)
+        deque.append(self, event)
+
+    def popleft(self):
+        san = self._san
+        index = san.pick(self)
+        if index:
+            event = self[index]
+            del self[index]
+        else:
+            event = deque.popleft(self)
+        callbacks = event.callbacks
+        if callbacks is not None and not (
+                event._maybe_stale and event._when != san._batch_time):  # dgf: noqa[DGF004]: intentional exact identity — the kernel's staleness contract
+            san.on_dispatch(event, callbacks)
+        return event
+
+
 class ScheduleSanitizer:
     """Race detector + schedule permuter for one simulation run.
 
@@ -510,9 +483,11 @@ class ScheduleSanitizer:
         env.run()
         for race in san.races: ...
 
-    While attached, the kernel dispatches through
-    ``_step_batch_sanitized``; with ``permute=False`` the dispatch order
-    is bit-identical to the normal hot loop.
+    While attached, the environment's urgent and current FIFOs are
+    :class:`_Lane` deques that pick and record every dispatch, and the
+    kernel's hot loop calls :meth:`begin_batch` and :meth:`end_batch`
+    around each timestamp; with ``permute=False`` the dispatch order is
+    bit-identical to a detached run.
     """
 
     def __init__(self, config: Optional[SanitizeConfig] = None) -> None:
@@ -558,17 +533,27 @@ class ScheduleSanitizer:
     # -- lifecycle --------------------------------------------------------
 
     def attach(self, env) -> "ScheduleSanitizer":
-        """Route ``env``'s dispatch through the sanitizer."""
+        """Route ``env``'s dispatch through the sanitizer.
+
+        Swaps the urgent and current FIFOs for :class:`_Lane` deques
+        holding the same events. Call it between steps, never from
+        inside a running batch.
+        """
         if env._sanitizer is not None:
             raise AnalysisError("environment already has a sanitizer attached")
+        env._urgent = _Lane(self, 0, env._urgent)
+        env._current = _Lane(self, 1, env._current)
         env._sanitizer = self
         self.env = env
         return self
 
     def detach(self) -> None:
-        """Restore the environment's normal hot loop."""
-        if self.env is not None:
-            self.env._sanitizer = None
+        """Put plain FIFOs back, with their events, between steps."""
+        env = self.env
+        if env is not None:
+            env._urgent = deque(env._urgent)
+            env._current = deque(env._current)
+            env._sanitizer = None
             self.env = None
 
     # -- state registration ------------------------------------------------
@@ -578,16 +563,14 @@ class ScheduleSanitizer:
         wrapper = _WRAPPABLE.get(type(value))
         if wrapper is None:
             return value
-        if wrapper is TrackedDeque:
-            return TrackedDeque(self, label, value, value.maxlen)
         return wrapper(self, label, value)
 
     def track_object(self, name: str, obj: Any,
                      attrs: Optional[Tuple[str, ...]] = None) -> Any:
         """Replace ``obj``'s plain container attributes with proxies.
 
-        Only exact-type ``dict``/``list``/``set``/``deque`` attributes
-        are wrapped (subclasses carry their own semantics). ``attrs``
+        Only exact-type ``dict``/``list``/``set`` attributes are
+        wrapped (subclasses carry their own semantics). ``attrs``
         narrows the sweep to specific attribute names.
         """
         try:
@@ -654,28 +637,38 @@ class ScheduleSanitizer:
 
     # -- kernel hooks ------------------------------------------------------
 
-    def begin_batch(self, now: float, ready_urgent: list,
-                    ready_normal: list) -> None:
-        """One timestamp's drain is starting; seed the ready pools."""
+    def begin_batch(self, now: float) -> None:
+        """Kernel hook: one timestamp's drain is starting.
+
+        Moves the heap's entries at ``now`` to the front of the current
+        lane, where :meth:`pick` can choose among them; they predate
+        every FIFO entry, so the lane stays in eid order. Then roots
+        every event on both lanes: each was scheduled before this batch.
+        """
+        env = self.env
+        queue = env._queue
+        current = env._current
+        ready = []
+        while queue and queue[0][0] == now:  # dgf: noqa[DGF004]: intentional exact identity — the kernel's batch-membership contract
+            ready.append(heappop(queue)[3])
+        current.extendleft(reversed(ready))
         self.batches += 1
         self._batch_time = now
         self._labels = []
         self._anc = []
         self._prio = []
-        self._pending = {}
-        self._acc = {}
-        self._seen_acc = set()
-        self._cur = None
         self._counted = False
         self._permute_this = False
         root = frozenset()
-        for event in ready_urgent:
-            self._pending[id(event)] = (root, 0)
-        for event in ready_normal:
-            self._pending[id(event)] = (root, 1)
+        pending = {}
+        for event in env._urgent:
+            pending[id(event)] = (root, 0)
+        for event in current:
+            pending[id(event)] = (root, 1)
+        self._pending = pending
 
-    def pick(self, pool: list) -> int:
-        """Index of the next event to dispatch from ``pool``."""
+    def pick(self, pool: deque) -> int:
+        """Index of the next event to dispatch from ``pool`` (a lane)."""
         n = len(pool)
         if n <= 1:
             return 0
@@ -700,7 +693,8 @@ class ScheduleSanitizer:
         return self._rng.randrange(n)
 
     def on_dispatch(self, event: Any, callbacks: list) -> None:
-        """``event`` is about to run its callbacks."""
+        """``event`` is about to run its callbacks; later appends to the
+        lanes until the next dispatch are its children."""
         index = len(self._labels)
         ancestors, priority = self._pending.pop(id(event), (frozenset(), 1))
         label = _event_label(event, callbacks)
@@ -710,19 +704,6 @@ class ScheduleSanitizer:
         self._cur = index
         if self._recording:
             self.recorded_batch.append(label)
-
-    def on_spawned(self, children, priority: int) -> None:
-        """Events the current dispatch scheduled at this timestamp."""
-        current = self._cur
-        if current is None:
-            return
-        ancestors = self._anc[current] | {current}
-        for child in children:
-            self._pending[id(child)] = (ancestors, priority)
-
-    def after_dispatch(self) -> None:
-        """Kernel hook: the current event's cascade is fully absorbed."""
-        self._cur = None
 
     # -- access recording --------------------------------------------------
 
@@ -752,6 +733,7 @@ class ScheduleSanitizer:
 
     def end_batch(self) -> None:
         """Close the batch: find conflicts, emit telemetry, reset."""
+        self._cur = None
         new_races: List[ScheduleRace] = []
         anc = self._anc
         prio = self._prio

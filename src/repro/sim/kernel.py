@@ -358,36 +358,28 @@ class Process(Event):
 
 
 class Condition(Event):
-    """Composite event: triggers when ``evaluate`` says enough children did.
+    """Composite event: triggers once ``needed`` children have succeeded.
 
     Use :meth:`Environment.all_of` / :meth:`Environment.any_of` rather than
     constructing directly. The value is a dict mapping each *triggered* child
-    event to its value, in trigger order.
+    event to its value, in trigger order; the first child failure fails the
+    condition.
 
-    For the two shipped evaluators (:func:`_all_events` / :func:`_any_event`)
-    the per-child bookkeeping is a plain countdown against a precomputed
-    target — no evaluator call, no ``len()``, and no final dict copy (once
-    triggered, ``_check`` never touches ``_results`` again, so handing out
-    the accumulating dict itself is safe). A custom evaluator still gets the
-    generic call-per-child path and a defensive copy.
+    The per-child bookkeeping counts ``_check`` calls against ``needed``,
+    so a child listed twice counts twice. Once triggered, ``_check`` never
+    touches ``_results`` again, so handing out the accumulating dict
+    itself is safe.
     """
 
-    __slots__ = ("_events", "_evaluate", "_needed", "_done", "_results")
+    __slots__ = ("_needed", "_done", "_results")
 
     def __init__(self, env: "Environment", events: Iterable[Event],
-                 evaluate: Callable[[int, int], bool]) -> None:
+                 needed: int) -> None:
         super().__init__(env)
         events = list(events)
-        self._events = events
-        self._evaluate = evaluate
+        self._needed = needed
         self._done = 0
         self._results: dict = {}
-        if evaluate is _all_events:
-            self._needed: Optional[int] = len(events)
-        elif evaluate is _any_event:
-            self._needed = 1
-        else:
-            self._needed = None
         for event in events:
             if event.env is not env:
                 raise SimError("condition mixes events from different environments")
@@ -417,20 +409,8 @@ class Condition(Event):
         self._results[event] = event._value
         done = self._done + 1
         self._done = done
-        needed = self._needed
-        if needed is not None:
-            if done >= needed:
-                self.succeed(self._results)
-        elif self._evaluate(len(self._events), done):
-            self.succeed(dict(self._results))
-
-
-def _all_events(total: int, done: int) -> bool:
-    return done == total
-
-
-def _any_event(total: int, done: int) -> bool:
-    return done >= 1
+        if done >= self._needed:
+            self.succeed(self._results)
 
 
 class Environment:
@@ -470,9 +450,12 @@ class Environment:
         #: session object on the hot path.
         self._lifetimes: Optional[list] = None
         #: Attached schedule sanitizer (duck-typed — the kernel imports
-        #: nothing from repro.analysis). While set, run()/step() dispatch
-        #: through ``_step_batch_sanitized``; the check happens once per
-        #: run()/step() call, so detached runs pay nothing per event.
+        #: nothing from repro.analysis). While set, ``_urgent`` and
+        #: ``_current`` are the sanitizer's own deque subclasses: their
+        #: ``popleft`` picks and records each dispatch, their ``append``
+        #: records who scheduled what, and ``_step_batch`` calls only
+        #: ``begin_batch(now)`` and ``end_batch()`` once per batch, so
+        #: detached runs pay nothing per event.
         self._sanitizer = None
 
     # -- clock ------------------------------------------------------------
@@ -519,11 +502,12 @@ class Environment:
 
     def all_of(self, events: Iterable[Event]) -> Condition:
         """Event that triggers when *all* of ``events`` have succeeded."""
-        return Condition(self, events, _all_events)
+        events = list(events)
+        return Condition(self, events, len(events))
 
     def any_of(self, events: Iterable[Event]) -> Condition:
         """Event that triggers when *any* of ``events`` has succeeded."""
-        return Condition(self, events, _any_event)
+        return Condition(self, events, 1)
 
     # -- scheduling ---------------------------------------------------------
 
@@ -575,6 +559,11 @@ class Environment:
         timestamp), then the current-timestamp FIFO, which also absorbs
         everything callbacks schedule at the running timestamp so a
         same-time cascade completes within its batch.
+
+        An attached sanitizer brackets the drain with ``begin_batch(now)``
+        and ``end_batch()``; the latter runs even when an exception
+        escapes, which leaves the undrained events on their lanes for
+        the next call.
         """
         urgent = self._urgent
         current = self._current
@@ -585,122 +574,64 @@ class Environment:
                 return False
             self._now = queue[0][0]
         now = self._now
+        san = self._sanitizer
+        if san is not None:
+            san.begin_batch(now)
         pop_urgent = urgent.popleft
         pop_current = current.popleft
-        # Phase 1: drain the urgent FIFO and the heap's same-time entries.
-        # Heap entries at ``now`` all predate this batch (older eids than
-        # anything in ``current``), and no *new* heap entry can land at
-        # ``now`` while the batch runs — _schedule routes every same-time
-        # schedule to a FIFO — so once the heap head moves past ``now``
-        # phase 2 never has to peek at the heap again.
-        while True:
-            if urgent:
-                event = pop_urgent()
-            elif queue and queue[0][0] == now:  # dgf: noqa[DGF004]: intentional exact identity — batch membership is "this entry's scheduled float is bit-for-bit the batch time"
-                event = heappop(queue)[3]
-            else:
-                break
-            callbacks = event.callbacks
-            if callbacks is None or (
-                    event._maybe_stale and event._when != now):  # dgf: noqa[DGF004]: intentional exact identity — same staleness contract as _skip_stale
-                continue
-            event.callbacks = None
-            for callback in callbacks:
-                callback(event)
-            if not event._ok and not getattr(event, "defused", True):
-                # An un-waited-for failure: surface it instead of losing it.
-                raise event._value
-        # Phase 2: drain the current-timestamp FIFO, which also absorbs
-        # everything callbacks keep scheduling at ``now``; a callback may
-        # still raise an interrupt, so the urgent lane stays first.
-        while True:
-            if urgent:
-                event = pop_urgent()
-            elif current:
-                event = pop_current()
-            else:
-                return True
-            callbacks = event.callbacks
-            if callbacks is None or (
-                    event._maybe_stale and event._when != now):  # dgf: noqa[DGF004]: intentional exact identity — same staleness contract as _skip_stale
-                continue
-            event.callbacks = None
-            for callback in callbacks:
-                callback(event)
-            if not event._ok and not getattr(event, "defused", True):
-                raise event._value
-
-    def _step_batch_sanitized(self) -> bool:
-        """The ``_step_batch`` drain, routed through an attached sanitizer.
-
-        Same three-lane semantics as the hot loop, restructured so the
-        sanitizer sees the whole same-timestamp *ready pool*: the urgent
-        FIFO, the heap's same-time entries (already in eid order), and
-        the current FIFO are pre-drained into two local pools, and each
-        dispatch is chosen by :meth:`sanitizer.pick` — index 0 (the
-        non-permuting default) reproduces the normal dispatch order
-        bit-for-bit, because pool order is exactly heap-eid order, then
-        FIFO order, then arrival order, with the urgent pool always
-        preferred. Events scheduled mid-batch are absorbed after each
-        dispatch with a scheduled-by edge recorded, which is the
-        happens-before relation race detection and legal permutation
-        both respect. On an escaping exception the undrained remainder
-        is pushed back onto the lanes so no event is lost.
-        """
-        san = self._sanitizer
-        urgent = self._urgent
-        current = self._current
-        queue = self._queue
-        if not urgent and not current:
-            self._skip_stale()
-            if not queue:
-                return False
-            self._now = queue[0][0]
-        now = self._now
-        ready_urgent = list(urgent)
-        urgent.clear()
-        ready_normal = []
-        while queue and queue[0][0] == now:  # dgf: noqa[DGF004]: intentional exact identity — same batch-membership contract as _step_batch
-            ready_normal.append(heappop(queue)[3])
-        ready_normal.extend(current)
-        current.clear()
-        san.begin_batch(now, ready_urgent, ready_normal)
         try:
-            while ready_urgent or ready_normal:
-                pool = ready_urgent if ready_urgent else ready_normal
-                event = pool.pop(san.pick(pool))
+            # Phase 1: drain the urgent FIFO and the heap's same-time entries.
+            # Heap entries at ``now`` all predate this batch (older eids than
+            # anything in ``current``), and no *new* heap entry can land at
+            # ``now`` while the batch runs — _schedule routes every same-time
+            # schedule to a FIFO — so once the heap head moves past ``now``
+            # phase 2 never has to peek at the heap again.
+            while True:
+                if urgent:
+                    event = pop_urgent()
+                elif queue and queue[0][0] == now:  # dgf: noqa[DGF004]: intentional exact identity — batch membership is "this entry's scheduled float is bit-for-bit the batch time"
+                    event = heappop(queue)[3]
+                else:
+                    break
                 callbacks = event.callbacks
                 if callbacks is None or (
                         event._maybe_stale and event._when != now):  # dgf: noqa[DGF004]: intentional exact identity — same staleness contract as _skip_stale
                     continue
                 event.callbacks = None
-                san.on_dispatch(event, callbacks)
                 for callback in callbacks:
                     callback(event)
+                if not event._ok and not getattr(event, "defused", True):
+                    # An un-waited-for failure: surface it instead of losing it.
+                    raise event._value
+            # Phase 2: drain the current-timestamp FIFO, which also absorbs
+            # everything callbacks keep scheduling at ``now``; a callback may
+            # still raise an interrupt, so the urgent lane stays first.
+            while True:
                 if urgent:
-                    san.on_spawned(urgent, 0)
-                    ready_urgent.extend(urgent)
-                    urgent.clear()
-                if current:
-                    san.on_spawned(current, 1)
-                    ready_normal.extend(current)
-                    current.clear()
-                san.after_dispatch()
+                    event = pop_urgent()
+                elif current:
+                    event = pop_current()
+                else:
+                    return True
+                callbacks = event.callbacks
+                if callbacks is None or (
+                        event._maybe_stale and event._when != now):  # dgf: noqa[DGF004]: intentional exact identity — same staleness contract as _skip_stale
+                    continue
+                event.callbacks = None
+                for callback in callbacks:
+                    callback(event)
                 if not event._ok and not getattr(event, "defused", True):
                     raise event._value
         finally:
-            if ready_urgent:
-                urgent.extendleft(reversed(ready_urgent))
-            if ready_normal:
-                current.extendleft(reversed(ready_normal))
-            san.end_batch()
-        return True
+            if san is not None:
+                san.end_batch()
 
     @property
     def sanitizer(self):
         """Attached :class:`repro.analysis.sanitizer.ScheduleSanitizer`,
         or None (the default). Attach/detach through the sanitizer's own
-        methods, which keep both sides consistent."""
+        methods, between steps: they swap the urgent and current lanes
+        for the sanitizer's recording deques and back."""
         return self._sanitizer
 
     def peek(self) -> float:
@@ -718,9 +649,7 @@ class Environment:
         same timestamp), not a single event: "one step" is one clock
         value. Raises :class:`SimStopped` when nothing live remains.
         """
-        step = (self._step_batch if self._sanitizer is None
-                else self._step_batch_sanitized)
-        if not step():
+        if not self._step_batch():
             raise SimStopped("no more events")
 
     def run(self, until: Optional[float] = None) -> None:
@@ -729,8 +658,7 @@ class Environment:
         When ``until`` is given, the clock is advanced exactly to it even if
         the queue drains earlier.
         """
-        step = (self._step_batch if self._sanitizer is None
-                else self._step_batch_sanitized)
+        step = self._step_batch
         if until is not None:
             if until < self._now:
                 raise SimError(f"until={until} is in the past (now={self._now})")
@@ -751,8 +679,7 @@ class Environment:
         raised instead of an opaque "no more events".
         """
         proc = self.process(generator)
-        step = (self._step_batch if self._sanitizer is None
-                else self._step_batch_sanitized)
+        step = self._step_batch
         while proc.is_alive:
             if not step():
                 name = getattr(proc._generator, "__name__", None) or repr(proc)

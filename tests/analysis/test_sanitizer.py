@@ -13,6 +13,8 @@ Three contracts pinned here:
   order-dependent one with a minimized, comparable witness pair.
 """
 
+from collections import deque
+
 import pytest
 
 from repro.analysis.sanitizer import (
@@ -21,7 +23,7 @@ from repro.analysis.sanitizer import (
     _item_key,
     prove_order_independence,
 )
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, Interrupt
 from repro.sim.kernel import Environment
 from repro.sim.rng import RandomStreams
 
@@ -62,12 +64,106 @@ def test_sanitized_dispatch_is_bit_identical_to_plain():
     assert sanitizer.permuted_batches == 0
 
 
+def _escaping_batch(env, log, state):
+    """Three timeouts share t=1. The first bumps ``state`` and wakes
+    ``x``, a failure nobody waits on, then ``y``; the second reads
+    ``state`` and raises while the third is still on the heap."""
+
+    def note(tag):
+        return lambda event: log.append(tag)
+
+    def wake(event):
+        log.append("a")
+        state["n"] += 1
+        woken = env.event()
+        woken.callbacks.append(note("x"))
+        woken.succeed()
+        env.event().fail(ValueError("nobody waits on this"))
+        woken = env.event()
+        woken.callbacks.append(note("y"))
+        woken.succeed()
+
+    def boom(event):
+        raise RuntimeError(f"callback failed at n={state['n']}")
+
+    for callback in (wake, boom, note("c")):
+        env.timeout(1.0).callbacks.append(callback)
+
+
+def _run_past_escapes(env):
+    """``env.run()`` again after each escaping exception; their names."""
+    escaped = []
+    while True:
+        try:
+            env.run()
+            return escaped
+        except (RuntimeError, ValueError) as exc:
+            escaped.append(type(exc).__name__)
+
+
+def test_escape_mid_batch_leaves_the_remainder_in_order():
+    plain_log = []
+    env = Environment()
+    _escaping_batch(env, plain_log, {"n": 0})
+    plain_escapes = _run_past_escapes(env)
+
+    sanitized_log = []
+    env2 = Environment()
+    sanitizer = ScheduleSanitizer(SanitizeConfig()).attach(env2)
+    _escaping_batch(env2, sanitized_log,
+                    sanitizer.track_value("state", {"n": 0}))
+    sanitized_escapes = _run_past_escapes(env2)
+    sanitizer.detach()
+
+    assert plain_escapes == ["RuntimeError", "ValueError"]
+    assert plain_log == ["a", "c", "x", "y"]
+    assert sanitized_escapes == plain_escapes
+    assert sanitized_log == plain_log
+    assert env2.now == env.now == 1.0
+    # The batch the first escape cut short was still analysed.
+    assert [(race.state, race.kind_pair) for race in sanitizer.races] == [
+        ("state", "read-write")]
+
+
+def test_attach_after_an_escape_keeps_heap_entries_first():
+    # A plain escape leaves a t=1 heap entry behind events already on the
+    # current FIFO; the first sanitized batch must still run it first.
+    log = []
+    env = Environment()
+    _escaping_batch(env, log, {"n": 0})
+    with pytest.raises(RuntimeError):
+        env.run()
+    sanitizer = ScheduleSanitizer(SanitizeConfig()).attach(env)
+    assert _run_past_escapes(env) == ["ValueError"]
+    sanitizer.detach()
+    assert log == ["a", "c", "x", "y"]
+
+
 def test_detach_restores_the_plain_hot_loop():
     env = Environment()
+    log = []
+
+    def sleeper():
+        try:
+            yield env.timeout(10.0)
+        except Interrupt as interrupt:
+            log.append(interrupt.cause)
+
+    victim = env.process(sleeper())
+    env.run(until=1.0)
     sanitizer = ScheduleSanitizer(SanitizeConfig()).attach(env)
     assert env.sanitizer is sanitizer
+    victim.interrupt("stop")
+    pending = [env.event().succeed(tag) for tag in "abc"]
+    with pytest.raises(AnalysisError):
+        ScheduleSanitizer(SanitizeConfig()).attach(env)
     sanitizer.detach()
     assert env.sanitizer is None
+    assert type(env._urgent) is deque and type(env._current) is deque
+    assert len(env._urgent) == 1
+    assert list(env._current) == pending
+    env.run()
+    assert log == ["stop"]
     with pytest.raises(AnalysisError):
         # Double-attach on one environment is a caller bug.
         other = ScheduleSanitizer(SanitizeConfig()).attach(env)

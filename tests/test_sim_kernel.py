@@ -209,6 +209,19 @@ def test_all_of_empty_list_triggers_immediately():
     assert env.run_process(proc()) == {}
 
 
+def test_all_of_counts_a_repeated_child_twice():
+    # A condition counts callbacks, not distinct children: a child
+    # listed twice subscribes twice, so its one success settles both.
+    env = Environment()
+    child = env.event()
+    both = env.all_of([child, child])
+    env.run()
+    assert not both.triggered
+    child.succeed("v")
+    env.run()
+    assert both.processed and both.value == {child: "v"}
+
+
 def test_interrupt_raises_inside_process():
     env = Environment()
     log = []
