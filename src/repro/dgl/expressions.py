@@ -12,11 +12,16 @@ evaluated against the flow's variable scope by a strict whitelist
 interpreter: literals, variable names, arithmetic, comparisons, boolean
 logic, unary ops, and indexing. No calls, no attribute access, no
 comprehensions — a DGL document can never execute arbitrary code.
+
+Each distinct expression string is parsed once: :func:`evaluate` takes
+its tree from a bounded memo of :func:`ast.parse` results, and the
+whitelist runs over that (never mutated) tree on every evaluation.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import re
 from typing import Any, Mapping, Optional, Union
 
@@ -176,10 +181,22 @@ def _eval_node(node: ast.AST, scope: Union[Scope, Mapping]) -> Any:
                           f"{type(node).__name__}")
 
 
+#: Distinct expression strings whose parse trees :func:`_parse` keeps. A
+#: long run can generate per-object literals, so the memo is bounded.
+_PARSE_MEMO_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=_PARSE_MEMO_SIZE)
+def _parse(expression: str) -> ast.Expression:
+    """The parse tree of a stripped expression (a failed parse raises
+    and is not memoized)."""
+    return ast.parse(expression, mode="eval")
+
+
 def evaluate(expression: str, scope: Union[Scope, Mapping]) -> Any:
     """Evaluate a bare DGL expression (no ``${}`` wrapper) against ``scope``."""
     try:
-        tree = ast.parse(expression.strip(), mode="eval")
+        tree = _parse(expression.strip())
     except SyntaxError as exc:
         raise ExpressionError(f"cannot parse expression {expression!r}: {exc}") from None
     return _eval_node(tree, scope)

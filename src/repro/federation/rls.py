@@ -31,7 +31,7 @@ telemetry mirrors the counters when attached.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import FederationError
 
@@ -79,6 +79,21 @@ def _mix(h: int) -> int:
     return h
 
 
+#: CRC32s of the two probe salts: ``crc32(data, _SALT_A)`` equals
+#: ``crc32(b"rls-a:" + data)`` without building the salted bytes.
+_SALT_A = zlib.crc32(b"rls-a:")
+_SALT_B = zlib.crc32(b"rls-b:")
+
+
+def _hash_pair(guid: str) -> Tuple[int, int]:
+    """The two :func:`_mix`-finalized, salted CRC32s (``h1``, odd
+    ``h2``) from which every digest double-hashes ``guid``'s probe
+    positions."""
+    data = guid.encode()
+    return (_mix(zlib.crc32(data, _SALT_A)),
+            _mix(zlib.crc32(data, _SALT_B)) | 1)
+
+
 class ReplicaLocation(NamedTuple):
     """One zone-qualified replica location, as the RLS reports it."""
 
@@ -96,9 +111,11 @@ class BloomDigest:
     :func:`_mix`-finalized CRC32s (deterministic across runs and
     processes — no :func:`hash`, which randomizes per interpreter; and
     decorrelated from the CRC-based shard partition, which raw salted
-    CRCs are not). False positives at the configured load are ~1–2 %;
-    false negatives are impossible, which is what lets the index tier
-    promise "stale but never wrong" after LRC verification.
+    CRCs are not). The pair depends only on the key, so a locate hashes
+    its guid once (:func:`_hash_pair`) and tests every digest in the
+    shard with that pair. False positives at the configured load are
+    ~1–2 %; false negatives are impossible, which is what lets the index
+    tier promise "stale but never wrong" after LRC verification.
     """
 
     __slots__ = ("n_bits", "bits", "count")
@@ -116,26 +133,28 @@ class BloomDigest:
         """A digest sized for ``n_entries`` keys."""
         return cls(max(64, n_entries * bits_per_entry))
 
-    def _probes(self, guid: str) -> Iterable[int]:
-        data = guid.encode()
-        h1 = _mix(zlib.crc32(b"rls-a:" + data))
-        h2 = _mix(zlib.crc32(b"rls-b:" + data)) | 1
-        n_bits = self.n_bits
-        for i in range(_PROBES):
-            yield (h1 + i * h2) % n_bits
-
     def add(self, guid: str) -> None:
         """Set ``guid``'s probe bits (irreversible, as blooms are)."""
+        h1, h2 = _hash_pair(guid)
         bits = self.bits
-        for position in self._probes(guid):
+        n_bits = self.n_bits
+        for i in range(_PROBES):
+            position = (h1 + i * h2) % n_bits
             bits[position >> 3] |= 1 << (position & 7)
         self.count += 1
 
     def might_contain(self, guid: str) -> bool:
         """Membership test: False is definitive, True may be a false
         positive (the caller verifies against the authoritative LRC)."""
+        return self._test_pair(*_hash_pair(guid))
+
+    def _test_pair(self, h1: int, h2: int) -> bool:
+        """:meth:`might_contain` for a guid whose :func:`_hash_pair` is
+        known."""
         bits = self.bits
-        for position in self._probes(guid):
+        n_bits = self.n_bits
+        for i in range(_PROBES):
+            position = (h1 + i * h2) % n_bits
             if not bits[position >> 3] & (1 << (position & 7)):
                 return False
         return True
@@ -278,9 +297,10 @@ class ReplicaLocationIndex:
         digest claims ``guid`` — the only zones worth querying."""
         index = self.shard_of(guid)
         shard = self._shards[index]
+        h1, h2 = _hash_pair(guid)
         matched = [(zone_name, cell.published_at)
                    for zone_name, cell in shard.items()
-                   if cell.digest.might_contain(guid)]
+                   if cell.digest._test_pair(h1, h2)]
         return index, matched
 
     def digests_in_shard(self, shard_index: int) -> int:

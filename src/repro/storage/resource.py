@@ -15,6 +15,7 @@ simulation-agnostic lets benchmarks also query costs analytically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -62,13 +63,29 @@ class PhysicalStorageResource:
         self.online = True
         self.stats = StorageStats()
         self._allocations: Dict[str, float] = {}
+        #: Running ``sum(self._allocations.values())``; None = re-sum.
+        self._used: Optional[float] = None
 
     # -- capacity -----------------------------------------------------------
 
     @property
     def used_bytes(self) -> float:
-        """Bytes currently allocated."""
-        return sum(self._allocations.values())
+        """Bytes currently allocated: ``sum()`` over the allocations in
+        insertion order, kept as a running total.
+
+        On CPython 3.10/3.11 ``sum()`` over floats is a left fold in dict
+        insertion order, and a new allocation goes to the end of the
+        dict, so :meth:`write` extends the fold with one ``+=`` and the
+        total is bit-identical to a fresh ``sum()``. (CI and every pinned
+        baseline run 3.11; from 3.12 ``sum()`` compensates its rounding
+        and may differ from the fold in the last bits.) A delete removes
+        a term from the middle of the fold, so it drops the total and the
+        next read re-sums (an empty resource reads ``sum()``'s int 0).
+        """
+        used = self._used
+        if used is None:
+            used = self._used = sum(self._allocations.values())
+        return used
 
     @property
     def free_bytes(self) -> float:
@@ -94,17 +111,25 @@ class PhysicalStorageResource:
                 f"storage resource {self.name!r} is offline")
 
     def write(self, object_id: str, nbytes: float) -> float:
-        """Allocate and write ``object_id``; return the operation duration."""
+        """Allocate and write ``object_id``; return the operation duration.
+
+        ``nbytes`` must be a finite number >= 0: a NaN or infinite size
+        would pass every later capacity check. A write that raises
+        changes nothing.
+        """
         self._require_online()
-        if nbytes < 0:
-            raise StorageError(f"negative object size: {nbytes}")
+        if not (nbytes >= 0 and math.isfinite(nbytes)):
+            raise StorageError(
+                f"object size must be finite and >= 0, got {nbytes}")
         if object_id in self._allocations:
             raise StorageError(f"{self.name} already holds {object_id!r}")
         if nbytes > self.free_bytes:
             raise CapacityExceeded(
                 f"{self.name}: need {nbytes:.0f} B, only {self.free_bytes:.0f} B free")
         self.failures.check(f"write {object_id} on {self.name}")
-        self._allocations[object_id] = float(nbytes)
+        stored = self._allocations[object_id] = float(nbytes)
+        # The capacity check above read used_bytes, so _used is set.
+        self._used += stored
         duration = self.model.write_time(nbytes)
         self.stats.writes += 1
         self.stats.bytes_written += nbytes
@@ -128,6 +153,7 @@ class PhysicalStorageResource:
         self.size_of(object_id)  # existence check
         self.failures.check(f"delete {object_id} on {self.name}")
         del self._allocations[object_id]
+        self._used = None
         self.stats.deletes += 1
         duration = self.model.access_latency_s
         self.stats.busy_seconds += duration

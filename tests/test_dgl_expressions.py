@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ExpressionError
 from repro.dgl import Scope, evaluate, evaluate_condition, render_template
+from repro.dgl import expressions
 
 
 def scope_with(**bindings):
@@ -108,6 +109,36 @@ def test_calls_and_attributes_forbidden():
 def test_syntax_error_reported():
     with pytest.raises(ExpressionError, match="cannot parse"):
         evaluate("1 +", {})
+
+
+# -- the parse memo ------------------------------------------------------------
+
+def test_malformed_expression_raises_on_every_call():
+    # A failed parse is not memoized: the second call parses again.
+    for _ in range(2):
+        with pytest.raises(ExpressionError, match="cannot parse"):
+            evaluate("size >", {"size": 1})
+
+
+@pytest.mark.parametrize("expression", ["__import__('os')", "a.b"])
+def test_disallowed_expression_raises_on_every_call(expression):
+    # It parses, so its tree is memoized; the whitelist still runs on it.
+    for _ in range(2):
+        with pytest.raises(ExpressionError, match="not allowed"):
+            evaluate(expression, {"a": 1})
+
+
+def test_one_expression_evaluates_against_each_scope():
+    assert evaluate(" size > 150 ", {"size": 200}) is True
+    assert evaluate("size > 150", scope_with(size=100)) is False
+    assert evaluate("size > 150", {"size": 151}) is True
+
+
+def test_parse_memo_stays_at_its_bound():
+    bound = expressions._PARSE_MEMO_SIZE
+    for index in range(bound + 10):
+        assert evaluate(f"{index} + n", {"n": 1}) == index + 1
+    assert expressions._parse.cache_info().currsize == bound
 
 
 # -- templates ------------------------------------------------------------------

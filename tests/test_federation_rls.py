@@ -1,6 +1,9 @@
 """Tests for the two-tier replica location service, digest sync,
 the federated namespace router, and cross-zone placement policies."""
 
+import hashlib
+import random
+
 import pytest
 
 from repro.errors import FederationError
@@ -47,6 +50,35 @@ def test_bloom_digest_false_positive_rate_is_low():
         digest.add(guid(i))
     hits = sum(digest.might_contain(f"absent-{i}") for i in range(2000))
     assert hits / 2000 < 0.05
+
+
+def test_bloom_digest_bits_are_pinned():
+    # Probe positions, and so every digest byte, false positive and LRC
+    # query, must not drift when the hashing is reorganized.
+    digest = BloomDigest.for_capacity(200)
+    for i in range(200):
+        digest.add(guid(i))
+    assert digest.n_bits == 2000 and digest.count == 200
+    assert hashlib.sha256(bytes(digest.bits)).hexdigest() == (
+        "8215657a5332af0370417c1d952760a50cc5b1f9ba5184ae3604221bcfd81878")
+
+
+def test_candidates_agree_with_each_digest():
+    service = make_service(n_zones=8, objects_per_zone=40, n_shards=4)
+    index = service.index
+    rng = random.Random(3)
+    probes = [f"guid-z{rng.randrange(10)}-{rng.randrange(60):08d}"
+              for _ in range(400)]
+    matched_any = 0
+    for key in probes:
+        shard, matched = index.candidates(key)
+        assert shard == shard_of(key, 4)
+        expected = [(zone, cell.published_at)
+                    for zone, cell in index._shards[shard].items()
+                    if cell.digest.might_contain(key)]
+        assert matched == expected
+        matched_any += bool(matched)
+    assert 0 < matched_any < len(probes)
 
 
 def test_shard_of_is_stable_and_in_range():

@@ -62,9 +62,10 @@ class StorageMachine(RuleBasedStateMachine):
 
     @invariant()
     def accounting_matches_model(self):
-        assert self.disk.used_bytes == pytest.approx(
-            sum(self.model.values()))
-        assert self.disk.free_bytes == pytest.approx(
+        # Exact: the model dict has the disk's insertion order, and the
+        # disk's total is the insertion-order sum.
+        assert self.disk.used_bytes == sum(self.model.values())
+        assert self.disk.free_bytes == (
             self.CAPACITY - sum(self.model.values()))
         for object_id, size in self.model.items():
             assert self.disk.holds(object_id)

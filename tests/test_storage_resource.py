@@ -1,5 +1,7 @@
 """Unit tests for simulated physical storage resources."""
 
+import random
+
 import pytest
 
 from repro.errors import CapacityExceeded, StorageError, StorageFailure
@@ -45,6 +47,70 @@ def test_write_beyond_capacity_rejected():
         disk.write("big", 2 * GB)
     assert not disk.holds("big")
     assert disk.used_bytes == 0
+
+
+@pytest.mark.parametrize("size", [float("nan"), float("inf"), -1.0])
+def test_size_must_be_finite_and_non_negative(size):
+    disk = make_disk(capacity=1 * GB)
+    disk.write("obj-1", MB)
+    with pytest.raises(StorageError, match="finite"):
+        disk.write("bad", size)
+    assert not disk.holds("bad")
+    assert disk.used_bytes == MB
+    # The accounting is intact: an over-capacity write still fails.
+    with pytest.raises(CapacityExceeded):
+        disk.write("big", 2 * GB)
+    assert disk.used_bytes == MB
+
+
+def test_infinite_size_rejected_on_infinite_capacity():
+    disk = make_disk(capacity=float("inf"))
+    with pytest.raises(StorageError, match="finite"):
+        disk.write("bad", float("inf"))
+    assert disk.used_bytes == 0
+    assert disk.free_bytes == float("inf")
+
+
+def test_emptied_resource_reads_exactly_zero():
+    disk = make_disk()
+    sizes = {"a": 0.1 * MB, "b": 0.2 * MB, "c": 0.3 * MB}
+    for object_id, size in sizes.items():
+        disk.write(object_id, size)
+    for object_id in sizes:
+        disk.delete(object_id)
+    assert disk.used_bytes == 0
+    disk.write("b", sizes["b"])
+    assert disk.used_bytes == sizes["b"]
+
+
+def test_used_bytes_is_the_insertion_order_sum():
+    # The running total must equal sum() over the allocations exactly,
+    # in value and type, after any mix of writes, deletes and operations
+    # that raise: offline, duplicate, over capacity or injected (sizes
+    # with many significant bits make any rounding difference show).
+    rng = random.Random(7)
+    injector = FailureInjector(
+        probability=0.1, rng=RandomStreams(seed=7).stream("failures"))
+    for _ in range(40):
+        disk = make_disk(capacity=GB, failures=injector)
+        model = {}
+        for _ in range(120):
+            object_id = f"obj-{rng.randrange(12)}"
+            disk.online = rng.random() < 0.95
+            try:
+                if object_id in model and rng.random() < 0.5:
+                    disk.delete(object_id)
+                    del model[object_id]
+                else:
+                    size = rng.random() * 0.2 * GB
+                    disk.write(object_id, size)
+                    model[object_id] = size
+            except StorageError:
+                pass
+            used = disk.used_bytes
+            assert used == sum(model.values())
+            assert type(used) is type(sum(model.values()))
+            assert disk.free_bytes == GB - sum(model.values())
 
 
 def test_read_unknown_object_rejected():
