@@ -44,12 +44,8 @@ def _dgl_log(ctx: ExecutionContext, params) -> None:
 
 
 def _dgl_set(ctx: ExecutionContext, params):
-    try:
-        name = params["variable"]
-    except KeyError:
-        raise ExecutionError("dgl.set needs a 'variable' parameter") from None
     value = params.get("value")
-    ctx.assign(name, value)
+    ctx.assign(params["variable"], value)
     return value
 
 
@@ -72,7 +68,7 @@ def _dgl_call(ctx: ExecutionContext, params):
     parameters become its arguments. The calling step fails if the
     procedure's execution fails, so errors propagate naturally.
     """
-    name = _require(params, "procedure", "dgl.call")
+    name = params["procedure"]
     if ctx.server is None:
         raise ExecutionError("dgl.call needs a DfMS server")
     arguments = {key[len("arg:"):]: value for key, value in params.items()
@@ -111,91 +107,70 @@ def _metadata_from_params(params) -> dict:
             if key.startswith("meta:")}
 
 
-def _require(params, name: str, operation: str):
-    try:
-        return params[name]
-    except KeyError:
-        raise ExecutionError(
-            f"{operation} needs a {name!r} parameter") from None
-
-
 def _srb_create_collection(ctx: ExecutionContext, params):
-    path = _require(params, "path", "srb.create_collection")
+    path = params["path"]
     ctx.dgms.create_collection(ctx.user, path,
                                parents=bool(params.get("parents", True)))
     return path
 
 
 def _srb_put(ctx: ExecutionContext, params):
-    path = _require(params, "path", "srb.put")
-    size = float(_require(params, "size", "srb.put"))
-    resource = _require(params, "resource", "srb.put")
     obj = yield ctx.dgms.put(
-        ctx.user, path, size, resource,
+        ctx.user, params["path"], float(params["size"]), params["resource"],
         source_domain=params.get("source_domain"),
         metadata=_metadata_from_params(params) or None)
     return obj.path
 
 
 def _srb_get(ctx: ExecutionContext, params):
-    path = _require(params, "path", "srb.get")
-    to_domain = _require(params, "to_domain", "srb.get")
-    obj = yield ctx.dgms.get(ctx.user, path, to_domain,
+    obj = yield ctx.dgms.get(ctx.user, params["path"], params["to_domain"],
                              replica_policy=params.get("replica_policy",
                                                        "nearest"))
     return obj.path
 
 
 def _srb_replicate(ctx: ExecutionContext, params):
-    path = _require(params, "path", "srb.replicate")
-    resource = _require(params, "resource", "srb.replicate")
     replica = yield ctx.dgms.replicate(
-        ctx.user, path, resource,
+        ctx.user, params["path"], params["resource"],
         replica_policy=params.get("replica_policy", "nearest"))
     return replica.physical_name
 
 
 def _srb_migrate(ctx: ExecutionContext, params):
-    path = _require(params, "path", "srb.migrate")
-    from_physical = _require(params, "from_physical", "srb.migrate")
-    resource = _require(params, "resource", "srb.migrate")
-    replica = yield ctx.dgms.migrate(ctx.user, path, from_physical, resource)
+    replica = yield ctx.dgms.migrate(ctx.user, params["path"],
+                                     params["from_physical"],
+                                     params["resource"])
     return replica.physical_name
 
 
 def _srb_delete(ctx: ExecutionContext, params):
-    path = _require(params, "path", "srb.delete")
+    path = params["path"]
     yield ctx.dgms.delete(ctx.user, path)
     return path
 
 
 def _srb_remove_replica(ctx: ExecutionContext, params):
-    path = _require(params, "path", "srb.remove_replica")
-    physical = _require(params, "physical", "srb.remove_replica")
-    yield ctx.dgms.remove_replica(ctx.user, path, physical)
+    path = params["path"]
+    yield ctx.dgms.remove_replica(ctx.user, path, params["physical"])
     return path
 
 
 def _srb_checksum(ctx: ExecutionContext, params):
-    path = _require(params, "path", "srb.checksum")
-    digest = yield ctx.dgms.checksum(ctx.user, path,
+    digest = yield ctx.dgms.checksum(ctx.user, params["path"],
                                      algorithm=params.get("algorithm", "md5"))
     return digest
 
 
 def _srb_set_metadata(ctx: ExecutionContext, params):
-    path = _require(params, "path", "srb.set_metadata")
-    attribute = _require(params, "attribute", "srb.set_metadata")
-    value = _require(params, "value", "srb.set_metadata")
-    ctx.dgms.set_metadata(ctx.user, path, attribute, value,
-                          unit=params.get("unit"))
+    value = params["value"]
+    ctx.dgms.set_metadata(ctx.user, params["path"], params["attribute"],
+                          value, unit=params.get("unit"))
     return value
 
 
 def _srb_move(ctx: ExecutionContext, params):
-    src = _require(params, "src", "srb.move")
-    dst = _require(params, "dst", "srb.move")
-    ctx.dgms.move(ctx.user, src, dst)
+    dst = params["dst"]
+    ctx.dgms.move(ctx.user, params["src"], dst)
     return dst
 
 
@@ -206,23 +181,21 @@ def _srb_grant(ctx: ExecutionContext, params):
     some data before they are migrated or archived"; this is that step.
     """
     from repro.grid.acl import Permission
-    path = _require(params, "path", "srb.grant")
-    principal = _require(params, "principal", "srb.grant")
-    level_name = str(_require(params, "permission", "srb.grant")).upper()
+    level_name = str(params["permission"]).upper()
     try:
         permission = Permission[level_name]
     except KeyError:
         raise ExecutionError(
             f"srb.grant: unknown permission {level_name!r} "
             f"(use NONE/READ/WRITE/OWN)") from None
-    ctx.dgms.grant(ctx.user, path, principal, permission)
+    ctx.dgms.grant(ctx.user, params["path"], params["principal"],
+                   permission)
     return level_name
 
 
 def _srb_stat(ctx: ExecutionContext, params):
     """Stat one entry; returns a JSON-safe summary dict."""
-    path = _require(params, "path", "srb.stat")
-    node = ctx.dgms.stat(ctx.user, path)
+    node = ctx.dgms.stat(ctx.user, params["path"])
     from repro.grid.namespace import DataObject
     if isinstance(node, DataObject):
         return {"path": node.path, "kind": "object", "size": node.size,
@@ -236,9 +209,8 @@ def _srb_stat(ctx: ExecutionContext, params):
 
 
 def _srb_query(ctx: ExecutionContext, params):
-    collection = _require(params, "collection", "srb.query")
     conditions = parse_conditions(params.get("query", ""))
-    query = Query(collection=collection, conditions=conditions,
+    query = Query(collection=params["collection"], conditions=conditions,
                   recursive=bool(params.get("recursive", True)),
                   limit=params.get("limit"))
     return ctx.dgms.query_paths(ctx.user, query)
@@ -260,12 +232,8 @@ def _fed_copy(ctx: ExecutionContext, params):
         raise ExecutionError(
             "fed.copy needs a DfMS server joined to a federation")
     copied = yield ctx.server.federation.cross_zone_copy(
-        ctx.user,
-        _require(params, "src_zone", "fed.copy"),
-        _require(params, "src_path", "fed.copy"),
-        _require(params, "dst_zone", "fed.copy"),
-        _require(params, "dst_path", "fed.copy"),
-        _require(params, "dst_resource", "fed.copy"))
+        ctx.user, params["src_zone"], params["src_path"],
+        params["dst_zone"], params["dst_path"], params["dst_resource"])
     return copied.path
 
 

@@ -19,11 +19,9 @@ from __future__ import annotations
 
 import json
 
-from repro.errors import CheckpointError
-from repro.dfms.context import ExecutionContext
+from repro.errors import CheckpointError, DGLError
 from repro.dfms.execution import FlowExecution, JournalEntry
 from repro.dfms.server import DfMSServer
-from repro.dgl.expressions import Scope
 from repro.dgl.model import Flow
 from repro.dgl.xml_io import request_from_xml, request_to_xml
 
@@ -64,7 +62,10 @@ def restore_execution(server: DfMSServer, snapshot: dict,
     server instance. ``replace=True`` permits restoring onto a server
     that still holds the (terminal) original — the automatic
     checkpoint/restart path of
-    :class:`repro.faults.recovery.FlowSupervisor`.
+    :class:`repro.faults.recovery.FlowSupervisor`. A restart passes the
+    server's admission check like a fresh submission; a snapshot that is
+    malformed or refused raises :class:`CheckpointError` and leaves the
+    server as it was.
     """
     if snapshot.get("format") != FORMAT_VERSION:
         raise CheckpointError(
@@ -72,28 +73,29 @@ def restore_execution(server: DfMSServer, snapshot: dict,
     try:
         request = request_from_xml(snapshot["request_xml"])
         request_id = snapshot["request_id"]
-        journal_entries = snapshot["journal"]
+        journal = {
+            entry["key"]: JournalEntry(
+                instance_key=entry["key"],
+                effects=[(name, value) for name, value in entry["effects"]],
+                finished_at=entry["finished_at"])
+            for entry in snapshot["journal"]}
     except KeyError as exc:
         raise CheckpointError(f"checkpoint is missing {exc}") from None
+    except (TypeError, ValueError, DGLError) as exc:
+        raise CheckpointError(f"malformed checkpoint: {exc}") from None
     if not isinstance(request.body, Flow):
         raise CheckpointError("checkpointed request does not carry a flow")
+    error = server.admission_error(request)
+    if error is not None:
+        raise CheckpointError(error)
     execution = FlowExecution(
         request_id=request_id, flow=request.body, user_name=request.user,
         virtual_organization=request.virtual_organization, env=server.env)
     execution.submitted_at = snapshot.get("submitted_at",
                                           execution.submitted_at)
-    for entry in journal_entries:
-        execution.journal[entry["key"]] = JournalEntry(
-            instance_key=entry["key"],
-            effects=[(name, value) for name, value in entry["effects"]],
-            finished_at=entry["finished_at"])
+    execution.journal = journal
     execution.replaying = True
-    server.adopt_execution(execution, request, replace=replace)
-    user = server.dgms.users.get(request.user)
-    ctx = ExecutionContext(env=server.env, dgms=server.dgms, user=user,
-                           scope=Scope(), execution=execution, server=server)
-    server.engine.start(execution, ctx)
-    return execution
+    return server.launch(execution, request, replace=replace)
 
 
 def checkpoint_to_json(snapshot: dict) -> str:

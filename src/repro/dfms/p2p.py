@@ -147,15 +147,11 @@ class DfMSNetwork:
     @staticmethod
     def _collection_hint(flow: Flow) -> Optional[str]:
         """The flow's for-each collection, if any (data-locality hint)."""
-        pattern = flow.logic.pattern
-        collection = getattr(pattern, "collection", None)
-        if collection:
-            return collection
-        for child in flow.children:
-            if isinstance(child, Flow):
-                hint = DfMSNetwork._collection_hint(child)
-                if hint:
-                    return hint
+        for _, _, node in flow.walk():
+            if isinstance(node, Flow):
+                collection = getattr(node.logic.pattern, "collection", None)
+                if collection:
+                    return collection
         return None
 
     def submit(self, request: DataGridRequest, client_domain: str):

@@ -70,35 +70,20 @@ def bind_flow_early(flow: Flow, virtual_organization: str,
     DfMS ``exec`` handler honours it verbatim instead of placing late.
     """
     bound = copy.deepcopy(flow)
-
-    def _walk(node: Flow) -> None:
-        for child in node.children:
-            if isinstance(child, Flow):
-                _walk(child)
-                continue
-            if child.operation.name not in _EXEC_OPERATIONS:
-                continue
-            if "compute" in child.operation.parameters:
-                continue   # already concrete
-            task = task_spec_for_exec(child)
-            resource = placer.place(virtual_organization, task)
-            child.operation.parameters["compute"] = resource.name
-
-    _walk(bound)
+    for _, _, node in bound.walk():
+        if (isinstance(node, Step)
+                and node.operation.name in _EXEC_OPERATIONS
+                and "compute" not in node.operation.parameters):
+            resource = placer.place(virtual_organization,
+                                    task_spec_for_exec(node))
+            node.operation.parameters["compute"] = resource.name
     return bound
 
 
 def pinned_steps(flow: Flow) -> List[Tuple[str, str]]:
     """(step name, compute resource) for every pinned exec step."""
-    pins: List[Tuple[str, str]] = []
-
-    def _walk(node: Flow) -> None:
-        for child in node.children:
-            if isinstance(child, Flow):
-                _walk(child)
-            elif (child.operation.name in _EXEC_OPERATIONS
-                  and "compute" in child.operation.parameters):
-                pins.append((child.name, child.operation.parameters["compute"]))
-
-    _walk(flow)
-    return pins
+    return [(node.name, node.operation.parameters["compute"])
+            for _, _, node in flow.walk()
+            if isinstance(node, Step)
+            and node.operation.name in _EXEC_OPERATIONS
+            and "compute" in node.operation.parameters]

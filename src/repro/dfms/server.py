@@ -127,39 +127,58 @@ class DfMSServer:
                 request_id=request_id, state=ExecutionState.FAILED,
                 valid=False, message=message))
 
-    def _start_execution(self, request: DataGridRequest,
-                         request_id: str) -> FlowExecution:
-        user = self.dgms.users.get(request.user)
-        execution = FlowExecution(
-            request_id=request_id, flow=request.body,
-            user_name=request.user,
-            virtual_organization=request.virtual_organization, env=self.env)
-        ctx = ExecutionContext(env=self.env, dgms=self.dgms, user=user,
-                               scope=Scope(), execution=execution,
-                               server=self)
-        self._executions[request_id] = execution
-        self._requests[request_id] = request
-        self.engine.start(execution, ctx)
-        return execution
+    def admission_error(self, request: DataGridRequest) -> Optional[str]:
+        """Why the flow ``request`` carries may not run here, or None.
 
-    def _admit(self, request: DataGridRequest, request_id: str):
-        """Validate and start a flow request. Returns (execution, error)."""
+        The one admission check, run on every path that starts an
+        execution (submit, the gateway's :meth:`start_flow`, one-way
+        submit and checkpoint restore), so operation handlers may rely
+        on it. Checks run in order — structure, unknown operations,
+        required parameters, nesting depth, grid user — and the first
+        failure is the answer. None of them recurses, so a document of
+        any depth gets an answer.
+        """
         try:
             validate_request(request)
         except DGLValidationError as exc:
-            return None, f"invalid DGL document: {exc}"
-        missing = self.registry.missing_operations(request.body)
+            return f"invalid DGL document: {exc}"
+        flow = request.body
+        missing = self.registry.missing_operations(flow)
         if missing:
-            return None, f"unknown operations: {', '.join(missing)}"
-        problems = self.registry.parameter_problems(request.body)
+            return f"unknown operations: {', '.join(missing)}"
+        problems = self.registry.parameter_problems(flow)
         if problems:
-            return None, "; ".join(problems)
-        if request.body.depth() > MAX_NESTING_DEPTH:
-            return None, (f"flow nests {request.body.depth()} levels deep; "
-                          f"the engine supports at most {MAX_NESTING_DEPTH}")
+            return "; ".join(problems)
+        depth = flow.depth()
+        if depth > MAX_NESTING_DEPTH:
+            return (f"flow nests {depth} levels deep; "
+                    f"the engine supports at most {MAX_NESTING_DEPTH}")
         if request.user not in self.dgms.users:
-            return None, f"unknown grid user {request.user!r}"
-        return self._start_execution(request, request_id), None
+            return f"unknown grid user {request.user!r}"
+        return None
+
+    def launch(self, execution: FlowExecution, request: DataGridRequest,
+               replace: bool = False) -> FlowExecution:
+        """Register and start an execution :meth:`admission_error` passed.
+
+        ``replace=True`` lets a recovery supervisor restart a *terminal*
+        (typically FAILED) execution in place: the identifier keeps
+        resolving, now to the restarted attempt. Replacing a live
+        execution is refused — two engines would race on one request id.
+        """
+        request_id = execution.request_id
+        existing = self._executions.get(request_id)
+        if existing is not None and not (replace
+                                         and existing.state.is_terminal):
+            raise DfMSError(f"request {request_id!r} already registered")
+        self._executions[request_id] = execution
+        self._requests[request_id] = request
+        ctx = ExecutionContext(env=self.env, dgms=self.dgms,
+                               user=self.dgms.users.get(request.user),
+                               scope=Scope(), execution=execution,
+                               server=self)
+        self.engine.start(execution, ctx)
+        return execution
 
     def allocate_request_id(self) -> str:
         """Allocate the next request identifier without admitting anything.
@@ -178,9 +197,14 @@ class DfMSServer:
         come back as ``valid=False`` responses exactly like
         :meth:`submit`.
         """
-        execution, error = self._admit(request, request_id)
+        error = self.admission_error(request)
         if error is not None:
             return self._reject(request_id, error)
+        execution = self.launch(FlowExecution(
+            request_id=request_id, flow=request.body,
+            user_name=request.user,
+            virtual_organization=request.virtual_organization,
+            env=self.env), request)
         return DataGridResponse(
             request_id=request_id,
             body=RequestAcknowledgement(
@@ -207,7 +231,7 @@ class DfMSServer:
         """
         if isinstance(request.body, FlowStatusQuery):
             return   # a status query with nowhere to send the answer
-        self._admit(request, self.allocate_request_id())
+        self.start_flow(request, self.allocate_request_id())
 
     def submit_sync(self, request: DataGridRequest):
         """Generator (sim process body): submit and wait for completion.
@@ -304,22 +328,3 @@ class DfMSServer:
     def executions(self) -> List[FlowExecution]:
         """All executions this server has accepted."""
         return list(self._executions.values())
-
-    def adopt_execution(self, execution: FlowExecution,
-                        request: DataGridRequest,
-                        replace: bool = False) -> None:
-        """Register a restored execution (checkpoint recovery path).
-
-        ``replace=True`` lets a recovery supervisor restart a *terminal*
-        (typically FAILED) execution in place: the identifier keeps
-        resolving, now to the restarted attempt. Replacing a live
-        execution is still refused — two engines would race on one
-        request id.
-        """
-        existing = self._executions.get(execution.request_id)
-        if existing is not None:
-            if not (replace and existing.state.is_terminal):
-                raise DfMSError(
-                    f"request {execution.request_id!r} already registered")
-        self._executions[execution.request_id] = execution
-        self._requests[execution.request_id] = request

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import DGLValidationError
 
@@ -285,18 +285,35 @@ class Flow:
                 return child
         return None
 
+    def walk(self) -> Iterator[Tuple[str, int, Union["Flow", Step]]]:
+        """Every flow and step of this tree, in document order.
+
+        Yields ``(path, depth, node)`` in pre-order, this flow first:
+        ``path`` joins names with ``/`` from this flow's name, and
+        ``depth`` is the nesting level of the flow that is, or holds,
+        ``node`` (this flow is level 1). An explicit stack stands in for
+        recursion, so no document is too deep to walk.
+        """
+        stack: List[Tuple[str, int, Union["Flow", Step]]] = [
+            (self.name, 1, self)]
+        while stack:
+            entry = stack.pop()
+            yield entry
+            path, depth, node = entry
+            if isinstance(node, Flow):
+                deeper = depth + 1
+                stack.extend([(f"{path}/{child.name}",
+                               deeper if isinstance(child, Flow) else depth,
+                               child)
+                              for child in reversed(node.children)])
+
     def count_steps(self) -> int:
-        """Total steps in this flow, recursively."""
-        total = 0
-        for child in self.children:
-            total += child.count_steps() if isinstance(child, Flow) else 1
-        return total
+        """Total steps in this flow, at any depth."""
+        return sum(isinstance(node, Step) for _, _, node in self.walk())
 
     def depth(self) -> int:
         """Nesting depth (a flow of steps has depth 1)."""
-        child_depths = [child.depth() for child in self.children
-                        if isinstance(child, Flow)]
-        return 1 + (max(child_depths) if child_depths else 0)
+        return max(depth for _, depth, _ in self.walk())
 
 
 # --------------------------------------------------------------------------

@@ -16,10 +16,10 @@ run as a simulation process (timed operations).
 from __future__ import annotations
 
 import inspect
-from typing import Any, Callable, Dict, List
+from typing import Any, Callable, Dict, Iterator, List, Tuple
 
 from repro.errors import UnknownOperationError
-from repro.dgl.model import Flow, Step
+from repro.dgl.model import Flow, Operation, Step
 
 __all__ = ["OperationHandler", "OperationRegistry"]
 
@@ -42,7 +42,9 @@ class OperationRegistry:
         ``required_params`` declares parameters every use of the operation
         must supply (values may still be ``${...}`` templates); documents
         missing them are rejected at admission, before anything runs —
-        the "SQL for datagrids" stance applied to static checking.
+        the "SQL for datagrids" stance applied to static checking. Every
+        path that starts a flow admits it first, so the handler reads a
+        required parameter from ``params`` without checking for it.
         """
         if name in self._handlers and not replace:
             raise UnknownOperationError(
@@ -80,29 +82,11 @@ class OperationRegistry:
     def missing_operations(self, flow: Flow) -> List[str]:
         """Operation names used anywhere in ``flow`` but not registered.
 
-        Covers step operations and rule-action operations, recursively —
+        Covers step operations and rule-action operations at any depth —
         run before execution to fail fast on a typo in a DGL document.
         """
-        missing = set()
-
-        def _check_rules(rules) -> None:
-            for rule in rules:
-                for action in rule.actions:
-                    if action.operation.name not in self:
-                        missing.add(action.operation.name)
-
-        def _walk(node) -> None:
-            if isinstance(node, Step):
-                if node.operation.name not in self:
-                    missing.add(node.operation.name)
-                _check_rules(node.rules)
-                return
-            _check_rules(node.logic.rules)
-            for child in node.children:
-                _walk(child)
-
-        _walk(flow)
-        return sorted(missing)
+        return sorted({operation.name for _, operation in _operations(flow)
+                       if operation.name not in self})
 
     def parameter_problems(self, flow: Flow) -> List[str]:
         """Required-parameter violations anywhere in ``flow``.
@@ -112,37 +96,36 @@ class OperationRegistry:
         operations are checked too.
         """
         problems: List[str] = []
-
-        def _check_operation(where: str, operation) -> None:
+        for where, operation in _operations(flow):
             required = self._required_params.get(operation.name)
             if not required:
-                return
+                continue
             missing = [parameter for parameter in required
                        if parameter not in operation.parameters]
             if missing:
                 problems.append(
                     f"{where}: {operation.name} is missing required "
                     f"parameter(s) {', '.join(missing)}")
-
-        def _check_rules(where: str, rules) -> None:
-            for rule in rules:
-                for action in rule.actions:
-                    _check_operation(f"{where} rule {rule.name!r}",
-                                     action.operation)
-
-        def _walk(node, path: str) -> None:
-            if isinstance(node, Step):
-                _check_operation(f"step {path!r}", node.operation)
-                _check_rules(f"step {path!r}", node.rules)
-                return
-            _check_rules(f"flow {path!r}", node.logic.rules)
-            for child in node.children:
-                _walk(child, f"{path}/{child.name}")
-
-        _walk(flow, flow.name)
         return problems
 
     @staticmethod
     def is_timed(result: Any) -> bool:
         """True if a handler result is a generator to run in virtual time."""
         return inspect.isgenerator(result)
+
+
+def _operations(flow: Flow) -> Iterator[Tuple[str, Operation]]:
+    """``(where, operation)`` for every operation in ``flow``.
+
+    Document order: a step's own operation, then its rules' actions; a
+    flow's rule actions come before its children's operations.
+    """
+    for path, _, node in flow.walk():
+        if isinstance(node, Step):
+            where, rules = f"step {path!r}", node.rules
+            yield where, node.operation
+        else:
+            where, rules = f"flow {path!r}", node.logic.rules
+        for rule in rules:
+            for action in rule.actions:
+                yield f"{where} rule {rule.name!r}", action.operation

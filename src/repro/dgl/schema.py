@@ -21,13 +21,7 @@ import typing
 from typing import List, Union
 
 from repro.errors import DGLValidationError
-from repro.dgl.model import (
-    DataGridRequest,
-    Flow,
-    FlowStatusQuery,
-    Step,
-    UserDefinedRule,
-)
+from repro.dgl.model import DataGridRequest, Flow, FlowStatusQuery
 
 __all__ = ["validate_flow", "validate_request", "structure_of"]
 
@@ -37,45 +31,34 @@ __all__ = ["validate_flow", "validate_request", "structure_of"]
 # --------------------------------------------------------------------------
 
 
-def _check_unique_variables(owner: str, variables) -> None:
-    names = [variable.name for variable in variables]
-    if len(names) != len(set(names)):
-        raise DGLValidationError(f"{owner} declares duplicate variable names")
+def validate_flow(flow: Flow) -> None:
+    """Validate a flow tree; raises :class:`DGLValidationError` on problems.
 
-
-def _check_rules(owner: str, rules: List[UserDefinedRule]) -> None:
-    for rule in rules:
-        if not rule.condition.strip():
-            raise DGLValidationError(
-                f"{owner}: rule {rule.name!r} has an empty condition")
-
-
-def _validate_step(step: Step, path: str) -> None:
-    where = f"step {path!r}"
-    _check_unique_variables(where, step.variables)
-    _check_rules(where, step.rules)
-    for parameter in step.operation.parameters:
-        if not parameter:
-            raise DGLValidationError(f"{where}: empty operation parameter name")
-
-
-def validate_flow(flow: Flow, _path: str = "") -> None:
-    """Validate a flow tree; raises :class:`DGLValidationError` on problems."""
-    path = f"{_path}/{flow.name}" if _path else flow.name
-    where = f"flow {path!r}"
-    _check_unique_variables(where, flow.variables)
-    _check_rules(where, flow.logic.rules)
-    pattern = flow.logic.pattern
-    # A switch default must name an actual child.
-    default = getattr(pattern, "default", None)
-    if default is not None and flow.child(default) is None:
-        raise DGLValidationError(
-            f"{where}: switch default {default!r} names no child")
-    for child in flow.children:
-        if isinstance(child, Flow):
-            validate_flow(child, path)
+    Nodes are checked in document order, so the error raised is the
+    first problem in the document.
+    """
+    for path, _, node in flow.walk():
+        if isinstance(node, Flow):
+            where, rules = f"flow {path!r}", node.logic.rules
         else:
-            _validate_step(child, f"{path}/{child.name}")
+            where, rules = f"step {path!r}", node.rules
+        names = [variable.name for variable in node.variables]
+        if len(names) != len(set(names)):
+            raise DGLValidationError(
+                f"{where} declares duplicate variable names")
+        for rule in rules:
+            if not rule.condition.strip():
+                raise DGLValidationError(
+                    f"{where}: rule {rule.name!r} has an empty condition")
+        if isinstance(node, Flow):
+            # A switch default must name an actual child.
+            default = getattr(node.logic.pattern, "default", None)
+            if default is not None and node.child(default) is None:
+                raise DGLValidationError(
+                    f"{where}: switch default {default!r} names no child")
+        elif not all(node.operation.parameters):
+            raise DGLValidationError(
+                f"{where}: empty operation parameter name")
 
 
 def validate_request(request: DataGridRequest) -> None:

@@ -10,7 +10,13 @@ from repro.dfms import (
     checkpoint_to_json,
     restore_execution,
 )
-from repro.dgl import DataGridRequest, ExecutionState, flow_builder
+from repro.dgl import (
+    DataGridRequest,
+    ExecutionState,
+    flow_builder,
+    request_from_xml,
+    request_to_xml,
+)
 from repro.storage import MB
 
 
@@ -143,6 +149,64 @@ def test_restore_rejects_bad_snapshots(dfms):
         restore_execution(dfms.server, {"format": 1})
     with pytest.raises(CheckpointError):
         checkpoint_from_json("{not json")
+    good = {"format": 1, "request_id": "matrix-1.dgr-000001", "journal": [],
+            "request_xml": request_to_xml(DataGridRequest(
+                user=dfms.alice.qualified_name, virtual_organization="vo",
+                body=three_puts()))}
+    for bad in ({**good, "journal": [{"key": "put0", "finished_at": 0.0}]},
+                {**good, "journal": 5},
+                {**good, "request_xml": "<dataGridRequest"}):
+        with pytest.raises(CheckpointError):
+            restore_execution(dfms.server, bad)
+    assert dfms.server.executions() == []
+
+
+def edited_snapshot(dfms, edit):
+    """A checkpoint of a finished ``three_puts`` run whose request
+    document ``edit`` has rewritten — snapshots are outside input."""
+    ack = submit_async(dfms, three_puts())
+
+    def scenario():
+        yield dfms.server.wait(ack.request_id)
+
+    dfms.run(scenario())
+    snapshot = checkpoint_execution(dfms.server, ack.request_id)
+    request = request_from_xml(snapshot["request_xml"])
+    edit(request)
+    snapshot["request_xml"] = request_to_xml(request)
+    return snapshot
+
+
+def _misspell_operation(request):
+    request.body.children[1].operation.name = "srb.putt"
+
+
+def _drop_required_parameters(request):
+    parameters = request.body.children[1].operation.parameters
+    del parameters["size"], parameters["resource"]
+
+
+def _unknown_user(request):
+    request.user = "mallory@nowhere"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_misspell_operation, "unknown operations: srb.putt"),
+    (_drop_required_parameters,
+     "step 'ingest/put1': srb.put is missing required parameter(s) "
+     "size, resource"),
+    (_unknown_user, "unknown grid user 'mallory@nowhere'"),
+], ids=["unknown-operation", "missing-parameter", "unknown-user"])
+def test_restore_is_admitted_like_a_submission(dfms, edit, message):
+    # A restart passes the same admission check as a fresh submission; a
+    # refused snapshot raises and leaves nothing registered or running.
+    snapshot = edited_snapshot(dfms, edit)
+    new_server = DfMSServer(dfms.env, dfms.dgms, name="matrix-restarted")
+    with pytest.raises(CheckpointError) as refused:
+        restore_execution(new_server, snapshot)
+    assert str(refused.value) == message
+    assert new_server.executions() == []
+    assert new_server.running_count == 0
 
 
 def test_restored_execution_cannot_collide_with_live_one(dfms):
