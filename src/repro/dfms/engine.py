@@ -485,14 +485,7 @@ class FlowEngine:
             value = evaluate_condition(rule.condition, error_scope)
         except ExpressionError:
             return None
-        action = None
-        if value is True:
-            action = rule.actions[0]
-        elif isinstance(value, str):
-            for candidate in rule.actions:
-                if candidate.name == value:
-                    action = candidate
-                    break
+        action = rule.action_for(value)
         if action is None:
             return None
         operation = action.operation
@@ -509,15 +502,7 @@ class FlowEngine:
                              execution: FlowExecution):
         if rule is None:
             return
-        value = evaluate_condition(rule.condition, scope)
-        action = None
-        if value is True:
-            action = rule.actions[0]
-        elif isinstance(value, str):
-            for candidate in rule.actions:
-                if candidate.name == value:
-                    action = candidate
-                    break
+        action = rule.action_for(evaluate_condition(rule.condition, scope))
         if action is None:
             return
         yield from self._invoke(action.operation, scope, ctx)

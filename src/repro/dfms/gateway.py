@@ -44,6 +44,7 @@ from repro.dgl.model import (
     RequestAcknowledgement,
     RequestRejection,
 )
+from repro.dfms.execution import FlowExecution
 from repro.dfms.server import DfMSServer
 from repro.ids import IdFactory
 from repro.sim.kernel import Environment, Event
@@ -110,10 +111,14 @@ class VOPolicy:
 
 
 class _Entry:
-    """One queued (or running) gateway request."""
+    """One queued (or running) gateway request.
+
+    When it is done, ``execution`` holds the flow's execution, or
+    ``refusal`` the server's invalid-document answer.
+    """
 
     __slots__ = ("request", "vo", "enqueued_at", "started_at", "done",
-                 "response")
+                 "execution", "refusal")
 
     def __init__(self, request: DataGridRequest, vo: str,
                  enqueued_at: float, done: Event) -> None:
@@ -122,7 +127,8 @@ class _Entry:
         self.enqueued_at = enqueued_at
         self.started_at: Optional[float] = None
         self.done = done
-        self.response: Optional[DataGridResponse] = None
+        self.execution: Optional[FlowExecution] = None
+        self.refusal: Optional[DataGridResponse] = None
 
 
 class DfMSGateway:
@@ -350,7 +356,12 @@ class DfMSGateway:
             yield   # pragma: no cover - makes this function a generator
         entry = self._entries[response.request_id]
         yield entry.done
-        return entry.response
+        if entry.execution is None:
+            return entry.refusal
+        # Only a synchronous caller reads the final status, so only it
+        # pays for a detached copy of the tree.
+        return DataGridResponse(request_id=response.request_id,
+                                body=entry.execution.status.snapshot())
 
     # -- weighted-fair dequeue -----------------------------------------------
 
@@ -415,23 +426,20 @@ class DfMSGateway:
                     gateway=self.name).samples.append(
                         (entry.started_at, wait))
             response = self.server.start_flow(entry.request, request_id)
-            if not response.body.valid:
-                self._finish(request_id, entry, response)
-                continue
-            execution = self.server.execution(request_id)
-            if not execution.state.is_terminal:
-                yield execution.done
-            self._finish(request_id, entry, DataGridResponse(
-                request_id=request_id,
-                body=execution.status.snapshot()))
+            if response.body.valid:
+                execution = entry.execution = self.server.execution(
+                    request_id)
+                if not execution.state.is_terminal:
+                    yield execution.done
+            else:
+                entry.refusal = response
+            self._finish(request_id, entry)
 
-    def _finish(self, request_id: str, entry: _Entry,
-                response: DataGridResponse) -> None:
-        entry.response = response
+    def _finish(self, request_id: str, entry: _Entry) -> None:
         self.completed += 1
-        body = response.body
-        if getattr(body, "state", None) is ExecutionState.COMPLETED:
+        if (entry.execution is not None
+                and entry.execution.state is ExecutionState.COMPLETED):
             self.succeeded += 1
         self.sojourns.append(self.env.now - entry.enqueued_at)
         del self._entries[request_id]
-        entry.done.succeed(response)
+        entry.done.succeed()

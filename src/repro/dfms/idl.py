@@ -27,6 +27,7 @@ from typing import Dict, List, Optional
 
 from repro.errors import DGLParseError, MatchmakingError
 from repro.dfms.compute import ComputeResource
+from repro.dgl.xml_io import _attr
 
 __all__ = ["SLA", "StorageOffer", "DomainDescription",
            "InfrastructureDescription"]
@@ -184,14 +185,14 @@ class InfrastructureDescription:
                 sla = SLA(
                     allowed_vos=[vo.get("name", "")
                                  for vo in sla_el.findall("allowedVO")],
-                    max_concurrent_tasks=int(
-                        sla_el.get("maxConcurrentTasks", "0")),
-                    cost_per_cpu_second=float(
-                        sla_el.get("costPerCpuSecond", "1.0")))
+                    max_concurrent_tasks=_attr(
+                        sla_el, "maxConcurrentTasks", int, "0"),
+                    cost_per_cpu_second=_attr(
+                        sla_el, "costPerCpuSecond", float, "1.0"))
             compute = [ComputeResource(
                 name=el.get("name", ""), domain=name,
-                cores=int(el.get("cores", "1")),
-                speed_factor=float(el.get("speedFactor", "1.0")))
+                cores=_attr(el, "cores", int, "1"),
+                speed_factor=_attr(el, "speedFactor", float, "1.0"))
                 for el in domain_el.findall("compute")]
             storage = [StorageOffer(
                 logical_resource=el.get("logicalResource", ""),

@@ -113,6 +113,17 @@ class UserDefinedRule:
             raise DGLValidationError(
                 f"rule {self.name!r} has duplicate action names")
 
+    def action_for(self, value) -> Optional[Action]:
+        """The action the condition's ``value`` names, if any: a string
+        names the action so called, and ``True`` the first one."""
+        if value is True:
+            return self.actions[0]
+        if isinstance(value, str):
+            for action in self.actions:
+                if action.name == value:
+                    return action
+        return None
+
 
 # --------------------------------------------------------------------------
 # Control patterns

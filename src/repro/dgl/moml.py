@@ -12,6 +12,8 @@ manipulates: a datagridflow drawn as a MoML model — nested
 ``<entity class="datagridflow.Step">`` actors, with ``<property>``
 elements for the control pattern, variables, and operation parameters —
 converts losslessly to and from DGL :class:`~repro.dgl.model.Flow` trees.
+Control patterns and typed values go through DGL XML's own codec
+(:mod:`repro.dgl.xml_io`), so both encodings spell and type them alike.
 
 Out of the subset (by design): user-defined rules and step requirements
 are execution-logic details the paper keeps in DGL, not in the canvas
@@ -22,89 +24,22 @@ dropped.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from typing import Union
+from typing import List, Union
 
 from repro.errors import DGLParseError, DGLValidationError
-from repro.dgl.model import (
-    Flow,
-    FlowLogic,
-    ForEach,
-    Operation,
-    Parallel,
-    Repeat,
-    Sequential,
-    Step,
-    SwitchCase,
-    Variable,
-    WhileLoop,
+from repro.dgl.model import Flow, FlowLogic, Operation, Step, Variable
+from repro.dgl.xml_io import (
+    _build_tree,
+    _get_value,
+    _parse_pattern,
+    _pattern_attributes,
+    _set_value,
 )
 
 __all__ = ["flow_to_moml", "moml_to_flow"]
 
 _FLOW_CLASS = "datagridflow.Flow"
 _STEP_CLASS = "datagridflow.Step"
-
-
-def _set_typed(element: ET.Element, value) -> None:
-    if value is None:
-        element.set("type", "null")
-        element.set("value", "")
-    elif isinstance(value, int) and not isinstance(value, bool):
-        element.set("type", "int")
-        element.set("value", str(value))
-    elif isinstance(value, float):
-        element.set("type", "float")
-        element.set("value", repr(value))
-    else:
-        element.set("type", "str")
-        element.set("value", str(value))
-
-
-def _get_typed(element: ET.Element):
-    kind = element.get("type", "str")
-    text = element.get("value", "")
-    if kind == "null":
-        return None
-    if kind == "int":
-        return int(text)
-    if kind == "float":
-        return float(text)
-    return text
-
-
-def _pattern_properties(pattern, entity: ET.Element) -> None:
-    def prop(name: str, value: str) -> None:
-        ET.SubElement(entity, "property", name=name, value=value)
-
-    if isinstance(pattern, Sequential):
-        prop("flowLogic", "sequential")
-    elif isinstance(pattern, Parallel):
-        prop("flowLogic", "parallel")
-        if pattern.max_concurrent:
-            prop("maxConcurrent", str(pattern.max_concurrent))
-    elif isinstance(pattern, WhileLoop):
-        prop("flowLogic", "while")
-        prop("condition", pattern.condition)
-    elif isinstance(pattern, Repeat):
-        prop("flowLogic", "repeat")
-        prop("count", str(pattern.count))
-    elif isinstance(pattern, ForEach):
-        prop("flowLogic", "forEach")
-        prop("itemVariable", pattern.item_variable)
-        if pattern.collection is not None:
-            prop("collection", pattern.collection)
-        if pattern.query is not None:
-            prop("query", pattern.query)
-        if pattern.items is not None:
-            prop("items", pattern.items)
-    elif isinstance(pattern, SwitchCase):
-        prop("flowLogic", "switch")
-        prop("expression", pattern.expression)
-        if pattern.default is not None:
-            prop("default", pattern.default)
-    else:
-        raise DGLValidationError(
-            f"MoML cannot express pattern {type(pattern).__name__}")
 
 
 def _flow_entity(flow: Flow) -> ET.Element:
@@ -114,11 +49,14 @@ def _flow_entity(flow: Flow) -> ET.Element:
             "execution logic and have no MoML representation")
     entity = ET.Element("entity", name=flow.name)
     entity.set("class", _FLOW_CLASS)
-    _pattern_properties(flow.logic.pattern, entity)
+    wire, attributes = _pattern_attributes(flow.logic.pattern)
+    ET.SubElement(entity, "property", name="flowLogic", value=wire)
+    for name, text in attributes.items():
+        ET.SubElement(entity, "property", name=name, value=text)
     for variable in flow.variables:
         var_el = ET.SubElement(entity, "property",
                                name=f"var:{variable.name}")
-        _set_typed(var_el, variable.value)
+        _set_value(var_el, variable.value)
     for child in flow.children:
         if isinstance(child, Flow):
             entity.append(_flow_entity(child))
@@ -141,7 +79,7 @@ def _step_entity(step: Step) -> ET.Element:
                       value=step.operation.assign_to)
     for name in sorted(step.operation.parameters):
         param = ET.SubElement(entity, "property", name=f"param:{name}")
-        _set_typed(param, step.operation.parameters[name])
+        _set_value(param, step.operation.parameters[name])
     return entity
 
 
@@ -165,48 +103,13 @@ def _properties(entity: ET.Element) -> dict:
             for prop in entity.findall("property")}
 
 
-def _parse_pattern(properties: dict):
-    logic = properties.get("flowLogic")
-    kind = logic.get("value") if logic is not None else "sequential"
-
-    def value_of(name: str, default=None):
-        prop = properties.get(name)
-        return prop.get("value") if prop is not None else default
-
-    if kind == "sequential":
-        return Sequential()
-    if kind == "parallel":
-        return Parallel(max_concurrent=int(value_of("maxConcurrent", "0")))
-    if kind == "while":
-        condition = value_of("condition")
-        if condition is None:
-            raise DGLParseError("MoML while flow needs a condition property")
-        return WhileLoop(condition=condition)
-    if kind == "repeat":
-        count_text = value_of("count", "0")
-        try:
-            count: Union[int, str] = int(count_text)
-        except ValueError:
-            count = count_text
-        return Repeat(count=count)
-    if kind == "forEach":
-        item = value_of("itemVariable")
-        if item is None:
-            raise DGLParseError("MoML forEach flow needs itemVariable")
-        return ForEach(item_variable=item,
-                       collection=value_of("collection"),
-                       query=value_of("query"),
-                       items=value_of("items"))
-    if kind == "switch":
-        expression = value_of("expression")
-        if expression is None:
-            raise DGLParseError("MoML switch flow needs an expression")
-        return SwitchCase(expression=expression,
-                          default=value_of("default"))
-    raise DGLParseError(f"unknown MoML flowLogic {kind!r}")
+def _entity_children(entity: ET.Element) -> List[ET.Element]:
+    if entity.get("class") != _FLOW_CLASS:
+        return []
+    return entity.findall("entity")
 
 
-def _parse_entity(entity: ET.Element) -> Union[Flow, Step]:
+def _entity_node(entity: ET.Element, children: list) -> Union[Flow, Step]:
     name = entity.get("name")
     if not name:
         raise DGLParseError("MoML entity needs a name")
@@ -217,7 +120,7 @@ def _parse_entity(entity: ET.Element) -> Union[Flow, Step]:
         if operation_prop is None:
             raise DGLParseError(f"MoML step {name!r} needs an operation")
         parameters = {
-            prop_name[len("param:"):]: _get_typed(prop)
+            prop_name[len("param:"):]: _get_value(prop)
             for prop_name, prop in properties.items()
             if prop_name.startswith("param:")}
         assign_prop = properties.get("assignTo")
@@ -227,14 +130,21 @@ def _parse_entity(entity: ET.Element) -> Union[Flow, Step]:
             assign_to=(assign_prop.get("value")
                        if assign_prop is not None else None)))
     if entity_class == _FLOW_CLASS:
-        variables = [Variable(prop_name[len("var:"):], _get_typed(prop))
+        variables = [Variable(prop_name[len("var:"):], _get_value(prop))
                      for prop_name, prop in properties.items()
                      if prop_name.startswith("var:")]
-        children = [_parse_entity(child)
-                    for child in entity.findall("entity")]
-        return Flow(name=name,
-                    logic=FlowLogic(pattern=_parse_pattern(properties)),
-                    variables=variables, children=children)
+        logic = FlowLogic()
+        named = properties.get("flowLogic")
+        if named is not None:
+            # The properties read as the attributes of an element named
+            # after the pattern, the way DGL XML's <flowLogic> holds it.
+            logic = FlowLogic(pattern=_parse_pattern(ET.Element(
+                named.get("value"),
+                {prop_name: prop.get("value")
+                 for prop_name, prop in properties.items()
+                 if prop.get("value") is not None})))
+        return Flow(name=name, logic=logic, variables=variables,
+                    children=children)
     raise DGLParseError(f"unknown MoML entity class {entity_class!r}")
 
 
@@ -249,7 +159,7 @@ def moml_to_flow(text: str) -> Flow:
         raise DGLParseError(f"malformed MoML: {exc}") from None
     if root.tag != "entity":
         raise DGLParseError(f"expected MoML <entity>, got <{root.tag}>")
-    parsed = _parse_entity(root)
+    parsed = _build_tree(root, _entity_children, _entity_node)
     if not isinstance(parsed, Flow):
         raise DGLParseError("top-level MoML entity must be a flow composite")
     return parsed

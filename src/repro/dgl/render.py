@@ -10,7 +10,7 @@ final status tree with states and timings.
 
 from __future__ import annotations
 
-from typing import List, Union
+from typing import Callable, List, Tuple, Union
 
 from repro.dgl.model import (
     ExecutionState,
@@ -72,66 +72,67 @@ def _logic_lines(logic: FlowLogic) -> List[str]:
     return lines
 
 
+def _draw(root, describe: Callable, children_of: Callable) -> str:
+    """Draw a tree with ASCII connectors, from an explicit stack.
+
+    ``describe(node)`` gives the node's own line and the detail lines
+    printed under it; ``children_of(node)`` lists the nodes drawn below.
+    """
+    lines: List[str] = []
+    stack = [(root, "", "")]
+    while stack:
+        node, head, prefix = stack.pop()
+        line, details = describe(node)
+        lines.append(head + line)
+        lines.extend(f"{prefix}| {detail}" for detail in details)
+        children = children_of(node)
+        for index in reversed(range(len(children))):
+            last = index == len(children) - 1
+            stack.append((children[index],
+                          prefix + ("`-- " if last else "|-- "),
+                          prefix + ("    " if last else "|   ")))
+    return "\n".join(lines)
+
+
+def _describe_flow_node(node: Union[Flow, Step]) -> Tuple[str, List[str]]:
+    if isinstance(node, Step):
+        extras = []
+        if node.operation.assign_to:
+            extras.append(f"-> {node.operation.assign_to}")
+        if node.requirements:
+            extras.append(f"req={node.requirements}")
+        suffix = (" " + " ".join(extras)) if extras else ""
+        return f"[step] {node.name}: {node.operation.name}{suffix}", []
+    details: List[str] = []
+    if node.variables:
+        bindings = ", ".join(f"{v.name}={v.value!r}" for v in node.variables)
+        details.append(f"vars: {bindings}")
+    details.extend(_logic_lines(node.logic))
+    return (f"[flow] {node.name} ({pattern_label(node.logic.pattern)})",
+            details)
+
+
+def _describe_status(node: FlowStatus) -> Tuple[str, List[str]]:
+    timing = ""
+    if node.started_at is not None:
+        end = (f"{node.finished_at:.2f}"
+               if node.finished_at is not None else "...")
+        timing = f"  [{node.started_at:.2f} .. {end}]"
+    extras = ""
+    if node.iterations:
+        extras += f"  x{node.iterations}"
+    if node.error:
+        extras += f"  error: {node.error}"
+    return (f"[{_STATE_MARKS[node.state]}] {node.name} "
+            f"{node.state.value}{timing}{extras}"), []
+
+
 def render_flow(flow: Flow) -> str:
     """Draw a flow definition as an indented tree."""
-    lines: List[str] = []
-
-    def _node(node: Union[Flow, Step], prefix: str, connector: str,
-              child_prefix: str) -> None:
-        if isinstance(node, Step):
-            extras = []
-            if node.operation.assign_to:
-                extras.append(f"-> {node.operation.assign_to}")
-            if node.requirements:
-                extras.append(f"req={node.requirements}")
-            suffix = (" " + " ".join(extras)) if extras else ""
-            lines.append(f"{prefix}{connector}[step] {node.name}: "
-                         f"{node.operation.name}{suffix}")
-            return
-        lines.append(f"{prefix}{connector}[flow] {node.name} "
-                     f"({pattern_label(node.logic.pattern)})")
-        details: List[str] = []
-        if node.variables:
-            bindings = ", ".join(f"{v.name}={v.value!r}"
-                                 for v in node.variables)
-            details.append(f"vars: {bindings}")
-        details.extend(_logic_lines(node.logic))
-        for detail in details:
-            lines.append(f"{child_prefix}| {detail}")
-        for index, child in enumerate(node.children):
-            last = index == len(node.children) - 1
-            _node(child, child_prefix,
-                  "`-- " if last else "|-- ",
-                  child_prefix + ("    " if last else "|   "))
-
-    _node(flow, "", "", "")
-    return "\n".join(lines)
+    return _draw(flow, _describe_flow_node,
+                 lambda node: node.children if isinstance(node, Flow) else [])
 
 
 def render_status(status: FlowStatus) -> str:
     """Draw a status tree with states and timings."""
-    lines: List[str] = []
-
-    def _node(node: FlowStatus, prefix: str, connector: str,
-              child_prefix: str) -> None:
-        mark = _STATE_MARKS[node.state]
-        timing = ""
-        if node.started_at is not None:
-            end = (f"{node.finished_at:.2f}"
-                   if node.finished_at is not None else "...")
-            timing = f"  [{node.started_at:.2f} .. {end}]"
-        extras = ""
-        if node.iterations:
-            extras += f"  x{node.iterations}"
-        if node.error:
-            extras += f"  error: {node.error}"
-        lines.append(f"{prefix}{connector}[{mark}] {node.name} "
-                     f"{node.state.value}{timing}{extras}")
-        for index, child in enumerate(node.children):
-            last = index == len(node.children) - 1
-            _node(child, child_prefix,
-                  "`-- " if last else "|-- ",
-                  child_prefix + ("    " if last else "|   "))
-
-    _node(status, "", "", "")
-    return "\n".join(lines)
+    return _draw(status, _describe_status, lambda node: node.children)

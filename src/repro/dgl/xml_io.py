@@ -4,12 +4,19 @@ DGL "is an XML-Schema specification" (§4); this module is the concrete
 wire format: :func:`to_xml` / :func:`from_xml` round-trip every request and
 response document through ``xml.etree.ElementTree``. Values keep their
 types via a ``type`` attribute, so a numeric variable survives the trip.
+
+It is also the one codec every DfMS document shares. MoML
+(:mod:`repro.dgl.moml`), trigger definitions and the infrastructure
+description read attributes through :func:`_attr`, typed values through
+:func:`_set_value` / :func:`_get_value`, control patterns through
+:data:`_PATTERNS`, and trees through :func:`_build_tree`, which keeps no
+Python stack per level, so a document of any depth parses.
 """
 
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from typing import Optional, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.errors import DGLParseError
 from repro.dgl.model import (
@@ -40,8 +47,36 @@ __all__ = ["to_xml", "from_xml", "request_to_xml", "request_from_xml",
 
 
 # --------------------------------------------------------------------------
-# Typed values
+# The shared codec
 # --------------------------------------------------------------------------
+
+#: The default of an attribute that must be present.
+_REQUIRED = object()
+
+
+def _attr(element: ET.Element, name: str, convert: Callable = str,
+          default: object = _REQUIRED):
+    """Attribute ``name`` of ``element``, read through ``convert``.
+
+    ``default`` is the text a missing attribute reads as; a missing
+    attribute with default None reads as None. A missing required
+    attribute, or text ``convert`` refuses, raises :class:`DGLParseError`.
+    """
+    text = element.get(name, default)
+    if text is None:
+        return None
+    if text is _REQUIRED:
+        raise DGLParseError(
+            f"<{element.tag}> is missing required attribute {name!r}")
+    try:
+        return convert(text)
+    except ValueError:
+        raise DGLParseError(f"<{element.tag}> has a malformed {name!r} "
+                            f"attribute: {text!r}") from None
+
+
+#: How the text of each non-null ``type`` reads.
+_VALUE_TYPES = {"int": int, "float": float, "str": str}
 
 
 def _set_value(element: ET.Element, value) -> None:
@@ -63,24 +98,92 @@ def _set_value(element: ET.Element, value) -> None:
 
 def _get_value(element: ET.Element):
     kind = element.get("type", "str")
-    text = element.get("value", "")
     if kind == "null":
         return None
-    if kind == "int":
+    if kind not in _VALUE_TYPES:
+        raise DGLParseError(f"unknown value type {kind!r}")
+    return _attr(element, "value", _VALUE_TYPES[kind], "")
+
+
+def _count(text: str) -> Union[int, str]:
+    """A repeat count: an integer, or else an expression."""
+    try:
         return int(text)
-    if kind == "float":
-        return float(text)
-    if kind == "str":
+    except ValueError:
         return text
-    raise DGLParseError(f"unknown value type {kind!r}")
 
 
-def _require(element: ET.Element, attribute: str) -> str:
-    value = element.get(attribute)
-    if value is None:
+#: Each control pattern's wire name and attributes, in written order, as
+#: ``(attribute, field, convert, default)``; ``default`` is as for
+#: :func:`_attr`, and an attribute whose text equals it is not written.
+#: DGL XML writes a pattern as an element of ``<flowLogic>``; MoML as a
+#: ``flowLogic`` property naming it plus one property per attribute.
+_PATTERNS = {
+    Sequential: ("sequential", ()),
+    Parallel: ("parallel", (("maxConcurrent", "max_concurrent", int, "0"),)),
+    WhileLoop: ("while", (("condition", "condition", str, _REQUIRED),)),
+    Repeat: ("repeat", (("count", "count", _count, _REQUIRED),)),
+    ForEach: ("forEach", (("itemVariable", "item_variable", str, _REQUIRED),
+                          ("collection", "collection", str, None),
+                          ("query", "query", str, None),
+                          ("items", "items", str, None))),
+    SwitchCase: ("switch", (("expression", "expression", str, _REQUIRED),
+                            ("default", "default", str, None))),
+}
+_PATTERN_OF_WIRE = {wire: (kind, attributes)
+                    for kind, (wire, attributes) in _PATTERNS.items()}
+
+
+def _pattern_attributes(pattern) -> Tuple[str, Dict[str, str]]:
+    """The wire name of ``pattern`` and the attributes that encode it."""
+    try:
+        wire, attributes = _PATTERNS[type(pattern)]
+    except KeyError:
         raise DGLParseError(
-            f"<{element.tag}> is missing required attribute {attribute!r}")
-    return value
+            f"unknown control pattern {type(pattern).__name__}") from None
+    encoded = {}
+    for attribute, field_name, _, default in attributes:
+        value = getattr(pattern, field_name)
+        text = None if value is None else str(value)
+        if text != default:
+            encoded[attribute] = text
+    return wire, encoded
+
+
+def _parse_pattern(element: ET.Element):
+    """The control pattern ``element`` encodes; its tag is the wire name."""
+    try:
+        kind, attributes = _PATTERN_OF_WIRE[element.tag]
+    except KeyError:
+        raise DGLParseError(
+            f"unknown control pattern element <{element.tag}>") from None
+    return kind(**{field_name: _attr(element, attribute, convert, default)
+                   for attribute, field_name, convert, default in attributes})
+
+
+def _build_tree(root: ET.Element,
+                children_of: Callable[[ET.Element], List[ET.Element]],
+                build: Callable):
+    """Build the node tree under ``root`` bottom-up from an explicit stack.
+
+    ``children_of(element)`` lists the elements whose nodes ``element``'s
+    node holds; ``build(element, nodes)`` makes that node once they are
+    built. Nodes are built in the order recursive descent builds them.
+    """
+    built: List = []
+    stack: List[Tuple[ET.Element, Optional[List[ET.Element]]]] = [(root, None)]
+    while stack:
+        element, children = stack.pop()
+        if children is None:
+            children = children_of(element)
+            stack.append((element, children))
+            stack.extend((child, None) for child in reversed(children))
+        else:
+            start = len(built) - len(children)
+            nodes = built[start:]
+            del built[start:]
+            built.append(build(element, nodes))
+    return built[0]
 
 
 # --------------------------------------------------------------------------
@@ -129,38 +232,9 @@ def _variables_element(variables) -> Optional[ET.Element]:
     return element
 
 
-def _pattern_element(pattern) -> ET.Element:
-    if isinstance(pattern, Sequential):
-        return ET.Element("sequential")
-    if isinstance(pattern, Parallel):
-        element = ET.Element("parallel")
-        if pattern.max_concurrent:
-            element.set("maxConcurrent", str(pattern.max_concurrent))
-        return element
-    if isinstance(pattern, WhileLoop):
-        return ET.Element("while", condition=pattern.condition)
-    if isinstance(pattern, Repeat):
-        return ET.Element("repeat", count=str(pattern.count))
-    if isinstance(pattern, ForEach):
-        element = ET.Element("forEach", itemVariable=pattern.item_variable)
-        if pattern.collection is not None:
-            element.set("collection", pattern.collection)
-        if pattern.query is not None:
-            element.set("query", pattern.query)
-        if pattern.items is not None:
-            element.set("items", pattern.items)
-        return element
-    if isinstance(pattern, SwitchCase):
-        element = ET.Element("switch", expression=pattern.expression)
-        if pattern.default is not None:
-            element.set("default", pattern.default)
-        return element
-    raise DGLParseError(f"unknown control pattern {type(pattern).__name__}")
-
-
 def _logic_element(logic: FlowLogic) -> ET.Element:
     element = ET.Element("flowLogic")
-    element.append(_pattern_element(logic.pattern))
+    ET.SubElement(element, *_pattern_attributes(logic.pattern))
     for rule in logic.rules:
         element.append(_rule_element(rule))
     return element
@@ -268,18 +342,17 @@ def to_xml(document: Union[DataGridRequest, DataGridResponse]) -> str:
 def _parse_metadata(element: Optional[ET.Element]) -> DocumentMetadata:
     if element is None:
         return DocumentMetadata()
-    created = element.get("createdAt")
     return DocumentMetadata(
         document_id=element.get("documentId"),
-        created_at=float(created) if created is not None else None,
+        created_at=_attr(element, "createdAt", float, None),
         description=element.get("description"))
 
 
 def _parse_operation(element: ET.Element) -> Operation:
     parameters = {}
     for parameter in element.findall("parameter"):
-        parameters[_require(parameter, "name")] = _get_value(parameter)
-    return Operation(name=_require(element, "name"), parameters=parameters,
+        parameters[_attr(parameter, "name")] = _get_value(parameter)
+    return Operation(name=_attr(element, "name"), parameters=parameters,
                      assign_to=element.get("assignTo"))
 
 
@@ -292,46 +365,17 @@ def _parse_rule(element: ET.Element) -> UserDefinedRule:
         operation_el = action_el.find("operation")
         if operation_el is None:
             raise DGLParseError("rule action needs an <operation>")
-        actions.append(Action(name=_require(action_el, "name"),
+        actions.append(Action(name=_attr(action_el, "name"),
                               operation=_parse_operation(operation_el)))
-    return UserDefinedRule(name=_require(element, "name"),
+    return UserDefinedRule(name=_attr(element, "name"),
                            condition=condition.text, actions=actions)
 
 
 def _parse_variables(element: Optional[ET.Element]):
     if element is None:
         return []
-    return [Variable(name=_require(v, "name"), value=_get_value(v))
+    return [Variable(name=_attr(v, "name"), value=_get_value(v))
             for v in element.findall("variable")]
-
-
-def _parse_pattern(element: ET.Element):
-    tag = element.tag
-    if tag == "sequential":
-        return Sequential()
-    if tag == "parallel":
-        return Parallel(max_concurrent=int(element.get("maxConcurrent", "0")))
-    if tag == "while":
-        return WhileLoop(condition=_require(element, "condition"))
-    if tag == "repeat":
-        count_text = _require(element, "count")
-        try:
-            count: Union[int, str] = int(count_text)
-        except ValueError:
-            count = count_text
-        return Repeat(count=count)
-    if tag == "forEach":
-        return ForEach(item_variable=_require(element, "itemVariable"),
-                       collection=element.get("collection"),
-                       query=element.get("query"),
-                       items=element.get("items"))
-    if tag == "switch":
-        return SwitchCase(expression=_require(element, "expression"),
-                          default=element.get("default"))
-    raise DGLParseError(f"unknown control pattern element <{tag}>")
-
-
-_PATTERN_TAGS = {"sequential", "parallel", "while", "repeat", "forEach", "switch"}
 
 
 def _parse_logic(element: Optional[ET.Element]) -> FlowLogic:
@@ -340,7 +384,7 @@ def _parse_logic(element: Optional[ET.Element]) -> FlowLogic:
     pattern = None
     rules = []
     for child in element:
-        if child.tag in _PATTERN_TAGS:
+        if child.tag in _PATTERN_OF_WIRE:
             if pattern is not None:
                 raise DGLParseError("flowLogic has more than one control pattern")
             pattern = _parse_pattern(child)
@@ -360,42 +404,43 @@ def _parse_step(element: ET.Element) -> Step:
     req_root = element.find("requirements")
     if req_root is not None:
         for requirement in req_root.findall("requirement"):
-            requirements[_require(requirement, "name")] = _get_value(requirement)
-    return Step(name=_require(element, "name"),
+            requirements[_attr(requirement, "name")] = _get_value(requirement)
+    return Step(name=_attr(element, "name"),
                 operation=_parse_operation(operation_el),
                 variables=_parse_variables(element.find("variables")),
                 rules=[_parse_rule(r) for r in element.findall("userDefinedRule")],
                 requirements=requirements)
 
 
-def _parse_flow(element: ET.Element) -> Flow:
-    children = []
-    children_el = element.find("children")
-    if children_el is not None:
-        for child in children_el:
-            if child.tag == "flow":
-                children.append(_parse_flow(child))
-            elif child.tag == "step":
-                children.append(_parse_step(child))
-            else:
-                raise DGLParseError(f"unexpected element <{child.tag}> in children")
-    return Flow(name=_require(element, "name"),
+def _flow_children(element: ET.Element) -> List[ET.Element]:
+    children = element.find("children") if element.tag == "flow" else None
+    return [] if children is None else list(children)
+
+
+def _flow_node(element: ET.Element, children: list) -> Union[Flow, Step]:
+    if element.tag == "step":
+        return _parse_step(element)
+    if element.tag != "flow":
+        raise DGLParseError(f"unexpected element <{element.tag}> in children")
+    return Flow(name=_attr(element, "name"),
                 logic=_parse_logic(element.find("flowLogic")),
                 variables=_parse_variables(element.find("variables")),
                 children=children)
 
 
-def _parse_status(element: ET.Element) -> FlowStatus:
-    started = element.get("startedAt")
-    finished = element.get("finishedAt")
+def _parse_flow(element: ET.Element) -> Flow:
+    return _build_tree(element, _flow_children, _flow_node)
+
+
+def _status_node(element: ET.Element, children: list) -> FlowStatus:
     return FlowStatus(
-        name=_require(element, "name"),
-        state=ExecutionState(_require(element, "state")),
-        started_at=float(started) if started is not None else None,
-        finished_at=float(finished) if finished is not None else None,
+        name=_attr(element, "name"),
+        state=_attr(element, "state", ExecutionState),
+        started_at=_attr(element, "startedAt", float, None),
+        finished_at=_attr(element, "finishedAt", float, None),
         error=element.get("error"),
-        iterations=int(element.get("iterations", "0")),
-        children=[_parse_status(child) for child in element.findall("flowStatus")])
+        iterations=_attr(element, "iterations", int, "0"),
+        children=children)
 
 
 def request_from_xml(text: str) -> DataGridRequest:
@@ -418,7 +463,7 @@ def request_from_xml(text: str) -> DataGridRequest:
     if flow_el is not None:
         body: Union[Flow, FlowStatusQuery] = _parse_flow(flow_el)
     else:
-        body = FlowStatusQuery(request_id=_require(query_el, "requestId"),
+        body = FlowStatusQuery(request_id=_attr(query_el, "requestId"),
                                path=query_el.get("path"))
     return DataGridRequest(
         user=user_el.text,
@@ -443,14 +488,16 @@ def response_from_xml(text: str) -> DataGridResponse:
             "response needs exactly one of <requestAcknowledgement> or <flowStatus>")
     if ack_el is not None:
         body: Union[FlowStatus, RequestAcknowledgement] = RequestAcknowledgement(
-            request_id=_require(ack_el, "requestId"),
-            state=ExecutionState(_require(ack_el, "state")),
+            request_id=_attr(ack_el, "requestId"),
+            state=_attr(ack_el, "state", ExecutionState),
             valid=ack_el.get("valid", "true") == "true",
             message=ack_el.get("message"))
     else:
-        body = _parse_status(status_el)
+        body = _build_tree(status_el,
+                           lambda element: element.findall("flowStatus"),
+                           _status_node)
     return DataGridResponse(
-        request_id=_require(root, "requestId"),
+        request_id=_attr(root, "requestId"),
         body=body,
         metadata=_parse_metadata(root.find("documentMetadata")))
 

@@ -28,16 +28,15 @@ analogy applied to ECA rules.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from typing import Optional
 
 from repro.errors import DGLParseError
 from repro.dgl.model import Flow, Operation
 from repro.dgl.xml_io import (
+    _attr,
     _flow_element,
     _operation_element,
     _parse_flow,
     _parse_operation,
-    _require,
 )
 from repro.grid.events import EventKind, EventPhase
 from repro.grid.users import UserRegistry
@@ -76,7 +75,7 @@ def trigger_from_xml(text: str, users: UserRegistry) -> DatagridTrigger:
         raise DGLParseError(f"malformed trigger XML: {exc}") from None
     if root.tag != "datagridTrigger":
         raise DGLParseError(f"expected <datagridTrigger>, got <{root.tag}>")
-    kinds = frozenset(EventKind(_require(on, "kind"))
+    kinds = frozenset(_attr(on, "kind", EventKind)
                       for on in root.findall("on"))
     condition_el = root.find("condition")
     condition = (condition_el.text or "true") if condition_el is not None \
@@ -88,16 +87,14 @@ def trigger_from_xml(text: str, users: UserRegistry) -> DatagridTrigger:
             "trigger needs exactly one of <flow> or <operation>")
     action = (_parse_flow(flow_el) if flow_el is not None
               else _parse_operation(operation_el))
-    max_firings_text: Optional[str] = root.get("maxFirings")
     return DatagridTrigger(
-        name=_require(root, "name"),
-        owner=users.get(_require(root, "owner")),
+        name=_attr(root, "name"),
+        owner=users.get(_attr(root, "owner")),
         kinds=kinds,
         action=action,
-        phase=EventPhase(root.get("phase", "after")),
+        phase=_attr(root, "phase", EventPhase, "after"),
         path_pattern=root.get("pathPattern", "*"),
         condition=condition,
-        priority=int(root.get("priority", "0")),
+        priority=_attr(root, "priority", int, "0"),
         enabled=root.get("enabled", "true") == "true",
-        max_firings=(int(max_firings_text)
-                     if max_firings_text is not None else None))
+        max_firings=_attr(root, "maxFirings", int, None))

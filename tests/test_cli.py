@@ -33,10 +33,14 @@ def test_validate_ok(document, capsys):
 
 def test_validate_rejects_garbage(tmp_path, capsys):
     bad = tmp_path / "bad.xml"
-    bad.write_text("<dataGridRequest><gridUser>u</gridUser>"
-                   "</dataGridRequest>")
-    assert main(["validate", str(bad)]) == 2
-    assert "error:" in capsys.readouterr().err
+    for garbage in [
+            "<dataGridRequest><gridUser>u</gridUser></dataGridRequest>",
+            "<dataGridRequest><gridUser>u</gridUser><flow name='f'>"
+            "<flowLogic><parallel maxConcurrent='many'/></flowLogic>"
+            "</flow></dataGridRequest>"]:
+        bad.write_text(garbage)
+        assert main(["validate", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 def test_validate_missing_file(capsys):

@@ -286,6 +286,14 @@ def test_idl_parse_errors():
         InfrastructureDescription.from_xml("<wrong/>")
     with pytest.raises(DGLParseError):
         InfrastructureDescription.from_xml("<infrastructure><domain/></infrastructure>")
+    for element in ['<sla maxConcurrentTasks="some"/>',
+                    '<sla costPerCpuSecond="cheap"/>',
+                    '<compute name="c" cores="2.5"/>',
+                    '<compute name="c" speedFactor="fast"/>']:
+        with pytest.raises(DGLParseError, match="malformed"):
+            InfrastructureDescription.from_xml(
+                f'<infrastructure><domain name="d">{element}</domain>'
+                '</infrastructure>')
 
 
 # -- placer ------------------------------------------------------------------

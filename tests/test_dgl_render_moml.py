@@ -163,6 +163,30 @@ def test_moml_parse_errors():
         moml_to_flow('<entity name="s" class="datagridflow.Step">'
                      '<property name="operation" value="dgl.noop"/>'
                      '</entity>')
+    with pytest.raises(DGLParseError, match="missing required attribute "
+                                            "'count'"):
+        moml_to_flow('<entity name="f" class="datagridflow.Flow">'
+                     '<property name="flowLogic" value="repeat"/></entity>')
+    for malformed in [
+            '<property name="flowLogic" value="parallel"/>'
+            '<property name="maxConcurrent" value="many"/>',
+            '<property name="var:x" type="int" value="1.5"/>',
+            '<entity name="s" class="datagridflow.Step">'
+            '<property name="operation" value="dgl.noop"/>'
+            '<property name="param:p" type="float" value="fast"/></entity>']:
+        with pytest.raises(DGLParseError, match="malformed"):
+            moml_to_flow('<entity name="f" class="datagridflow.Flow">'
+                         + malformed + '</entity>')
+
+
+def test_moml_types_values_as_dgl_xml_does():
+    flagged = flow_builder("f").step("s", "exec", flag=True).build()
+    with pytest.raises(DGLParseError, match="boolean"):
+        flow_to_moml(flagged)
+    with pytest.raises(DGLParseError, match="unknown value type 'bool'"):
+        moml_to_flow('<entity name="f" class="datagridflow.Flow">'
+                     '<property name="var:x" type="bool" value="True"/>'
+                     '</entity>')
 
 
 def test_moml_executes_after_round_trip(dfms):

@@ -189,3 +189,57 @@ def test_xml_is_indented_and_human_readable():
     assert "\n  " in text
     assert "<flowLogic>" in text
     assert "userDefinedRule" in text
+
+
+def request_text(flow_body="", metadata=""):
+    return ("<dataGridRequest><gridUser>u</gridUser>" + metadata
+            + "<flow name='f'>" + flow_body + "</flow></dataGridRequest>")
+
+
+def response_text(body):
+    return "<dataGridResponse requestId='r'>" + body + "</dataGridResponse>"
+
+
+@pytest.mark.parametrize("reader, text, attribute, value", [
+    pytest.param(request_from_xml, request_text(
+        metadata="<documentMetadata createdAt='soon'/>"),
+        "createdAt", "soon", id="createdAt"),
+    pytest.param(request_from_xml, request_text(
+        "<flowLogic><parallel maxConcurrent='many'/></flowLogic>"),
+        "maxConcurrent", "many", id="maxConcurrent"),
+    pytest.param(request_from_xml, request_text(
+        "<variables><variable name='x' type='int' value='1.5'/></variables>"),
+        "value", "1.5", id="int-value"),
+    pytest.param(request_from_xml, request_text(
+        "<children><step name='s'><operation name='dgl.noop'>"
+        "<parameter name='p' type='float' value='fast'/>"
+        "</operation></step></children>"),
+        "value", "fast", id="float-value"),
+    pytest.param(response_from_xml, response_text(
+        "<requestAcknowledgement requestId='r' state='asleep'/>"),
+        "state", "asleep", id="acknowledgement-state"),
+    pytest.param(response_from_xml, response_text(
+        "<flowStatus name='f' state='asleep'/>"),
+        "state", "asleep", id="status-state"),
+    pytest.param(response_from_xml, response_text(
+        "<flowStatus name='f' state='running' startedAt='noon'/>"),
+        "startedAt", "noon", id="startedAt"),
+    pytest.param(response_from_xml, response_text(
+        "<flowStatus name='f' state='running'>"
+        "<flowStatus name='g' state='failed' finishedAt='later'/>"
+        "</flowStatus>"),
+        "finishedAt", "later", id="finishedAt"),
+    pytest.param(response_from_xml, response_text(
+        "<flowStatus name='f' state='running' iterations='2.5'/>"),
+        "iterations", "2.5", id="iterations"),
+])
+def test_malformed_attribute_is_a_parse_error(reader, text, attribute, value):
+    with pytest.raises(DGLParseError,
+                       match=f"malformed '{attribute}' attribute: '{value}'"):
+        reader(text)
+
+
+def test_missing_required_attribute_names_element_and_attribute():
+    with pytest.raises(DGLParseError, match="<while> is missing required "
+                                            "attribute 'condition'"):
+        request_from_xml(request_text("<flowLogic><while/></flowLogic>"))

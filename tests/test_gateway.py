@@ -8,6 +8,7 @@ from repro.dfms.gateway import DfMSGateway, TokenBucket, VOPolicy
 from repro.dgl import (
     DataGridRequest,
     ExecutionState,
+    FlowStatus,
     FlowStatusQuery,
     RequestAcknowledgement,
     RequestRejection,
@@ -316,3 +317,34 @@ def test_invalid_document_surfaces_at_dequeue_time(dfms):
     assert not response.body.valid
     assert gateway.completed == 1
     assert gateway.succeeded == 0
+
+
+def test_only_a_sync_submission_copies_the_final_status(dfms, monkeypatch):
+    copied = []
+    snapshot = FlowStatus.snapshot
+
+    def counting_snapshot(status, max_depth=None):
+        copied.append(status.name)
+        return snapshot(status, max_depth)
+
+    monkeypatch.setattr(FlowStatus, "snapshot", counting_snapshot)
+    gateway = make_gateway(dfms, workers=2)
+    for index in range(3):
+        gateway.submit(make_request(
+            dfms, flow_builder(f"async-{index}")
+            .step("s", "dgl.sleep", duration=1).build()))
+    answers = []
+
+    def client(name):
+        answers.append((yield from gateway.submit_sync(make_request(
+            dfms, flow_builder(name).step("s", "dgl.sleep", duration=1)
+            .build(), asynchronous=False))))
+
+    dfms.env.process(client("sync-0"))
+    dfms.env.process(client("sync-1"))
+    dfms.env.run()
+    assert gateway.completed == gateway.succeeded == 5
+    assert sorted(name for name in copied if name != "s") == [
+        "sync-0", "sync-1"]
+    assert [answer.body.state for answer in answers] == [
+        ExecutionState.COMPLETED] * 2

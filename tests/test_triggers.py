@@ -290,3 +290,11 @@ def test_trigger_xml_errors(dfms):
             '<datagridTrigger name="t" owner="alice@sdsc">'
             '<on kind="insert"/><condition>true</condition>'
             '</datagridTrigger>', dfms.dgms.users)
+    for attributes, kind in [('', 'sideways'), ('phase="during"', 'insert'),
+                             ('priority="high"', 'insert'),
+                             ('maxFirings="1.5"', 'insert')]:
+        with pytest.raises(DGLParseError, match="malformed"):
+            trigger_from_xml(
+                f'<datagridTrigger name="t" owner="alice@sdsc" {attributes}>'
+                f'<on kind="{kind}"/><operation name="dgl.noop"/>'
+                '</datagridTrigger>', dfms.dgms.users)
