@@ -76,8 +76,8 @@ class TransferStats:
     #: Links crossed; 0 means a same-domain (local) access.
     hops: int = 0
     #: The links crossed, as sorted "a--b" end-pair names in route order —
-    #: the per-link identity SLO latency probes and the flight recorder
-    #: aggregate on. Empty for local accesses.
+    #: the per-link identity SLO latency probes and ``net.transfer`` log
+    #: records aggregate on. Empty for local accesses.
     route: Tuple[str, ...] = ()
 
     @property
@@ -252,13 +252,8 @@ class TransferService:
                 t.tracer.finish(span)
             # Counters, duration samples, and the log record are all
             # derived from the stats object at export time
-            # (Telemetry collect); the hot path only stashes it.
-            t.net_pending.append(stats)
-            recorder = t.recorder
-            if recorder is not None:
-                # The flight recorder cannot defer: a crash dump must
-                # already hold the completion.
-                recorder.record_transfer(stats)
+            # (Telemetry collect); the hot path only hands it over.
+            t.transfer_completed(stats)
         done.succeed(stats)
 
     def _interrupt(self, transfer: _ActiveTransfer, link: Link) -> None:

@@ -61,6 +61,14 @@ __all__ = [
 #: shuffles of larger pools.
 _ORDERS = ("reverse", "random")
 
+#: Keep at most this many distinct race records per run (the total is
+#: still counted past the cap).
+MAX_RACES = 50
+
+#: Per-container, per-batch access-list cap: conflict checking is
+#: pairwise, so this bounds the quadratic term.
+MAX_ACCESSES_PER_STATE = 128
+
 
 @dataclass(frozen=True)
 class SanitizeConfig:
@@ -83,12 +91,6 @@ class SanitizeConfig:
     #: Record the dispatch order (and races) of choice batch N, for
     #: witness extraction.
     record_choice_batch: Optional[int] = None
-    #: Keep at most this many distinct race records (the total is still
-    #: counted past the cap).
-    max_races: int = 50
-    #: Per-container, per-batch access-list cap: conflict checking is
-    #: pairwise, so this bounds the quadratic term.
-    max_accesses_per_state: int = 128
 
     def __post_init__(self) -> None:
         if self.order not in _ORDERS:
@@ -495,13 +497,13 @@ class ScheduleSanitizer:
         self.env = None
         # -- run-level results --------------------------------------------
         self.races: List[ScheduleRace] = []
-        #: Distinct races observed, counted past the ``max_races`` cap.
+        #: Distinct races observed, counted past the :data:`MAX_RACES` cap.
         self.races_total = 0
         self.batches = 0
         #: Batches whose ready pool offered an actual ordering choice.
         self.choice_batches = 0
         self.permuted_batches = 0
-        #: States whose access list hit ``max_accesses_per_state`` (the
+        #: States whose access list hit :data:`MAX_ACCESSES_PER_STATE` (the
         #: tail was not conflict-checked — reported, never silent).
         self.truncated_states = 0
         #: Witness capture (``record_choice_batch``): dispatch labels of
@@ -738,7 +740,7 @@ class ScheduleSanitizer:
         anc = self._anc
         prio = self._prio
         labels = self._labels
-        cap = self.config.max_accesses_per_state
+        cap = MAX_ACCESSES_PER_STATE
         for state, accesses in sorted(self._acc.items()):
             if len(accesses) < 2:
                 continue
@@ -776,7 +778,7 @@ class ScheduleSanitizer:
                     self._race_keys.add(key)
                     self.races_total += 1
                     new_races.append(race)
-                    if len(self.races) < self.config.max_races:
+                    if len(self.races) < MAX_RACES:
                         self.races.append(race)
         if self._recording:
             self.recorded_batch_races = new_races

@@ -17,8 +17,8 @@ Executes a :class:`~repro.dgl.model.Flow` over the simulation kernel:
   restarted without redoing work (§2.1: ILM processes "could be started,
   stopped and restarted at any time").
 
-Observability: every progress notification goes through the
-``listeners`` event bus (one emission path shared by
+Observability: every progress notification is one :class:`EngineEvent`
+handed to all ``listeners`` (shared by provenance,
 :class:`~repro.dfms.monitoring.ExecutionMonitor` push-watchers and the
 telemetry layer), and when a telemetry session is attached to the
 environment the engine additionally opens execution → flow → step tracing
@@ -28,7 +28,7 @@ spawns for parallel branches and timed operation handlers.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from repro.errors import (
     DGLValidationError,
@@ -65,7 +65,7 @@ from repro.grid.query import Query, parse_conditions
 from repro.sim.kernel import Environment
 from repro.sim.resources import Resource
 
-__all__ = ["FlowEngine", "FlowCancelled", "ON_ERROR"]
+__all__ = ["EngineEvent", "FlowEngine", "FlowCancelled", "ON_ERROR"]
 
 #: Reserved rule name for step fault handling.
 ON_ERROR = "onError"
@@ -84,6 +84,18 @@ class FlowCancelled(ReproError):
     """Internal control-flow signal: the execution was cancelled."""
 
 
+class EngineEvent(NamedTuple):
+    """One engine progress event, built once and shared by every listener
+    (so ``detail`` is read-only to all of them)."""
+
+    kind: str                 # step_started / step_completed / paused / ...
+    request_id: str
+    instance_key: str         # step/flow instance path ('' for the root)
+    time: float
+    detail: Dict[str, object]
+    user: Optional[str]       # the submitting user's qualified name
+
+
 class FlowEngine:
     """Interprets flows for a DfMS server."""
 
@@ -91,8 +103,8 @@ class FlowEngine:
         self.env = env
         self.registry = registry
         #: Observers of engine progress; each is called as
-        #: listener(kind, execution, instance_key, time, detail_dict).
-        self.listeners: List[Callable] = []
+        #: listener(event) with the one :class:`EngineEvent` per event.
+        self.listeners: List[Callable[[EngineEvent], None]] = []
 
     # -- public entry -----------------------------------------------------
 
@@ -106,9 +118,11 @@ class FlowEngine:
                 **detail) -> None:
         listeners = self.listeners
         if listeners:
-            now = self.env._now
+            event = tuple.__new__(EngineEvent, (
+                kind, execution.request_id, key, self.env._now, detail,
+                execution.user_name))
             for listener in listeners:
-                listener(kind, execution, key, now, detail)
+                listener(event)
 
     # -- control gate --------------------------------------------------------
 

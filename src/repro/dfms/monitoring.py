@@ -11,30 +11,20 @@ be coordinated from other processes).
 The monitor is a subscriber on ``FlowEngine.listeners`` — the same event
 bus the telemetry layer (:mod:`repro.telemetry`) attaches to — so
 push-watchers, metrics, spans, and the structured event log all observe
-one emission path.
+one emission path. Watchers receive the engine's own
+:class:`~repro.dfms.engine.EngineEvent`, unchanged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.dgl.model import ExecutionState
+from repro.dfms.engine import EngineEvent
 from repro.dfms.server import DfMSServer
 from repro.sim.kernel import Event
 
 __all__ = ["EngineEvent", "ExecutionMonitor"]
-
-
-@dataclass(frozen=True)
-class EngineEvent:
-    """One observed engine event, as delivered to watchers."""
-
-    kind: str                 # step_started / step_completed / paused / ...
-    request_id: str
-    instance_key: str         # step/flow instance path ('' for the root)
-    time: float
-    detail: Dict[str, object] = field(default_factory=dict)
 
 
 class ExecutionMonitor:
@@ -102,11 +92,12 @@ class ExecutionMonitor:
                 f"cannot wait for state {offending!r}; watchable states "
                 f"are {sorted(s.value for s in self.WAITABLE_STATES)}")
         event = self.server.env.event()
-        status = self.server.status(request_id).find(key)
+        execution = self.server.execution(request_id)
+        status = execution.status.find(key)
         if status is not None and status.state is state:
             event.succeed(EngineEvent(
-                kind="already", request_id=request_id, instance_key=key,
-                time=self.server.env.now))
+                "already", request_id, key, self.server.env.now, {},
+                execution.user_name))
             return event
         self._waits.append(({"request_id": request_id, "key": key,
                              "suffix": kind}, event))
@@ -133,17 +124,13 @@ class ExecutionMonitor:
         "execution_started", "execution_completed", "execution_failed",
         "execution_cancelled", "paused", "resumed"})
 
-    def _on_engine_event(self, kind, execution, instance_key, time,
-                         detail) -> None:
+    def _on_engine_event(self, event: EngineEvent) -> None:
         self.events_seen += 1
-        event = EngineEvent(kind=kind, request_id=execution.request_id,
-                            instance_key=instance_key, time=time,
-                            detail=dict(detail))
+        kind, request_id, instance_key = event[:3]
         telemetry = self.server.env.telemetry
         if telemetry is not None and kind in self.LIFECYCLE_KINDS:
             telemetry.log.emit("monitor.transition", state=kind,
-                               request_id=execution.request_id,
-                               key=instance_key)
+                               request_id=request_id, key=instance_key)
         for filters, callback in list(self._watchers):
             if self._matches(filters, event):
                 callback(event)
@@ -152,7 +139,7 @@ class ExecutionMonitor:
         stripped = _strip_iterations(instance_key)
         for entry in list(self._waits):
             filters, sim_event = entry
-            if execution.request_id != filters["request_id"]:
+            if request_id != filters["request_id"]:
                 continue
             if filters["suffix"] is None or not kind.endswith(
                     filters["suffix"]):
@@ -166,7 +153,7 @@ class ExecutionMonitor:
                 if telemetry is not None:
                     telemetry.log.emit(
                         "monitor.wait_satisfied", state=kind,
-                        request_id=execution.request_id, key=instance_key)
+                        request_id=request_id, key=instance_key)
 
 
 def _strip_iterations(key: str) -> str:

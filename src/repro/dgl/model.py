@@ -463,9 +463,9 @@ class RequestRejection:
 
     Unlike an invalid-document :class:`RequestAcknowledgement`
     (``valid=False`` — the *document* is wrong), a rejection says the
-    document never got looked at: the submitting tenant is out of quota
-    (``reason="quota"``) or the service is saturated
-    (``reason="overload"``). ``retry_after_s`` is the server's hint for
+    document never got looked at: the submitting tenant is over its
+    rate (the gateway's ``reason="throttled"``) or the service is
+    saturated (``reason="queue-full"``). ``retry_after_s`` is the hint for
     when resubmission could succeed (sim seconds; ``None`` = no
     estimate).
     """

@@ -7,10 +7,11 @@ types via a ``type`` attribute, so a numeric variable survives the trip.
 
 It is also the one codec every DfMS document shares. MoML
 (:mod:`repro.dgl.moml`), trigger definitions and the infrastructure
-description read attributes through :func:`_attr`, typed values through
-:func:`_set_value` / :func:`_get_value`, control patterns through
-:data:`_PATTERNS`, and trees through :func:`_build_tree`, which keeps no
-Python stack per level, so a document of any depth parses.
+description read attributes through :func:`_attr` (booleans through
+:func:`_bool`), typed values through :func:`_set_value` /
+:func:`_get_value`, control patterns through :data:`_PATTERNS`, and
+trees through :func:`_build_tree`, which keeps no Python stack per
+level, so a document of any depth parses.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from repro.dgl.model import (
     Parallel,
     Repeat,
     RequestAcknowledgement,
+    RequestRejection,
     Sequential,
     Step,
     SwitchCase,
@@ -73,6 +75,23 @@ def _attr(element: ET.Element, name: str, convert: Callable = str,
     except ValueError:
         raise DGLParseError(f"<{element.tag}> has a malformed {name!r} "
                             f"attribute: {text!r}") from None
+
+
+def _bool(text: str) -> bool:
+    """A boolean attribute: exactly ``true`` or ``false``."""
+    if text == "true":
+        return True
+    if text == "false":
+        return False
+    raise ValueError(text)
+
+
+def _depth(text: str) -> int:
+    """A status query's ``maxDepth``: a non-negative integer."""
+    depth = int(text)
+    if depth < 0:
+        raise ValueError(text)
+    return depth
 
 
 #: How the text of each non-null ``type`` reads.
@@ -302,6 +321,8 @@ def request_to_xml(request: DataGridRequest) -> str:
                               requestId=request.body.request_id)
         if request.body.path is not None:
             query.set("path", request.body.path)
+        if request.body.max_depth is not None:
+            query.set("maxDepth", str(request.body.max_depth))
     else:
         root.append(_flow_element(request.body))
     ET.indent(root)
@@ -319,6 +340,14 @@ def response_to_xml(response: DataGridResponse) -> str:
                             valid="true" if response.body.valid else "false")
         if response.body.message is not None:
             ack.set("message", response.body.message)
+    elif isinstance(response.body, RequestRejection):
+        rejection = ET.SubElement(root, "requestRejection",
+                                  requestId=response.body.request_id,
+                                  reason=response.body.reason)
+        if response.body.message is not None:
+            rejection.set("message", response.body.message)
+        if response.body.retry_after_s is not None:
+            rejection.set("retryAfter", repr(response.body.retry_after_s))
     else:
         root.append(_status_element(response.body))
     ET.indent(root)
@@ -463,14 +492,16 @@ def request_from_xml(text: str) -> DataGridRequest:
     if flow_el is not None:
         body: Union[Flow, FlowStatusQuery] = _parse_flow(flow_el)
     else:
-        body = FlowStatusQuery(request_id=_attr(query_el, "requestId"),
-                               path=query_el.get("path"))
+        body = FlowStatusQuery(
+            request_id=_attr(query_el, "requestId"),
+            path=query_el.get("path"),
+            max_depth=_attr(query_el, "maxDepth", _depth, None))
     return DataGridRequest(
         user=user_el.text,
         virtual_organization=(vo_el.text or "") if vo_el is not None else "",
         body=body,
         metadata=_parse_metadata(root.find("documentMetadata")),
-        asynchronous=root.get("asynchronous", "false") == "true")
+        asynchronous=_attr(root, "asynchronous", _bool, "false"))
 
 
 def response_from_xml(text: str) -> DataGridResponse:
@@ -482,16 +513,25 @@ def response_from_xml(text: str) -> DataGridResponse:
     if root.tag != "dataGridResponse":
         raise DGLParseError(f"expected <dataGridResponse>, got <{root.tag}>")
     ack_el = root.find("requestAcknowledgement")
+    rejection_el = root.find("requestRejection")
     status_el = root.find("flowStatus")
-    if (ack_el is None) == (status_el is None):
+    if [ack_el, rejection_el, status_el].count(None) != 2:
         raise DGLParseError(
-            "response needs exactly one of <requestAcknowledgement> or <flowStatus>")
+            "response needs exactly one of <requestAcknowledgement>, "
+            "<requestRejection> or <flowStatus>")
     if ack_el is not None:
-        body: Union[FlowStatus, RequestAcknowledgement] = RequestAcknowledgement(
+        body: Union[FlowStatus, RequestAcknowledgement,
+                    RequestRejection] = RequestAcknowledgement(
             request_id=_attr(ack_el, "requestId"),
             state=_attr(ack_el, "state", ExecutionState),
-            valid=ack_el.get("valid", "true") == "true",
+            valid=_attr(ack_el, "valid", _bool, "true"),
             message=ack_el.get("message"))
+    elif rejection_el is not None:
+        body = RequestRejection(
+            request_id=_attr(rejection_el, "requestId"),
+            reason=_attr(rejection_el, "reason"),
+            message=rejection_el.get("message"),
+            retry_after_s=_attr(rejection_el, "retryAfter", float, None))
     else:
         body = _build_tree(status_el,
                            lambda element: element.findall("flowStatus"),

@@ -48,8 +48,7 @@ class ILMManager:
         self._policies: Dict[str, ILMPolicy] = {}
         self.passes: List[PassRecord] = []
         self._recurring_stop: Dict[str, bool] = {}
-        #: Observers of ILM progress (same idiom as ``FlowEngine.
-        #: listeners``); each is called as
+        #: Observers of ILM progress; each is called as
         #: listener(kind, policy_name, time, detail_dict).
         self.listeners: List[Callable] = []
         server.registry.register("ilm.gate", self._op_gate, replace=True)

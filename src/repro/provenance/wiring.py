@@ -4,11 +4,13 @@ The capture points are the two listener surfaces the substrates already
 expose — :attr:`DataGridManagementSystem.operation_listeners` for datagrid
 operations and :attr:`FlowEngine.listeners` for engine events — so
 provenance is strictly observational: removing it changes nothing about
-execution.
+execution. Both producers build a fresh ``detail`` per event, so records
+keep it uncopied.
 """
 
 from __future__ import annotations
 
+from repro.dfms.engine import EngineEvent
 from repro.dfms.server import DfMSServer
 from repro.grid.dgms import DataGridManagementSystem, OperationRecord
 from repro.provenance.record import ProvenanceRecord
@@ -26,7 +28,7 @@ def attach_to_dgms(store: ProvenanceStore,
             category="dgms", operation=record.operation,
             subject=record.path, time=record.start_time,
             end_time=record.end_time, actor=record.user,
-            detail=dict(record.detail)))
+            detail=record.detail))
 
     dgms.operation_listeners.append(_listener)
 
@@ -34,13 +36,13 @@ def attach_to_dgms(store: ProvenanceStore,
 def attach_to_server(store: ProvenanceStore, server: DfMSServer) -> None:
     """Record every engine event (and the server's DGMS ops) into ``store``."""
 
-    def _listener(kind: str, execution, instance_key: str, time: float,
-                  detail: dict) -> None:
-        subject = (f"{execution.request_id}/{instance_key}"
-                   if instance_key else execution.request_id)
+    def _listener(event: EngineEvent) -> None:
+        kind, request_id, instance_key, time, detail, user = event
+        subject = (f"{request_id}/{instance_key}" if instance_key
+                   else request_id)
         store.append(ProvenanceRecord(
             category="engine", operation=kind, subject=subject, time=time,
-            actor=execution.user_name, detail=dict(detail)))
+            actor=user, detail=detail))
 
     server.engine.listeners.append(_listener)
 

@@ -21,7 +21,8 @@ from __future__ import annotations
 from functools import partial
 from typing import List, Tuple
 
-from repro.telemetry.events import EventLog, TelemetryRecord
+from repro.telemetry.events import (EventLog, TelemetryRecord,
+                                   engine_fields, transfer_fields)
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.tracing import Tracer
 
@@ -174,11 +175,11 @@ class Telemetry:
         # Per-kind engine counter cache: the deferred engine events fold
         # (collect) skips the labels() keyword plumbing on repeat kinds.
         self._engine_kind_counters = {}
-        #: Engine bus events not yet materialized into counters and log
-        #: records — engine_listener only appends raw tuples here.
+        #: Engine events not yet materialized into counters and log
+        #: records — engine_listener keeps the engine's own record here.
         self._engine_pending = []
         #: Completed TransferStats not yet materialized — the transfer
-        #: service appends the stats object it already built and
+        #: service hands over the stats object it already built and
         #: collect() derives counters, samples, and log records.
         self.net_pending = []
         #: Callbacks run by :meth:`collect` — subsystems whose state is
@@ -186,9 +187,8 @@ class Telemetry:
         #: register one instead of updating gauges on their hot path.
         self.collectors = []
         #: Attached :class:`~repro.telemetry.recorder.FlightRecorder`
-        #: (None by default; set by ``attach_observability``). The kernel
-        #: reaches it duck-typed via ``getattr`` on deadlock, and the
-        #: transfer service tees completions into it when present.
+        #: (None by default; set by ``attach_observability``), fed only
+        #: by this session. The kernel reaches it duck-typed on deadlock.
         self.recorder = None
         #: Attached :class:`~repro.telemetry.slo.SLOEngine`, or None.
         self.slo = None
@@ -221,18 +221,28 @@ class Telemetry:
 
     # -- engine event bus ----------------------------------------------------
 
-    def engine_listener(self, kind, execution, instance_key, time,
-                        detail) -> None:
+    def engine_listener(self, event) -> None:
         """`FlowEngine.listeners` subscriber: one emission path for all.
 
         Attached by :func:`~repro.telemetry.instrument.attach_telemetry`
         next to any :class:`~repro.dfms.monitoring.ExecutionMonitor`, so
         push-watchers, metrics, and the event log all observe the same
-        stream. Runs twice per step, so it only stashes the raw event;
-        counters and log records are materialized by :meth:`collect`.
+        stream. Runs twice per step, so it only keeps the engine's
+        :class:`~repro.dfms.engine.EngineEvent`; counters and log records
+        are materialized by :meth:`collect`. A flight recorder cannot
+        defer (a crash dump must already hold the event).
         """
-        self._engine_pending.append(
-            (time, kind, execution.request_id, instance_key, detail))
+        self._engine_pending.append(event)
+        recorder = self.recorder
+        if recorder is not None:
+            recorder.record("engine." + event.kind, engine_fields(event))
+
+    def transfer_completed(self, stats) -> None:
+        """Transfer-service hook: deferred like :meth:`engine_listener`."""
+        self.net_pending.append(stats)
+        recorder = self.recorder
+        if recorder is not None:
+            recorder.record("net.transfer", transfer_fields(stats))
 
     def _fold_engine_events(self) -> None:
         """Materialize pending engine bus events (counters + log)."""
@@ -241,7 +251,8 @@ class Telemetry:
             return
         records = self.log.records
         kind_counters = self._engine_kind_counters
-        for time, kind, request_id, instance_key, detail in pending:
+        for event in pending:
+            kind = event.kind
             cached = kind_counters.get(kind)
             if cached is None:
                 cached = (self.dfms_engine_events.labels(kind=kind),
@@ -249,12 +260,9 @@ class Telemetry:
                 kind_counters[kind] = cached
             counter, log_kind = cached
             counter.value += 1.0
-            counter.last_updated = time
-            fields = {"request_id": request_id, "key": instance_key}
-            if detail:
-                fields.update(detail)
-            records.append(
-                tuple.__new__(TelemetryRecord, (time, log_kind, fields)))
+            counter.last_updated = event.time
+            records.append(tuple.__new__(TelemetryRecord, (
+                event.time, log_kind, engine_fields(event))))
         del pending[:]
 
     def _fold_net_transfers(self) -> None:
@@ -269,22 +277,17 @@ class Telemetry:
         samples = self.net_transfer_duration.samples
         for stats in pending:
             now = stats.end_time
-            duration = stats.duration
             if stats.hops:
                 wan.value += 1.0
                 wan.last_updated = now
                 moved.value += stats.nbytes
                 moved.last_updated = now
-                samples.append((now, duration))
+                samples.append((now, stats.duration))
             else:
                 local.value += 1.0
                 local.last_updated = now
             records.append(tuple.__new__(TelemetryRecord, (
-                now, "net.transfer",
-                {"src": stats.src, "dst": stats.dst,
-                 "nbytes": stats.nbytes, "hops": stats.hops,
-                 "links": list(stats.route),
-                 "duration": duration})))
+                now, "net.transfer", transfer_fields(stats))))
         del pending[:]
 
     # -- export-time folding -------------------------------------------------

@@ -70,10 +70,10 @@ def attach_observability(env, server=None, dgms=None,
     """Attach telemetry plus the flight recorder and SLO engine.
 
     Builds (or reuses) the telemetry session, hangs a
-    :class:`~repro.telemetry.recorder.FlightRecorder` off it (teeing the
-    event log and, when a ``server`` is given, the engine listener bus),
-    and constructs an :class:`~repro.telemetry.slo.SLOEngine` over the
-    same session. Both are strictly read-only over the simulation —
+    :class:`~repro.telemetry.recorder.FlightRecorder` off it (the session
+    feeds it the event log, engine events and completed transfers), and
+    constructs an :class:`~repro.telemetry.slo.SLOEngine` over the same
+    session. Both are strictly read-only over the simulation —
     attaching them cannot move a float (the E23 benchmark pins the
     20-seed chaos fingerprint with and without). Idempotent: a second
     call returns the existing stack (``probes`` and ``capacity`` are
@@ -91,8 +91,6 @@ def attach_observability(env, server=None, dgms=None,
             dump_path=dump_path)
         telemetry.recorder = recorder
         telemetry.log.recorder = recorder
-        if server is not None:
-            server.engine.listeners.append(recorder.engine_listener)
     slo = telemetry.slo
     if slo is None:
         slo = SLOEngine(telemetry, probes=probes, server=server)

@@ -7,14 +7,11 @@ the crash. The flight recorder is the black box instead: a fixed-size
 ring of the most recent :class:`FlightRecord` entries, each stamped with
 a monotonic sequence number, the sim time, the span context of the
 process that produced it (so records link back into the trace tree), and
-the producing process's name. It is fed from three taps:
-
-* the structured :class:`~repro.telemetry.events.EventLog` — every
-  ``emit`` (faults, recovery actions, interrupted transfers, ILM and
-  trigger decisions) tees one record into the ring;
-* the engine listener bus — execution/flow/step progress events, which
-  the telemetry session otherwise defers to export time;
-* the transfer service — completed transfers, recorded at completion.
+the producing process's name. Its one feed is the telemetry session:
+every :class:`~repro.telemetry.events.EventLog` ``emit`` tees one
+record, and the session passes each engine event and completed transfer
+on at once (it defers its own records to export time; a crash dump
+cannot), with fields from the encoders its export-time fold uses.
 
 Recording is append-to-a-``deque(maxlen=N)`` plus one span-context read:
 near-zero overhead, no allocation beyond the record tuple, no kernel
@@ -60,9 +57,8 @@ class FlightRecorder:
     """Bounded, causally-annotated recent-history buffer for one session.
 
     Construct via
-    :func:`~repro.telemetry.instrument.attach_observability`, which wires
-    the event-log tee and the engine listener; the recorder itself only
-    needs the :class:`~repro.telemetry.core.Telemetry` session.
+    :func:`~repro.telemetry.instrument.attach_observability`, which hangs
+    it off the :class:`~repro.telemetry.core.Telemetry` session.
     """
 
     def __init__(self, telemetry, capacity: int = DEFAULT_CAPACITY,
@@ -79,62 +75,24 @@ class FlightRecorder:
         self.last_dump_reason: Optional[str] = None
         self.dump_count = 0
 
-    # -- context -----------------------------------------------------------
+    def record(self, kind: str, fields: Dict[str, object]) -> None:
+        """Append one record at the current sim time.
 
-    def _span_context(self):
-        """(span_id, process_name) of the currently active sim process.
-
-        Reads the engine-pinned ``Process._tspan``, so records produced
-        inside an operation handler link to the step span that spawned it.
+        The span context is the active process's engine-pinned
+        ``Process._tspan``, so records produced inside an operation
+        handler link to the step span that spawned it.
         """
         active = self.env._active_process
         if active is None:
-            return None, ""
-        span = active._tspan
-        name = getattr(active._generator, "__name__", "") or ""
-        return (None if span is None else span.span_id), name
-
-    # -- taps --------------------------------------------------------------
-
-    def record(self, kind: str, fields: Dict[str, object]) -> None:
-        """Append one record at the current sim time."""
-        span_id, process = self._span_context()
+            span_id, process = None, ""
+        else:
+            span = active._tspan
+            span_id = None if span is None else span.span_id
+            process = getattr(active._generator, "__name__", "") or ""
         seq = self._seq
         self._seq = seq + 1
         self.ring.append(tuple.__new__(FlightRecord, (
             seq, self.env._now, kind, span_id, process, fields)))
-
-    def capture(self, record) -> None:
-        """EventLog tee: mirror one already-built telemetry record."""
-        span_id, process = self._span_context()
-        seq = self._seq
-        self._seq = seq + 1
-        self.ring.append(tuple.__new__(FlightRecord, (
-            seq, record.time, record.kind, span_id, process,
-            record.fields)))
-
-    def engine_listener(self, kind, execution, instance_key, time,
-                        detail) -> None:
-        """`FlowEngine.listeners` subscriber: engine progress records.
-
-        The telemetry session defers these to export time; the recorder
-        cannot (a crash dump must already hold them), so it appends live.
-        """
-        fields = {"request_id": execution.request_id, "key": instance_key}
-        if detail:
-            fields.update(detail)
-        span_id, process = self._span_context()
-        seq = self._seq
-        self._seq = seq + 1
-        self.ring.append(tuple.__new__(FlightRecord, (
-            seq, time, f"engine.{kind}", span_id, process, fields)))
-
-    def record_transfer(self, stats) -> None:
-        """Transfer-service tee: one record per completed transfer."""
-        self.record("net.transfer", {
-            "src": stats.src, "dst": stats.dst, "nbytes": stats.nbytes,
-            "hops": stats.hops, "links": list(stats.route),
-            "duration": stats.duration})
 
     # -- dumping -----------------------------------------------------------
 

@@ -61,8 +61,7 @@ class TriggerManager:
         self._registration_order: List[str] = []
         self.firing_log: List[TriggerFiring] = []
         self.events_seen = 0
-        #: Observers of trigger activity (same idiom as ``FlowEngine.
-        #: listeners``); each is called as
+        #: Observers of trigger activity; each is called as
         #: listener(kind, trigger_name, time, detail_dict).
         self.listeners: List[Callable] = []
         dgms.events.subscribe(self._on_event)

@@ -33,6 +33,7 @@ from repro.errors import DGLParseError
 from repro.dgl.model import Flow, Operation
 from repro.dgl.xml_io import (
     _attr,
+    _bool,
     _flow_element,
     _operation_element,
     _parse_flow,
@@ -96,5 +97,5 @@ def trigger_from_xml(text: str, users: UserRegistry) -> DatagridTrigger:
         path_pattern=root.get("pathPattern", "*"),
         condition=condition,
         priority=_attr(root, "priority", int, "0"),
-        enabled=root.get("enabled", "true") == "true",
+        enabled=_attr(root, "enabled", _bool, "true"),
         max_firings=_attr(root, "maxFirings", int, None))

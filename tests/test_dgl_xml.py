@@ -18,6 +18,7 @@ from repro.dgl import (
     Parallel,
     Repeat,
     RequestAcknowledgement,
+    RequestRejection,
     Sequential,
     Step,
     SwitchCase,
@@ -93,6 +94,38 @@ def test_status_query_round_trip():
         user="bob@ucsd", virtual_organization="",
         body=FlowStatusQuery(request_id="dgr-000007", path="stage1/copy"))
     assert request_from_xml(request_to_xml(request)) == request
+
+
+@pytest.mark.parametrize("max_depth", [None, 0, 1, 5])
+def test_status_query_keeps_its_max_depth(max_depth):
+    request = DataGridRequest(
+        user="bob@ucsd", virtual_organization="vo",
+        body=FlowStatusQuery(request_id="dgr-000007", max_depth=max_depth))
+    text = request_to_xml(request)
+    assert ("maxDepth" in text) == (max_depth is not None)
+    assert request_from_xml(text) == request
+
+
+@pytest.mark.parametrize("body", [
+    RequestRejection(request_id="gw.shed-000001", reason="throttled",
+                     message="over its submit rate", retry_after_s=2.5),
+    RequestRejection(request_id="gw.shed-000002", reason="queue-full"),
+], ids=["every-attribute", "required-only"])
+def test_rejection_response_round_trip(body):
+    response = DataGridResponse(request_id=body.request_id, body=body)
+    text = response_to_xml(response)
+    assert "<requestRejection" in text
+    assert response_from_xml(text) == response
+    assert from_xml(text) == response
+
+
+def test_response_needs_exactly_one_body():
+    with pytest.raises(DGLParseError, match="exactly one of"):
+        response_from_xml(response_text(
+            "<requestRejection requestId='r' reason='queue-full'/>"
+            "<flowStatus name='f' state='running'/>"))
+    with pytest.raises(DGLParseError, match="exactly one of"):
+        response_from_xml(response_text(""))
 
 
 def test_acknowledgement_response_round_trip():
@@ -232,6 +265,27 @@ def response_text(body):
     pytest.param(response_from_xml, response_text(
         "<flowStatus name='f' state='running' iterations='2.5'/>"),
         "iterations", "2.5", id="iterations"),
+    pytest.param(request_from_xml,
+                 "<dataGridRequest asynchronous='True'><gridUser>u</gridUser>"
+                 "<flow name='f'/></dataGridRequest>",
+                 "asynchronous", "True", id="asynchronous"),
+    pytest.param(response_from_xml, response_text(
+        "<requestAcknowledgement requestId='r' state='pending' valid='yes'/>"),
+        "valid", "yes", id="valid"),
+    pytest.param(request_from_xml,
+                 "<dataGridRequest><gridUser>u</gridUser>"
+                 "<flowStatusQuery requestId='r' maxDepth='-1'/>"
+                 "</dataGridRequest>",
+                 "maxDepth", "-1", id="maxDepth-negative"),
+    pytest.param(request_from_xml,
+                 "<dataGridRequest><gridUser>u</gridUser>"
+                 "<flowStatusQuery requestId='r' maxDepth='deep'/>"
+                 "</dataGridRequest>",
+                 "maxDepth", "deep", id="maxDepth"),
+    pytest.param(response_from_xml, response_text(
+        "<requestRejection requestId='r' reason='queue-full' "
+        "retryAfter='soon'/>"),
+        "retryAfter", "soon", id="retryAfter"),
 ])
 def test_malformed_attribute_is_a_parse_error(reader, text, attribute, value):
     with pytest.raises(DGLParseError,

@@ -11,10 +11,13 @@ import json
 
 import pytest
 
+from repro.dfms import ExecutionMonitor
 from repro.dgl import DataGridRequest, ExecutionState, flow_builder
 from repro.errors import SimError
+from repro.provenance import ProvenanceStore, attach_to_server
 from repro.sim import Environment
 from repro.telemetry import attach_observability, attach_telemetry
+from repro.telemetry.events import engine_fields
 from repro.telemetry.slo import (
     FaultWindowProbe,
     QueueDepthProbe,
@@ -148,6 +151,51 @@ def test_attach_observability_is_idempotent(dfms):
     assert second.slo is first.slo
     assert second.telemetry is first.telemetry
     assert len(dfms.server.engine.listeners) == listeners
+
+
+def test_recorder_is_fed_only_through_the_session(dfms):
+    telemetry = attach_telemetry(dfms.env, server=dfms.server)
+    listeners = list(dfms.server.engine.listeners)
+    # No server here: the recorder still hears the session's engine
+    # events, because the session is its one feed.
+    obs = attach_observability(dfms.env)
+    assert dfms.server.engine.listeners == listeners
+    assert obs.telemetry is telemetry
+    submit(dfms, flow_builder("fed")
+           .step("a", "dgl.sleep", duration=1).build())
+    dfms.env.run()
+    kinds = [record.kind for record in obs.recorder.ring]
+    assert "engine.step_completed" in kinds
+    assert "engine.execution_completed" in kinds
+
+
+def test_each_engine_event_is_one_object(dfms):
+    store = ProvenanceStore()
+    attach_to_server(store, dfms.server)
+    obs = attach_observability(dfms.env, server=dfms.server)
+    monitor = ExecutionMonitor(dfms.server)
+    watched = []
+    monitor.watch(watched.append, kind="step_completed")
+    submit(dfms, flow_builder("shared")
+           .step("a", "dgl.sleep", duration=1).build())
+    dfms.env.run()
+    event, = watched
+    pending = [entry for entry in obs.telemetry._engine_pending
+               if entry.kind == "step_completed"]
+    assert len(pending) == 1 and pending[0] is event
+    record = next(record for record in store.records()
+                  if record.operation == "step_completed")
+    assert record.detail is event.detail
+    assert record.actor == event.user == dfms.alice.qualified_name
+    # The recorder's live record and the export's folded record carry
+    # the same fields, built by one encoder.
+    live = next(entry for entry in obs.recorder.ring
+                if entry.kind == "engine.step_completed")
+    assert live.fields == engine_fields(event)
+    obs.telemetry.collect()
+    folded, = [entry for entry in obs.telemetry.log.records
+               if entry.kind == "engine.step_completed"]
+    assert folded.fields == live.fields
 
 
 # -- probe units -----------------------------------------------------------

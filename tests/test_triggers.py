@@ -278,6 +278,18 @@ def test_parsed_trigger_actually_fires(dfms):
     assert obj.metadata.get("seen") == 1
 
 
+@pytest.mark.parametrize("enabled", [True, False])
+def test_trigger_xml_keeps_enabled(dfms, enabled):
+    from repro.dgl import Operation
+    from repro.triggers import trigger_from_xml, trigger_to_xml
+    original = DatagridTrigger(
+        name="toggle", owner=dfms.alice,
+        kinds=frozenset({EventKind.INSERT}),
+        action=Operation("dgl.noop", {}), enabled=enabled)
+    parsed = trigger_from_xml(trigger_to_xml(original), dfms.dgms.users)
+    assert parsed.enabled is enabled
+
+
 def test_trigger_xml_errors(dfms):
     from repro.errors import DGLParseError
     from repro.triggers import trigger_from_xml
@@ -292,7 +304,8 @@ def test_trigger_xml_errors(dfms):
             '</datagridTrigger>', dfms.dgms.users)
     for attributes, kind in [('', 'sideways'), ('phase="during"', 'insert'),
                              ('priority="high"', 'insert'),
-                             ('maxFirings="1.5"', 'insert')]:
+                             ('maxFirings="1.5"', 'insert'),
+                             ('enabled="True"', 'insert')]:
         with pytest.raises(DGLParseError, match="malformed"):
             trigger_from_xml(
                 f'<datagridTrigger name="t" owner="alice@sdsc" {attributes}>'
