@@ -84,6 +84,14 @@ class FlowCancelled(ReproError):
     """Internal control-flow signal: the execution was cancelled."""
 
 
+def _collected(branch) -> None:
+    """Mark a parallel branch's failure handled: its parent re-raises it
+    once every earlier branch has settled, so the kernel must not treat
+    it as an un-waited failure in the meantime."""
+    if not branch._ok:
+        branch.defused = True
+
+
 class EngineEvent(NamedTuple):
     """One engine progress event, built once and shared by every listener
     (so ``detail`` is read-only to all of them)."""
@@ -294,9 +302,12 @@ class FlowEngine:
         # reaches their steps as the closed-over `span` argument; pin it
         # on the process too so any work that reads the active process's
         # span context (rules spawning, transfers) parents correctly.
+        # The loop below collects every branch's outcome, so a branch
+        # that fails before the parent waits on it is marked handled.
         def _branch(child, child_status):
             process = self.env.process(_bounded(child, child_status))
             process._tspan = span
+            process.callbacks.append(_collected)
             return process
 
         processes = [_branch(child, child_status)

@@ -20,13 +20,18 @@ defining property of a datagrid.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional
 
 from repro.errors import GridError, NamespaceError, ReplicaError, Retryable
 from repro.grid.acl import Permission, readable
 from repro.grid.domains import DomainRegistry, DomainRole
-from repro.grid.events import EventBus, EventKind, EventPhase, NamespaceEvent
+from repro.grid.events import (
+    EMPTY_DETAIL,
+    EventBus,
+    EventKind,
+    EventPhase,
+    NamespaceEvent,
+)
 from repro.grid.metadata import MetadataValue
 from repro.grid.namespace import (
     Collection,
@@ -47,16 +52,16 @@ from repro.storage.resource import PhysicalStorageResource
 __all__ = ["DataGridManagementSystem", "OperationRecord"]
 
 
-@dataclass(frozen=True)
-class OperationRecord:
-    """One completed DGMS operation, as reported to provenance listeners."""
+class OperationRecord(NamedTuple):
+    """One completed DGMS operation, built once and shared by every
+    provenance listener (so ``detail`` is read-only to all of them)."""
 
     operation: str
     user: Optional[str]
     path: str
     start_time: float
     end_time: float
-    detail: Dict[str, object] = field(default_factory=dict)
+    detail: Mapping[str, object] = EMPTY_DETAIL
 
 
 class DataGridManagementSystem:
@@ -129,19 +134,19 @@ class DataGridManagementSystem:
 
     def _emit(self, kind: EventKind, phase: EventPhase, path: str,
               user: Optional[User], **detail) -> None:
-        self.events.publish(NamespaceEvent(
-            kind=kind, phase=phase, path=path, time=self.env.now,
-            user=user.qualified_name if user else None, detail=detail))
+        self.events.publish(tuple.__new__(NamespaceEvent, (
+            kind, phase, path, self.env._now,
+            user.qualified_name if user else None, detail)))
 
     def _record(self, operation: str, user: Optional[User], path: str,
                 start_time: float, **detail) -> None:
-        record = OperationRecord(
-            operation=operation,
-            user=user.qualified_name if user else None,
-            path=path, start_time=start_time, end_time=self.env.now,
-            detail=detail)
-        for listener in self.operation_listeners:
-            listener(record)
+        listeners = self.operation_listeners
+        if listeners:
+            record = tuple.__new__(OperationRecord, (
+                operation, user.qualified_name if user else None, path,
+                start_time, self.env._now, detail))
+            for listener in listeners:
+                listener(record)
 
     def _registered(self, replica: Replica) -> RegisteredResource:
         return self.resources.physical(replica.physical_name)

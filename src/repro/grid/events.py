@@ -17,10 +17,15 @@ same event", and the ordering experiments need that behaviour to be real.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from types import MappingProxyType
+from typing import Callable, List, Mapping, NamedTuple, Optional
 
-__all__ = ["EventKind", "EventPhase", "NamespaceEvent", "EventBus"]
+__all__ = ["EventKind", "EventPhase", "NamespaceEvent", "EventBus",
+           "EMPTY_DETAIL"]
+
+#: The default ``detail`` of the DGMS's event records: an empty mapping
+#: that no listener can mutate (a shared ``{}`` would leak writes).
+EMPTY_DETAIL: Mapping[str, object] = MappingProxyType({})
 
 
 class EventKind(enum.Enum):
@@ -44,16 +49,16 @@ class EventPhase(enum.Enum):
     AFTER = "after"
 
 
-@dataclass(frozen=True)
-class NamespaceEvent:
-    """One observed change to the logical namespace."""
+class NamespaceEvent(NamedTuple):
+    """One observed change to the logical namespace, built once and
+    shared by every subscriber (so ``detail`` is read-only to all)."""
 
     kind: EventKind
     phase: EventPhase
     path: str
     time: float
     user: Optional[str] = None           # qualified acting-user name
-    detail: Dict[str, object] = field(default_factory=dict)
+    detail: Mapping[str, object] = EMPTY_DETAIL
 
 
 #: Subscriber callback signature.

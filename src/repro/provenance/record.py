@@ -14,6 +14,11 @@ paper's requirement:
   pause/resume, execution lifecycle);
 * ``pipeline`` — application-level annotations recorded explicitly by
   business logic (the archival-pipeline operations).
+
+The first two are built from the producers' own records
+(:meth:`ProvenanceRecord.from_operation`,
+:meth:`ProvenanceRecord.from_engine_event`), which the store keeps as
+they are until the first read.
 """
 
 from __future__ import annotations
@@ -28,9 +33,15 @@ __all__ = ["ProvenanceRecord", "CATEGORIES"]
 CATEGORIES = ("dgms", "engine", "pipeline")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProvenanceRecord:
-    """One immutable provenance fact."""
+    """One immutable provenance fact.
+
+    The category and operation checks run when the record is built: for
+    a record converted from a producer's own record, that is at the
+    store's first read, not when the event happened. The engine and the
+    DGMS never produce an empty operation, so no run sees the difference.
+    """
 
     category: str                 # dgms | engine | pipeline
     operation: str                # e.g. "put", "step_completed", "ocr"
@@ -50,6 +61,30 @@ class ProvenanceRecord:
     def to_dict(self) -> dict:
         """Plain-dict form (for the JSON-lines store)."""
         return asdict(self)
+
+    @classmethod
+    def from_operation(cls, record) -> "ProvenanceRecord":
+        """The ``dgms`` record of one
+        :class:`~repro.grid.dgms.OperationRecord`."""
+        operation, user, path, start_time, end_time, detail = record
+        # The producer's read-only default detail becomes a plain dict,
+        # so to_dict and the JSON-lines store can serialize it.
+        if type(detail) is not dict:
+            detail = dict(detail)
+        return cls(category="dgms", operation=operation, subject=path,
+                   time=start_time, actor=user, end_time=end_time,
+                   detail=detail)
+
+    @classmethod
+    def from_engine_event(cls, event) -> "ProvenanceRecord":
+        """The ``engine`` record of one
+        :class:`~repro.dfms.engine.EngineEvent`; its subject is
+        ``request_id/instance_key``, or the request id for the root."""
+        kind, request_id, instance_key, time, detail, user = event
+        subject = (f"{request_id}/{instance_key}" if instance_key
+                   else request_id)
+        return cls(category="engine", operation=kind, subject=subject,
+                   time=time, actor=user, detail=detail)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProvenanceRecord":

@@ -5,6 +5,14 @@ process restarts — the paper's "query … any time, even (years) after the
 execution" requirement means provenance must outlive both the execution
 and the server that ran it. An in-memory index by subject keeps audit
 queries fast as history grows (experiment E12 measures this).
+
+An in-memory store keeps each engine event and DGMS operation as the
+record its producer already built, in a pending tail: recording one
+costs a list append and builds nothing. The first read converts the
+tail into :class:`ProvenanceRecord`\\ s, in arrival order, and indexes
+them; so does appending a :class:`ProvenanceRecord`, which keeps the
+append order. A file-backed store converts and writes each entry
+through as it arrives.
 """
 
 from __future__ import annotations
@@ -13,10 +21,18 @@ import json
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from repro.dfms.engine import EngineEvent
 from repro.errors import ProvenanceError
+from repro.grid.dgms import OperationRecord
 from repro.provenance.record import ProvenanceRecord
 
 __all__ = ["ProvenanceStore"]
+
+#: Producer record type -> its converter, one per producer kind.
+_CONVERTERS = {
+    EngineEvent: ProvenanceRecord.from_engine_event,
+    OperationRecord: ProvenanceRecord.from_operation,
+}
 
 
 class ProvenanceStore:
@@ -26,6 +42,8 @@ class ProvenanceStore:
         self._path = Path(path) if path is not None else None
         self._records: List[ProvenanceRecord] = []
         self._by_subject: Dict[str, List[int]] = {}
+        #: Producer records not converted yet, in arrival order.
+        self._pending: list = []
         self._file = None
         if self._path is not None and self._path.exists():
             self._load()
@@ -67,25 +85,53 @@ class ProvenanceStore:
         self._by_subject.setdefault(record.subject, []).append(
             len(self._records) - 1)
 
-    def append(self, record: ProvenanceRecord) -> None:
-        """Add one record (written through to the file, if any)."""
-        self._index(record)
+    def _settle(self) -> None:
+        """Convert and index the pending tail in arrival order, dropping
+        each producer record as it is converted."""
+        pending = self._pending
+        pending.reverse()
+        try:
+            while pending:
+                entry = pending.pop()
+                self._index(_CONVERTERS[entry.__class__](entry))
+        finally:
+            # A failed conversion leaves the rest pending, in order.
+            pending.reverse()
+
+    def append(self, entry) -> None:
+        """Add one entry: a :class:`ProvenanceRecord`, an
+        :class:`~repro.dfms.engine.EngineEvent` or an
+        :class:`~repro.grid.dgms.OperationRecord` (written through to the
+        file, if any)."""
+        convert = _CONVERTERS.get(entry.__class__)
+        if convert is not None:
+            if self._file is None:
+                self._pending.append(entry)
+                return
+            entry = convert(entry)
+        elif not isinstance(entry, ProvenanceRecord):
+            raise ProvenanceError(
+                f"cannot record a {type(entry).__name__}")
+        self._settle()
+        self._index(entry)
         if self._file is not None:
-            self._file.write(json.dumps(record.to_dict(), sort_keys=True))
+            self._file.write(json.dumps(entry.to_dict(), sort_keys=True))
             self._file.write("\n")
             self._file.flush()
 
     # -- reading ------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._records) + len(self._pending)
 
     def records(self) -> List[ProvenanceRecord]:
         """All records, in append order."""
+        self._settle()
         return list(self._records)
 
     def for_subject(self, subject: str) -> List[ProvenanceRecord]:
         """All records about one subject, in append order (indexed)."""
+        self._settle()
         return [self._records[i] for i in self._by_subject.get(subject, ())]
 
     def query(self, subject_prefix: Optional[str] = None,
@@ -95,6 +141,7 @@ class ProvenanceStore:
               since: Optional[float] = None,
               until: Optional[float] = None) -> List[ProvenanceRecord]:
         """Filtered scan; every criterion is optional and conjunctive."""
+        self._settle()
         out = []
         for record in self._records:
             if subject_prefix is not None and not record.subject.startswith(

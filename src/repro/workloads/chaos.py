@@ -139,7 +139,7 @@ def run_signature(scenario: Scenario) -> Tuple:
         scenario.dgms.transfers.total_bytes_moved,
         tuple(sorted((e.request_id, e.state.value, e.finished_at)
                      for e in scenario.server.executions())),
-        len(scenario.provenance.records()),
+        len(scenario.provenance),
     )
 
 

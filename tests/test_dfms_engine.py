@@ -291,6 +291,27 @@ def test_parallel_failure_waits_for_siblings(dfms):
     assert slow.state is ExecutionState.COMPLETED
 
 
+@pytest.mark.parametrize("max_concurrent", [0, 1, 2])
+@pytest.mark.parametrize("failing_first", [False, True])
+def test_parallel_branch_failure_fails_execution(dfms, failing_first,
+                                                 max_concurrent):
+    # A branch that fails while the parent still waits on an earlier one
+    # must fail the execution once every branch settles, not escape
+    # env.run().
+    slow = flow_builder("slow").step("nap", "dgl.sleep", duration=5)
+    broken = (flow_builder("broken")
+              .step("boom", "dgl.fail", message="branch failed"))
+    builder = flow_builder("par").parallel(max_concurrent=max_concurrent)
+    for branch in ((broken, slow) if failing_first else (slow, broken)):
+        builder.subflow(branch)
+    status = submit(dfms, builder.build()).body
+    assert status.state is ExecutionState.FAILED
+    assert "branch failed" in status.error
+    assert status.finished_at == dfms.env.now == 5.0
+    assert {child.name: child.state for child in status.children} == {
+        "slow": ExecutionState.COMPLETED, "broken": ExecutionState.FAILED}
+
+
 # -- pause / resume / cancel ---------------------------------------------------
 
 def test_pause_stops_progress_then_resume_continues(dfms):

@@ -11,7 +11,9 @@ byte-identical:
 * one seeded CMS run with provenance, an ``ExecutionMonitor`` watcher
   and ``attach_observability`` all attached: the provenance records,
   what the watcher and a waiter received, the JSONL export, a recorder
-  dump and the Prometheus text.
+  dump and the Prometheus text;
+* the same run with a second, file-backed provenance store attached:
+  the bytes of its JSON-lines file.
 """
 
 import hashlib
@@ -22,6 +24,7 @@ import pytest
 from repro.dfms import ExecutionMonitor
 from repro.dgl import DataGridRequest, ExecutionState, flow_builder
 from repro.faults import FaultSchedule, attach_faults, attach_recovery
+from repro.provenance import ProvenanceStore, attach_to_dgms, attach_to_server
 from repro.sim.rng import RandomStreams
 from repro.storage import MB
 from repro.telemetry import (
@@ -65,8 +68,9 @@ def test_chaos_observer_outputs_match_pins(seed, tmp_path):
         CHAOS_PINS[seed]
 
 
-def _cms_run():
-    """A seeded CMS run with every engine-event observer attached."""
+def _cms_run(provenance=None):
+    """A seeded CMS run with every engine-event observer attached (plus
+    ``provenance``, a second store, when given)."""
     scenario = cms_scenario(n_tier1=2, n_tier2_per_t1=1, n_events=4,
                             event_size=16 * MB, seed=11)
     env, server, dgms = scenario.env, scenario.server, scenario.dgms
@@ -78,6 +82,9 @@ def _cms_run():
     attach_faults(dgms, FaultSchedule.random(streams, dgms, 30.0,
                                              n_events=4), streams)
     attach_recovery(dgms, streams)
+    if provenance is not None:
+        attach_to_dgms(provenance, dgms)
+        attach_to_server(provenance, server)
     user = scenario.users["physicist"].qualified_name
     paths = [obj.path for obj in
              dgms.namespace.iter_objects_in_path_order("/cms/run1")]
@@ -161,3 +168,18 @@ def test_cms_observer_outputs_match_pins():
     assert all(outputs.values())
     assert {name: _digest(lines) for name, lines in outputs.items()} == \
         CMS_PINS
+
+
+#: sha256 of a file-backed provenance store's JSON-lines file after the
+#: CMS run: every record as written through, byte for byte.
+CMS_PROVENANCE_FILE_PIN = \
+    "1b69ea409510321929ef0e0f77b4f3b452823e6c5b0173b2e84147c5b88f0f7e"
+
+
+def test_cms_file_backed_provenance_matches_pin(tmp_path):
+    path = tmp_path / "provenance.jsonl"
+    with ProvenanceStore(str(path)) as store:
+        _cms_run(provenance=store)
+    data = path.read_bytes()
+    assert b'"category": "dgms"' in data and b'"category": "engine"' in data
+    assert hashlib.sha256(data).hexdigest() == CMS_PROVENANCE_FILE_PIN

@@ -1,8 +1,17 @@
 """Tests for the provenance record model, store, and wiring."""
 
+import gc
+
 import pytest
 
+from repro.dfms.engine import EngineEvent
 from repro.errors import ProvenanceError
+from repro.grid import (
+    EventKind,
+    EventPhase,
+    NamespaceEvent,
+    OperationRecord,
+)
 from repro.provenance import (
     ProvenanceRecord,
     ProvenanceStore,
@@ -10,8 +19,9 @@ from repro.provenance import (
     attach_to_server,
     record_pipeline_operation,
 )
-from repro.dgl import flow_builder
+from repro.dgl import DataGridRequest, flow_builder
 from repro.storage import MB
+from repro.workloads import cms_scenario
 
 
 def rec(subject="/x", operation="put", category="dgms", time=1.0, **kw):
@@ -136,3 +146,98 @@ def test_pipeline_operations_recorded():
     (record,) = store.records()
     assert record.category == "pipeline"
     assert record.detail == {"dpi": 300}
+
+
+# -- producer records and the pending tail ------------------------------------
+
+def test_dgms_records_keep_keyword_construction_and_field_order():
+    record = OperationRecord(operation="put", user="alice@sdsc", path="/a",
+                             start_time=1.0, end_time=2.0,
+                             detail={"size": 5})
+    assert OperationRecord._fields == (
+        "operation", "user", "path", "start_time", "end_time", "detail")
+    assert tuple(record) == ("put", "alice@sdsc", "/a", 1.0, 2.0,
+                             {"size": 5})
+    assert (record.operation, record.user, record.path, record.start_time,
+            record.end_time) == ("put", "alice@sdsc", "/a", 1.0, 2.0)
+    event = NamespaceEvent(kind=EventKind.INSERT, phase=EventPhase.AFTER,
+                           path="/a", time=3.0)
+    assert NamespaceEvent._fields == (
+        "kind", "phase", "path", "time", "user", "detail")
+    assert (event.kind, event.phase, event.path, event.time, event.user) == (
+        EventKind.INSERT, EventPhase.AFTER, "/a", 3.0, None)
+
+
+def test_default_detail_cannot_be_mutated():
+    for record in (OperationRecord("put", None, "/a", 0.0, 1.0),
+                   NamespaceEvent(EventKind.INSERT, EventPhase.BEFORE, "/a",
+                                  0.0)):
+        with pytest.raises(TypeError):
+            record.detail["leak"] = 1
+        assert dict(record.detail) == {}
+    store = ProvenanceStore()
+    store.append(OperationRecord("put", None, "/a", 0.0, 1.0))
+    (converted,) = store.records()
+    assert type(converted.detail) is dict and converted.to_dict()["detail"] == {}
+
+
+def test_dgms_builds_each_record_once_for_every_listener(grid):
+    records, more_records, events, more_events = [], [], [], []
+    grid.dgms.operation_listeners += [records.append, more_records.append]
+    grid.dgms.events.subscribe(events.append)
+    grid.dgms.events.subscribe(more_events.append)
+    grid.put_file("/home/alice/a.dat", size=MB)
+    assert records and events
+    assert all(type(r) is OperationRecord for r in records)
+    assert all(type(e) is NamespaceEvent for e in events)
+    assert all(a is b for a, b in zip(records, more_records))
+    assert all(a is b for a, b in zip(events, more_events))
+
+
+def test_wiring_subscribes_the_store_itself(dfms):
+    store = ProvenanceStore()
+    attach_to_dgms(store, dfms.dgms)
+    attach_to_server(store, dfms.server)
+    assert dfms.dgms.operation_listeners[-1] == store.append
+    assert dfms.server.engine.listeners[-1] == store.append
+
+
+def _live_provenance_records():
+    gc.collect()
+    return sum(1 for obj in gc.get_objects()
+               if type(obj) is ProvenanceRecord)
+
+
+def test_no_provenance_record_is_built_before_the_first_read():
+    before = _live_provenance_records()
+    scenario = cms_scenario(n_tier1=2, n_tier2_per_t1=1, n_events=4,
+                            event_size=16 * MB, seed=11)
+    stage = flow_builder("stage")
+    for index, obj in enumerate(scenario.dgms.namespace.
+                                iter_objects_in_path_order("/cms/run1")):
+        stage.step(f"rep-{index}", "srb.replicate", path=obj.path,
+                   resource=scenario.extras["tier1_resources"][0])
+    response = scenario.run(scenario.server.submit_sync(DataGridRequest(
+        user=scenario.users["physicist"].qualified_name,
+        virtual_organization="cms", body=stage.build())))
+    assert response.body.state.value == "completed"
+    recorded = len(scenario.provenance)
+    assert recorded > 0
+    assert _live_provenance_records() == before
+    records = scenario.provenance.records()
+    assert len(records) == recorded
+    assert {record.category for record in records} == {"dgms", "engine"}
+    assert _live_provenance_records() == before + recorded
+
+
+def test_entries_are_checked_when_appended_or_converted():
+    store = ProvenanceStore()
+    with pytest.raises(ProvenanceError, match="cannot record"):
+        store.append({"category": "dgms"})
+    store.append(OperationRecord("", None, "/bad", 0.0, 0.0))
+    store.append(EngineEvent("step_started", "dgr-1", "s", 1.0, {}, None))
+    assert len(store) == 2
+    # The checks run at the first read; the entries after a bad one stay.
+    with pytest.raises(ProvenanceError, match="operation cannot be empty"):
+        store.records()
+    assert [r.subject for r in store.records()] == ["dgr-1/s"]
