@@ -90,13 +90,10 @@ class ProvenanceStore:
         each producer record as it is converted."""
         pending = self._pending
         pending.reverse()
-        try:
-            while pending:
-                entry = pending.pop()
-                self._index(_CONVERTERS[entry.__class__](entry))
-        finally:
-            # A failed conversion leaves the rest pending, in order.
-            pending.reverse()
+        index = self._index
+        while pending:
+            entry = pending.pop()
+            index(_CONVERTERS[entry.__class__](entry))
 
     def append(self, entry) -> None:
         """Add one entry: a :class:`ProvenanceRecord`, an
@@ -106,6 +103,11 @@ class ProvenanceStore:
         convert = _CONVERTERS.get(entry.__class__)
         if convert is not None:
             if self._file is None:
+                # Field 0 of both producer records is the operation, the
+                # one field a conversion checks: check it now, so a bad
+                # entry fails at its producer and never at a read.
+                if not entry[0]:
+                    raise ProvenanceError("operation cannot be empty")
                 self._pending.append(entry)
                 return
             entry = convert(entry)

@@ -19,6 +19,7 @@ anything (a single lifetime sample).
 from __future__ import annotations
 
 from functools import partial
+from operator import itemgetter
 from typing import List, Tuple
 
 from repro.telemetry.events import (EventLog, TelemetryRecord,
@@ -244,6 +245,21 @@ class Telemetry:
         if recorder is not None:
             recorder.record("net.transfer", transfer_fields(stats))
 
+    def fold_log(self) -> None:
+        """Materialize the deferred engine events and transfer completions
+        into counters and the event log, and keep the log in sim-time
+        order: what log readers such as the SLO probes need.
+        :meth:`collect` does this too, and then folds the metrics."""
+        if not (self._engine_pending or self.net_pending):
+            return
+        self._fold_engine_events()
+        self._fold_net_transfers()
+        # Live emitters (ILM, triggers) interleave with the deferred
+        # folds above; restore sim-time order (stable, so same-time
+        # records keep their emission order). Live emits stamp the
+        # current time, so the log stays ordered until the next fold.
+        self.log.records.sort(key=itemgetter(0))
+
     def _fold_engine_events(self) -> None:
         """Materialize pending engine bus events (counters + log)."""
         pending = self._engine_pending
@@ -302,12 +318,7 @@ class Telemetry:
         """
         for collector in self.collectors:
             collector()
-        self._fold_engine_events()
-        self._fold_net_transfers()
-        # Live emitters (ILM, triggers) interleave with the deferred
-        # folds above; restore sim-time order (stable, so same-time
-        # records keep their emission order).
-        self.log.records.sort(key=lambda record: record[0])
+        self.fold_log()
         metric = self.metrics
         metric.counter(
             "sim_events_scheduled_total",

@@ -285,14 +285,16 @@ class StallProbe:
         server = engine.server
         if server is None:
             return []
+        live = [execution for execution in server.executions()
+                if not execution.state.is_terminal]
+        if not live:
+            return []
         last_seen: Dict[str, float] = {}
         for record in engine.telemetry.log.records:
             if record.kind.startswith("engine."):
                 last_seen[record.fields["request_id"]] = record.time
         alerts = []
-        for execution in server.executions():
-            if execution.state.is_terminal:
-                continue
+        for execution in live:
             last = last_seen.get(execution.request_id,
                                  execution.submitted_at)
             quiet = now - last
@@ -349,13 +351,14 @@ class SLOEngine:
     def evaluate(self, now: Optional[float] = None) -> List[Alert]:
         """Run every probe; returns (and remembers) the *new* alerts.
 
-        Folds the telemetry session first so probes see materialized
-        engine events and transfer completions. A breach already alerted
-        on (same probe, window, labels) is not re-raised, so calling this
-        every N sim-seconds from a watchdog process is safe.
+        Folds the telemetry session's log first so probes see
+        materialized engine events and transfer completions; the metric
+        folds wait for an export. A breach already alerted on (same
+        probe, window, labels) is not re-raised, so calling this every N
+        sim-seconds from a watchdog process is safe.
         """
         telemetry = self.telemetry
-        telemetry.collect()
+        telemetry.fold_log()
         instant = telemetry.env.now if now is None else now
         fresh: List[Alert] = []
         for probe in self.probes:

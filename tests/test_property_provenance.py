@@ -6,9 +6,10 @@ read. This state machine feeds it random interleavings of engine events,
 DGMS records and ``ProvenanceRecord`` appends, with ``len``, ``records``,
 ``for_subject`` and ``query`` calls in between, and checks every answer
 (order and ``detail`` identity included) against a model that builds one
-``ProvenanceRecord`` per event as it arrives. A file-backed store fed the
-same entries must give the same answers and write the model's JSON lines
-byte for byte.
+``ProvenanceRecord`` per event as it arrives. A producer record with an
+empty operation must be refused at append, leaving the store as it was.
+A file-backed store fed the same entries must give the same answers and
+write the model's JSON lines byte for byte.
 """
 
 import json
@@ -16,10 +17,12 @@ import os
 import tempfile
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import settings
 from hypothesis.stateful import RuleBasedStateMachine, rule
 
 from repro.dfms.engine import EngineEvent
+from repro.errors import ProvenanceError
 from repro.grid.dgms import OperationRecord
 from repro.provenance import CATEGORIES, ProvenanceRecord, ProvenanceStore
 
@@ -95,6 +98,14 @@ class StoreMachine(RuleBasedStateMachine):
                                   subject=subject, time=time, actor=actor,
                                   detail=detail)
         self._feed(record, record)
+
+    @rule(engine=st.booleans(), path=paths, time=times)
+    def empty_operation(self, engine, path, time):
+        entry = (EngineEvent("", "dgr-1", "s", time, {}, None) if engine
+                 else OperationRecord("", None, path, time, time))
+        for store in self.stores:
+            with pytest.raises(ProvenanceError):
+                store.append(entry)
 
     # -- reads --------------------------------------------------------------
 

@@ -230,14 +230,18 @@ def test_no_provenance_record_is_built_before_the_first_read():
     assert _live_provenance_records() == before + recorded
 
 
-def test_entries_are_checked_when_appended_or_converted():
-    store = ProvenanceStore()
+@pytest.mark.parametrize("path", [None, "provenance.jsonl"])
+def test_entries_are_checked_when_appended(tmp_path, path):
+    store = ProvenanceStore(None if path is None else tmp_path / path)
     with pytest.raises(ProvenanceError, match="cannot record"):
         store.append({"category": "dgms"})
-    store.append(OperationRecord("", None, "/bad", 0.0, 0.0))
     store.append(EngineEvent("step_started", "dgr-1", "s", 1.0, {}, None))
+    for bad in (OperationRecord("", None, "/bad", 0.0, 0.0),
+                EngineEvent("", "dgr-1", "s", 2.0, {}, None)):
+        with pytest.raises(ProvenanceError,
+                           match="operation cannot be empty"):
+            store.append(bad)
+    assert len(store) == 1
+    store.append(OperationRecord("put", None, "/a", 3.0, 4.0))
+    assert [r.subject for r in store.records()] == ["dgr-1/s", "/a"]
     assert len(store) == 2
-    # The checks run at the first read; the entries after a bad one stay.
-    with pytest.raises(ProvenanceError, match="operation cannot be empty"):
-        store.records()
-    assert [r.subject for r in store.records()] == ["dgr-1/s"]
