@@ -12,6 +12,12 @@ claims and one safety claim:
 * **stale but never wrong** — every locate answer is re-verified against
   the authoritative per-zone catalogs; false positives cost a wasted
   query, never a phantom location.
+* **incremental publication** — a zone's guids are kept partitioned by
+  shard, so republishing one dirty shard costs that shard's members, not
+  the zone's whole catalog. Each size's row records the mean time of a
+  one-dirty-shard ``publish_shards``, the build time, and how far the
+  build raised the process's peak RSS (reported, not gated: the kernel
+  and observability benchmarks already show this host's timing noise).
 * **chaos survival** — a ≥10-seed sweep of cross-zone copy workloads
   under zone outages and bridge degradations must hold every federation
   invariant (no lost replicas, zero wrong RLS answers, terminal copy
@@ -25,6 +31,9 @@ The smoke shape indexes 2k and 20k objects instead of 10k to 1M and
 sweeps 3 of the 10 seeds, so it skips the speedup, flatness and baseline
 gates.
 """
+
+import gc
+import resource
 
 from _helpers import (
     REPO_ROOT,
@@ -83,6 +92,23 @@ def _build_federation_index(total_objects: int):
     return service, flat, guids
 
 
+def _peak_rss_mb() -> float:
+    """The process's peak resident set size so far, in MB (Linux
+    reports ``ru_maxrss`` in KB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def _flush_one_shard_s(service: ReplicaLocationService) -> float:
+    """Mean wall seconds to republish one dirty shard of one zone,
+    over every shard of zone ``z0``."""
+
+    def run():
+        for shard_index in range(N_SHARDS):
+            service.publish_shards("z0", [shard_index])
+
+    return timed(run) / N_SHARDS
+
+
 def _probe_guids(guids: list, count: int) -> list:
     step = max(1, len(guids) // count)
     return guids[::step][:count]
@@ -103,14 +129,21 @@ def test_e25_sharded_rls_lookup_scales_flat(benchmark, experiment):
         "E25a", "two-tier RLS vs flat catalog: lookup cost vs federation "
         "size",
         header=["objects", "sharded_us", "flat_us", "speedup",
-                "index_kb", "fp"],
+                "index_kb", "fp", "build_s", "rss_mb", "flush_ms"],
         expectation=f"sharded lookup ~flat with size and >= "
                     f"{SPEEDUP_GATE:.0f}x the flat scan at the largest "
                     "federation")
 
     rows = []
     for total in SIZES:
-        service, flat, guids = _build_federation_index(total)
+        gc.collect()   # the previous size's federation is garbage now
+        peak_before = _peak_rss_mb()
+        built = []
+        build_s = timed(
+            lambda: built.append(_build_federation_index(total)))
+        rss_growth_mb = _peak_rss_mb() - peak_before
+        service, flat, guids = built.pop()
+        flush_s = _flush_one_shard_s(service)
         probes = _probe_guids(guids, SHARDED_PROBES)
         # Shard-touch accounting: every answer comes from exactly one
         # shard, checks at most one digest per zone, and is verified.
@@ -137,11 +170,16 @@ def test_e25_sharded_rls_lookup_scales_flat(benchmark, experiment):
             "speedup": round(speedup, 2),
             "index_bytes": service.index.size_bytes,
             "false_positives": service.false_positives,
+            "build_s": round(build_s, 3),
+            "peak_rss_growth_mb": round(rss_growth_mb, 1),
+            "flush_one_shard_ms": round(flush_s * 1e3, 3),
         })
         report.row(total, round(sharded_s * 1e6, 2),
                    round(flat_s * 1e6, 2), round(speedup, 1),
                    round(service.index.size_bytes / 1024, 1),
-                   service.false_positives)
+                   service.false_positives, round(build_s, 2),
+                   round(rss_growth_mb, 1), round(flush_s * 1e3, 3))
+        del service, flat, guids, probes, flat_probes
 
     flatness = rows[-1]["sharded_us"] / rows[0]["sharded_us"]
     report.conclusion = (

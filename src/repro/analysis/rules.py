@@ -425,6 +425,23 @@ class LabelCardinality(Rule):
                            "unbounded cardinality — move it to log.emit() "
                            "or label with a closed enum")
 
+    def visit_Subscript(self, node: ast.Subscript, ctx: LintContext) -> None:
+        """Flag ``.bound[...]`` label values carrying unbounded
+        identifiers (the values are positional, so only their
+        derivation is checked)."""
+        if not (isinstance(node.value, ast.Attribute)
+                and node.value.attr == "bound"):
+            return
+        values = (node.slice.elts if isinstance(node.slice, ast.Tuple)
+                  else [node.slice])
+        for value in values:
+            offender = self._unbounded_reason("", value)
+            if offender is not None:
+                ctx.report(self, node,
+                           f"metric label value {offender}: unbounded "
+                           "cardinality — move it to log.emit() or label "
+                           "with a closed enum")
+
     def _unbounded_reason(self, arg: str, value: ast.AST) -> Optional[str]:
         if split_tokens(arg) & self._UNBOUNDED:
             return "is named like a raw identifier"

@@ -136,8 +136,7 @@ class DgmsCache:
     def _note(self, surface: str, outcome: str) -> None:
         telemetry = self.env.telemetry
         if telemetry is not None:
-            telemetry.cache_requests.labels(
-                surface=surface, outcome=outcome).inc()
+            telemetry.cache_requests.bound[surface, outcome].inc()
 
     def _note_drop(self, cause: str, count: int) -> None:
         if count <= 0:
@@ -145,7 +144,7 @@ class DgmsCache:
         self.invalidations[cause] = self.invalidations.get(cause, 0) + count
         telemetry = self.env.telemetry
         if telemetry is not None:
-            telemetry.cache_invalidations.labels(cause=cause).inc(count)
+            telemetry.cache_invalidations.bound[cause].inc(count)
 
     def _evict(self, reason: str, count: int = 1) -> None:
         self.evictions[reason] = self.evictions.get(reason, 0) + count

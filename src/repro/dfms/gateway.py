@@ -220,21 +220,19 @@ class DfMSGateway:
     def _set_depth_gauge(self) -> None:
         telemetry = self.env.telemetry
         if telemetry is not None:
-            telemetry.gateway_queue_depth.labels(
-                gateway=self.name).set(self._depth)
+            telemetry.gateway_queue_depth.bound[self.name].set(self._depth)
 
     def _note_shed(self, reason: str) -> None:
         self.sheds[reason] = self.sheds.get(reason, 0) + 1
         telemetry = self.env.telemetry
         if telemetry is not None:
-            telemetry.gateway_shed.labels(
-                gateway=self.name, reason=reason).inc()
+            telemetry.gateway_shed.bound[self.name, reason].inc()
 
     def _note_admitted(self) -> None:
         self.admitted += 1
         telemetry = self.env.telemetry
         if telemetry is not None:
-            telemetry.gateway_admitted.labels(gateway=self.name).inc()
+            telemetry.gateway_admitted.bound[self.name].inc()
 
     # -- status-poll coalescing ----------------------------------------------
 
@@ -271,7 +269,7 @@ class DfMSGateway:
         self.coalesced += 1
         telemetry = self.env.telemetry
         if telemetry is not None:
-            telemetry.gateway_coalesced.labels(gateway=self.name).inc()
+            telemetry.gateway_coalesced.bound[self.name].inc()
 
     # -- admission ------------------------------------------------------------
 
@@ -422,9 +420,8 @@ class DfMSGateway:
             self.queue_waits.append(wait)
             telemetry = self.env.telemetry
             if telemetry is not None:
-                telemetry.gateway_queue_wait.labels(
-                    gateway=self.name).samples.append(
-                        (entry.started_at, wait))
+                telemetry.gateway_queue_wait.bound[self.name].samples.append(
+                    (entry.started_at, wait))
             response = self.server.start_flow(entry.request, request_id)
             if response.body.valid:
                 execution = entry.execution = self.server.execution(

@@ -360,7 +360,7 @@ class ScheduleDriver:
         self.log.append((self.env.now, phase, event.kind, event.target))
         t = self.env.telemetry
         if t is not None:
-            t.fault_events.labels(kind=event.kind, phase=phase).inc()
+            t.fault_events.bound[event.kind, phase].inc()
             # start/duration give SLO probes and causal traces the full
             # window geometry from either transition record alone.
             t.log.emit(f"fault.{phase}", fault=event.kind,

@@ -115,7 +115,7 @@ class RecoveryService:
         self.counts[kind] = self.counts.get(kind, 0) + 1
         t = self.env.telemetry
         if t is not None:
-            t.recovery_actions.labels(kind=kind).inc()
+            t.recovery_actions.bound[kind].inc()
             t.log.emit(f"recovery.{kind}", **fields)
 
     def backoff(self, attempt: int, **fields):
@@ -195,7 +195,7 @@ class FlowSupervisor:
             return
         t = self.env.telemetry
         if t is not None:
-            t.recovery_actions.labels(kind="restart").inc()
+            t.recovery_actions.bound["restart"].inc()
             t.log.emit("recovery.restart", **fields)
 
     def run(self, request):

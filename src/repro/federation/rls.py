@@ -22,6 +22,11 @@ consistency contract, **stale but never wrong**:
   LRC query, never a wrong answer — :meth:`locate` returns only
   locations the owning zone vouches for at answer time.
 
+Publication is incremental soft state, as the EDG LRCs update their
+index: the service keeps each zone's guids partitioned by shard, kept
+current by the LRC's own change feed, so republishing a dirty shard
+reads only that shard's members, never the zone's whole catalog.
+
 Per-lookup accounting (shards touched, digests checked, LRC queries,
 false positives, digest staleness) is first-class: the E25 benchmark
 asserts a 1M-object locate touches only its one shard's digests, and
@@ -31,9 +36,12 @@ telemetry mirrors the counters when attached.
 from __future__ import annotations
 
 import zlib
+from functools import partial
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import FederationError
+from repro.federation.sync import DigestSyncer
+from repro.grid.namespace import ReplicaState
 
 __all__ = [
     "BloomDigest",
@@ -56,6 +64,9 @@ BITS_PER_ENTRY = 10
 
 #: Hash probes per digest membership test.
 _PROBES = 4
+
+#: The replica state an LRC vouches for (``DataObject.good_replicas``).
+_GOOD = ReplicaState.GOOD
 
 
 def shard_of(guid: str, n_shards: int) -> int:
@@ -85,13 +96,18 @@ _SALT_A = zlib.crc32(b"rls-a:")
 _SALT_B = zlib.crc32(b"rls-b:")
 
 
-def _hash_pair(guid: str) -> Tuple[int, int]:
+def _hash_pair(data: bytes) -> Tuple[int, int]:
     """The two :func:`_mix`-finalized, salted CRC32s (``h1``, odd
-    ``h2``) from which every digest double-hashes ``guid``'s probe
-    positions."""
-    data = guid.encode()
+    ``h2``) from which every digest double-hashes the probe positions of
+    the guid encoded as ``data``."""
     return (_mix(zlib.crc32(data, _SALT_A)),
             _mix(zlib.crc32(data, _SALT_B)) | 1)
+
+
+#: One shard's members in one zone: guid → its :func:`_hash_pair` (held
+#: for live zones) or None (synthetic zones, hashed at each rebuild).
+#: An insertion-ordered dict, so rebuilding iterates deterministically.
+_Members = Dict[str, Optional[Tuple[int, int]]]
 
 
 class ReplicaLocation(NamedTuple):
@@ -133,9 +149,25 @@ class BloomDigest:
         """A digest sized for ``n_entries`` keys."""
         return cls(max(64, n_entries * bits_per_entry))
 
+    @classmethod
+    def of_members(cls, members: _Members) -> "BloomDigest":
+        """A digest sized for and holding one shard's ``members``; the
+        same bits and count as :meth:`for_capacity` plus :meth:`add` per
+        member (bloom bits do not depend on insertion order)."""
+        digest = cls.for_capacity(len(members))
+        bits = digest.bits
+        n_bits = digest.n_bits
+        for guid, pair in members.items():
+            h1, h2 = pair or _hash_pair(guid.encode())
+            for i in range(_PROBES):
+                position = (h1 + i * h2) % n_bits
+                bits[position >> 3] |= 1 << (position & 7)
+        digest.count = len(members)
+        return digest
+
     def add(self, guid: str) -> None:
         """Set ``guid``'s probe bits (irreversible, as blooms are)."""
-        h1, h2 = _hash_pair(guid)
+        h1, h2 = _hash_pair(guid.encode())
         bits = self.bits
         n_bits = self.n_bits
         for i in range(_PROBES):
@@ -146,11 +178,7 @@ class BloomDigest:
     def might_contain(self, guid: str) -> bool:
         """Membership test: False is definitive, True may be a false
         positive (the caller verifies against the authoritative LRC)."""
-        return self._test_pair(*_hash_pair(guid))
-
-    def _test_pair(self, h1: int, h2: int) -> bool:
-        """:meth:`might_contain` for a guid whose :func:`_hash_pair` is
-        known."""
+        h1, h2 = _hash_pair(guid.encode())
         bits = self.bits
         n_bits = self.n_bits
         for i in range(_PROBES):
@@ -184,14 +212,17 @@ class LocalReplicaCatalog:
         self.zone_name = zone_name
         self.dgms = dgms
         #: Membership-change listeners: ``listener(guid)`` after a guid
-        #: joins or leaves this catalog.
+        #: joins or leaves this catalog (:meth:`holds` says which).
         self.listeners = []
         self._static: Dict[str, Tuple[ReplicaLocation, ...]] = {}
         #: Authoritative queries answered (the "wasted query" accounting
         #: for digest false positives lives at the service level).
         self.queries = 0
+        #: The live zone's catalog (None in synthetic mode).
+        self._catalog = None
         if dgms is not None:
-            dgms.namespace.catalog.listeners.append(self._on_catalog_change)
+            self._catalog = dgms.namespace.catalog
+            self._catalog.listeners.append(self._on_catalog_change)
 
     # -- live mode ------------------------------------------------------------
 
@@ -228,9 +259,17 @@ class LocalReplicaCatalog:
         return list(self._static)
 
     def __len__(self) -> int:
-        if self.dgms is not None:
-            return len(self.dgms.namespace.catalog)
+        if self._catalog is not None:
+            return len(self._catalog)
         return len(self._static)
+
+    def holds(self, guid: str) -> bool:
+        """Whether ``guid`` is a member here now. Unlike
+        :meth:`locations` this counts no query: the service's membership
+        feed asks it."""
+        if self._catalog is not None:
+            return self._catalog.lookup_guid(guid) is not None
+        return guid in self._static
 
     def locations(self, guid: str) -> Tuple[ReplicaLocation, ...]:
         """Authoritative locations for ``guid`` here, now (may be empty).
@@ -239,16 +278,20 @@ class LocalReplicaCatalog:
         digest claimed, only what the zone actually holds is returned.
         """
         self.queries += 1
-        if self.dgms is not None:
-            obj = self.dgms.namespace.lookup_guid(guid)
-            if obj is None:
-                return ()
-            return tuple(
-                ReplicaLocation(self.zone_name, replica.domain,
-                                replica.logical_resource,
-                                replica.physical_name)
-                for replica in obj.good_replicas())
-        return self._static.get(guid, ())
+        catalog = self._catalog
+        if catalog is None:
+            return self._static.get(guid, ())
+        obj = catalog.lookup_guid(guid)
+        if obj is None:
+            return ()
+        zone = self.zone_name
+        # obj.good_replicas(), filtered in place: this runs for every
+        # digest match, and the state enum is a module constant here.
+        return tuple([
+            tuple.__new__(ReplicaLocation, (
+                zone, replica.domain, replica.logical_resource,
+                replica.physical_name))
+            for replica in obj.replicas if replica.state is _GOOD])
 
 
 class _ZoneDigest:
@@ -292,21 +335,6 @@ class ReplicaLocationIndex:
         for shard in self._shards:
             shard.pop(zone_name, None)
 
-    def candidates(self, guid: str) -> Tuple[int, List[Tuple[str, float]]]:
-        """The shard index and the ``(zone, published_at)`` pairs whose
-        digest claims ``guid`` — the only zones worth querying."""
-        index = self.shard_of(guid)
-        shard = self._shards[index]
-        h1, h2 = _hash_pair(guid)
-        matched = [(zone_name, cell.published_at)
-                   for zone_name, cell in shard.items()
-                   if cell.digest._test_pair(h1, h2)]
-        return index, matched
-
-    def digests_in_shard(self, shard_index: int) -> int:
-        """How many zones currently publish a digest into this shard."""
-        return len(self._shards[shard_index])
-
     @property
     def size_bytes(self) -> int:
         """Total compressed index size across all shards and zones."""
@@ -341,15 +369,26 @@ class ReplicaLocationService:
     optional so the index scaling benchmark can run the service as a
     plain data structure; with an environment attached, digest staleness
     is measured in sim time and telemetry counters are mirrored.
+
+    Each registered zone's guids are also kept partitioned by shard,
+    current through the service's own listener on the zone's LRC, so
+    :meth:`publish_shards` rebuilds a digest from its shard's members
+    alone. Live zones keep each member's probe pair too; synthetic zones,
+    which may hold millions of guids, keep only the guid.
     """
 
     def __init__(self, env=None, n_shards: int = DEFAULT_SHARDS) -> None:
         self.env = env
         self.index = ReplicaLocationIndex(n_shards)
         self._lrcs: Dict[str, LocalReplicaCatalog] = {}
+        #: Zone name → one :data:`_Members` dict per index shard.
+        self._members: Dict[str, List[_Members]] = {}
         #: Zone name → :class:`~repro.federation.sync.DigestSyncer`, when
         #: :func:`attach_rls` wires eventually-consistent publication.
         self.syncers: Dict[str, object] = {}
+        # The sync mode attach_rls chose, for zones that join later.
+        self._sync_period_s: Optional[float] = None
+        self._sync_streams = None
         #: Service counters (telemetry mirrors them when attached).
         self.lookups = 0
         self.hits = 0
@@ -367,13 +406,38 @@ class ReplicaLocationService:
     def add_zone(self, lrc: LocalReplicaCatalog,
                  publish: bool = True) -> LocalReplicaCatalog:
         """Register a zone's LRC (publishing its current digests unless
-        a syncer will — see :func:`repro.federation.sync.attach_rls`)."""
+        a syncer will — see :func:`attach_rls`).
+
+        The zone's shard partition is built here from ``lrc.guids()``
+        and kept current by a listener registered before any other the
+        service adds, so every publication reads current membership.
+        """
         if lrc.zone_name in self._lrcs:
             raise FederationError(
                 f"zone {lrc.zone_name!r} already publishes to this index")
         self._lrcs[lrc.zone_name] = lrc
+        lrc.listeners.append(partial(self._on_membership_change, lrc))
         if publish:
             self.publish_zone(lrc.zone_name)
+        else:
+            self._members[lrc.zone_name] = self._partition(lrc)
+        return lrc
+
+    def join_zone(self, zone_name: str, dgms) -> LocalReplicaCatalog:
+        """Index a live zone the way :func:`attach_rls` indexes each zone
+        present at attach: a live LRC, its digests published now, and
+        the same sync mode (a seeded syncer, or synchronous publication).
+        :meth:`~repro.grid.federation.Federation.add_zone` calls this for
+        a zone federated after attach."""
+        lrc = self.add_zone(LocalReplicaCatalog(zone_name, dgms))
+        if self._sync_period_s is not None:
+            self.syncers[zone_name] = DigestSyncer(
+                self.env, self, lrc, period_s=self._sync_period_s,
+                streams=self._sync_streams)
+        else:
+            lrc.listeners.append(
+                lambda guid: self.publish_shards(
+                    zone_name, [self.index.shard_of(guid)]))
         return lrc
 
     def lrc(self, zone_name: str) -> LocalReplicaCatalog:
@@ -388,33 +452,50 @@ class ReplicaLocationService:
         """Zones publishing into this service, sorted."""
         return sorted(self._lrcs)
 
+    def _partition(self, lrc: LocalReplicaCatalog) -> List[_Members]:
+        """``lrc``'s guids split by shard (probe pairs held when live)."""
+        n_shards = self.index.n_shards
+        partition: List[_Members] = [{} for _ in range(n_shards)]
+        live = lrc.dgms is not None
+        for guid in lrc.guids():
+            data = guid.encode()
+            partition[zlib.crc32(data) % n_shards][guid] = (
+                _hash_pair(data) if live else None)
+        return partition
+
+    def _on_membership_change(self, lrc: LocalReplicaCatalog,
+                              guid: str) -> None:
+        """LRC listener: add or drop ``guid`` in its shard's members."""
+        data = guid.encode()
+        members = self._members[lrc.zone_name][
+            zlib.crc32(data) % self.index.n_shards]
+        if lrc.holds(guid):
+            members[guid] = (_hash_pair(data) if lrc.dgms is not None
+                             else None)
+        else:
+            members.pop(guid, None)
+
     # -- publishing -----------------------------------------------------------
 
     def publish_zone(self, zone_name: str) -> None:
-        """(Re)build and publish every shard digest for one zone."""
+        """Rebuild one zone's shard partition from its LRC and publish
+        every shard digest: the one full rebuild (attach, and bulk loads
+        that write the LRC without its listeners)."""
+        self._members[zone_name] = self._partition(self.lrc(zone_name))
         self.publish_shards(zone_name, range(self.index.n_shards))
 
     def publish_shards(self, zone_name: str,
                        shard_indexes: Sequence[int]) -> None:
         """Rebuild and publish just ``shard_indexes`` for one zone (the
-        dirty-shard path the digest syncer drives)."""
-        lrc = self.lrc(zone_name)
-        wanted = set(shard_indexes)
-        if not wanted:
-            return
-        partitions: Dict[int, List[str]] = {index: [] for index in wanted}
-        n_shards = self.index.n_shards
-        for guid in lrc.guids():
-            index = shard_of(guid, n_shards)
-            if index in wanted:
-                partitions[index].append(guid)
+        dirty-shard path the digest syncer drives), each from its shard's
+        members alone."""
+        self.lrc(zone_name)   # raises for an unknown zone
+        partition = self._members[zone_name]
+        publish = self.index.publish
         now = self.now
-        for shard_index in sorted(wanted):
-            guids = partitions[shard_index]
-            digest = BloomDigest.for_capacity(len(guids))
-            for guid in guids:
-                digest.add(guid)
-            self.index.publish(zone_name, shard_index, digest, now)
+        for shard_index in shard_indexes:
+            publish(zone_name, shard_index,
+                    BloomDigest.of_members(partition[shard_index]), now)
 
     # -- lookups --------------------------------------------------------------
 
@@ -423,37 +504,55 @@ class ReplicaLocationService:
 
         One shard, a digest test per publishing zone in that shard, an
         authoritative LRC query per digest match — and only
-        LRC-confirmed locations in the answer.
+        LRC-confirmed locations in the answer. The guid is encoded and
+        hashed once, and the shard's digests are tested in one pass.
         """
+        data = guid.encode()
+        shard_index = zlib.crc32(data) % self.index.n_shards
+        h1, h2 = _hash_pair(data)
+        shard = self.index._shards[shard_index]
+        lrcs = self._lrcs
         now = self.now
-        shard_index, candidates = self.index.candidates(guid)
-        digests_checked = self.index.digests_in_shard(shard_index)
-        locations: List[ReplicaLocation] = []
+        # A tuple: one matching zone's answer is used as it is.
+        locations: Tuple[ReplicaLocation, ...] = ()
+        lrc_queries = 0
         false_positives = 0
         max_staleness = 0.0
-        for zone_name, published_at in candidates:
-            staleness = max(0.0, now - published_at)
-            if staleness > max_staleness:
-                max_staleness = staleness
-            found = self._lrcs[zone_name].locations(guid)
-            if found:
-                locations.extend(found)
+        for zone_name, cell in shard.items():
+            digest = cell.digest
+            bits = digest.bits
+            n_bits = digest.n_bits
+            for i in range(_PROBES):
+                position = (h1 + i * h2) % n_bits
+                if not bits[position >> 3] & (1 << (position & 7)):
+                    break
             else:
-                false_positives += 1
-        result = LocateResult(
-            guid=guid, locations=tuple(locations), shard=shard_index,
-            shards_touched=1, digests_checked=digests_checked,
-            lrc_queries=len(candidates), false_positives=false_positives,
-            max_staleness_s=max_staleness)
-        self._account(result)
+                lrc_queries += 1
+                staleness = now - cell.published_at
+                if staleness > max_staleness:
+                    max_staleness = staleness
+                found = lrcs[zone_name].locations(guid)
+                if found:
+                    locations += found
+                else:
+                    false_positives += 1
+        result = tuple.__new__(LocateResult, (
+            guid, locations, shard_index, 1, len(shard),
+            lrc_queries, false_positives, max_staleness))
+        self._account(result, now)
         return result
 
-    def _account(self, result: LocateResult) -> None:
+    def _account(self, result: LocateResult, now: float) -> None:
+        """Service counters for one answer, mirrored to telemetry (each
+        series through its held child; the staleness sample is appended
+        for the export-time fold)."""
+        (_, locations, _, shards_touched, digests_checked, lrc_queries,
+         false_positives, staleness) = result
         self.lookups += 1
-        self.shards_touched += result.shards_touched
-        self.lrc_queries += result.lrc_queries
-        self.false_positives += result.false_positives
-        if result.found:
+        self.shards_touched += shards_touched
+        self.lrc_queries += lrc_queries
+        self.false_positives += false_positives
+        if locations:
             self.hits += 1
         else:
             self.misses += 1
@@ -462,18 +561,16 @@ class ReplicaLocationService:
         telemetry = self.env.telemetry
         if telemetry is None:
             return
-        outcome = "hit" if result.found else "miss"
-        telemetry.rls_lookups.labels(outcome=outcome).inc()
-        telemetry.rls_shards_touched.inc(result.shards_touched)
-        if result.lrc_queries:
-            telemetry.rls_digest_checks.labels(outcome="match").inc(
-                result.lrc_queries - result.false_positives)
-            telemetry.rls_digest_checks.labels(outcome="false-positive").inc(
-                result.false_positives)
-        rejected = result.digests_checked - result.lrc_queries
+        telemetry.rls_lookups.bound["hit" if locations else "miss"].inc()
+        telemetry.rls_shards_touched.inc(shards_touched)
+        checks = telemetry.rls_digest_checks.bound
+        if lrc_queries:
+            checks["match"].inc(lrc_queries - false_positives)
+            checks["false-positive"].inc(false_positives)
+        rejected = digests_checked - lrc_queries
         if rejected:
-            telemetry.rls_digest_checks.labels(outcome="reject").inc(rejected)
-        telemetry.rls_staleness.observe(result.max_staleness_s)
+            checks["reject"].inc(rejected)
+        telemetry.rls_staleness.samples.append((now, staleness))
 
     def flush_all(self) -> None:
         """Flush every zone's pending digest publications immediately
@@ -539,6 +636,8 @@ def attach_rls(federation, n_shards: int = DEFAULT_SHARDS,
     registers each with a fresh :class:`ReplicaLocationService`, and sets
     ``federation.rls`` (the duck-typed attach point
     :meth:`~repro.grid.federation.Federation.locate` resolves through).
+    A zone federated later joins the service the same way
+    (:meth:`ReplicaLocationService.join_zone`).
 
     With ``sync_period_s`` set, digest propagation is *eventually
     consistent*: each zone gets a seeded
@@ -548,21 +647,12 @@ def attach_rls(federation, n_shards: int = DEFAULT_SHARDS,
     republished synchronously on every change (the zero-staleness mode
     unit tests use).
     """
-    from repro.federation.sync import DigestSyncer
-
     if federation.rls is not None:
         raise FederationError("federation already has an RLS attached")
     service = ReplicaLocationService(federation.env, n_shards)
+    service._sync_period_s = sync_period_s
+    service._sync_streams = streams
     for zone_name in federation.zones():
-        lrc = LocalReplicaCatalog(zone_name, federation.zone(zone_name))
-        service.add_zone(lrc, publish=True)
-        if sync_period_s is not None:
-            service.syncers[zone_name] = DigestSyncer(
-                federation.env, service, lrc,
-                period_s=sync_period_s, streams=streams)
-        else:
-            lrc.listeners.append(
-                lambda guid, z=zone_name, s=service:
-                s.publish_shards(z, [s.index.shard_of(guid)]))
+        service.join_zone(zone_name, federation.zone(zone_name))
     federation.rls = service
     return service

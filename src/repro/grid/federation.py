@@ -183,6 +183,8 @@ class Federation:
         services (the RLS) see federation-unique identities. Join zones
         *before* populating them — guids minted earlier keep their
         namespace-scoped form and may collide with a sibling zone's.
+        With a replica location service attached, the zone joins it
+        too, indexed exactly like the zones present at attach.
         """
         validate_zone_name(zone_name)
         if zone_name in self._zones:
@@ -194,6 +196,8 @@ class Federation:
         dgms.zone_name = zone_name
         dgms.namespace.guid_authority = zone_name
         self._zones[zone_name] = dgms
+        if self.rls is not None:
+            self.rls.join_zone(zone_name, dgms)
 
     def zone(self, zone_name: str) -> DataGridManagementSystem:
         """The datagrid federated as ``zone_name`` (raises if unknown)."""
@@ -353,7 +357,7 @@ class Federation:
             self.copies_failed += 1
         telemetry = self.env.telemetry
         if telemetry is not None:
-            telemetry.federation_copies.labels(outcome=outcome).inc()
+            telemetry.federation_copies.bound[outcome].inc()
 
     def _note_bridge_bytes(self, nbytes: float) -> None:
         telemetry = self.env.telemetry

@@ -214,7 +214,7 @@ class Query:
     @staticmethod
     def _account(telemetry, access_path: str, examined: int) -> None:
         """Record which access path answered a query and at what cost."""
-        telemetry.catalog_queries.labels(access_path=access_path).inc()
+        telemetry.catalog_queries.bound[access_path].inc()
         telemetry.catalog_candidates.inc(examined)
 
     def run_scan(self, namespace: LogicalNamespace) -> List[DataObject]:

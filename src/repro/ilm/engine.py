@@ -94,7 +94,7 @@ class ILMManager:
                                       started_at=self.env.now))
         t = self.env.telemetry
         if t is not None:
-            t.ilm_passes.labels(policy=policy_name).inc()
+            t.ilm_passes.bound[policy_name].inc()
         self._notify("pass_submitted", policy_name,
                      request_id=response.request_id)
         return response.request_id
@@ -165,8 +165,7 @@ class ILMManager:
         obj = self.dgms.namespace.try_resolve(path)
         if obj is None:
             if t is not None:
-                t.ilm_apply.labels(policy=policy.name,
-                                   outcome="vanished").inc()
+                t.ilm_apply.bound[policy.name, "vanished"].inc()
             return "vanished"
         if not isinstance(obj, DataObject):
             raise NamespaceError(f"{path!r} is a collection, not a data object")
@@ -191,14 +190,12 @@ class ILMManager:
                 ) from None
         if chosen is None:
             if t is not None:
-                t.ilm_apply.labels(policy=policy.name,
-                                   outcome="no-match").inc()
+                t.ilm_apply.bound[policy.name, "no-match"].inc()
             return "no-match"
         outcome = yield from self._perform(ctx, obj, policy, chosen)
         if t is not None:
-            t.ilm_apply.labels(policy=policy.name, outcome="applied").inc()
-            t.ilm_actions.labels(policy=policy.name, rule=chosen.name,
-                                 outcome=outcome).inc()
+            t.ilm_apply.bound[policy.name, "applied"].inc()
+            t.ilm_actions.bound[policy.name, chosen.name, outcome].inc()
         self._notify("applied", policy.name, path=path, rule=chosen.name,
                      outcome=outcome)
         if outcome != "deleted" and self.dgms.namespace.exists(path):

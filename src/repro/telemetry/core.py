@@ -181,7 +181,9 @@ class Telemetry:
         self._engine_pending = []
         #: Completed TransferStats not yet materialized — the transfer
         #: service hands over the stats object it already built and
-        #: collect() derives counters, samples, and log records.
+        #: collect() derives counters, samples, and log records. With a
+        #: recorder attached, both pending lists hold ``(item, fields)``
+        #: pairs instead, so each record's fields are encoded once.
         self.net_pending = []
         #: Callbacks run by :meth:`collect` — subsystems whose state is
         #: only worth gauging at export time (e.g. link utilization)
@@ -231,19 +233,27 @@ class Telemetry:
         stream. Runs twice per step, so it only keeps the engine's
         :class:`~repro.dfms.engine.EngineEvent`; counters and log records
         are materialized by :meth:`collect`. A flight recorder cannot
-        defer (a crash dump must already hold the event).
+        defer (a crash dump must already hold the event), so with one
+        attached the fields are encoded here, once: the pending entry is
+        then the plain ``(event, fields)`` pair the fold reuses.
         """
-        self._engine_pending.append(event)
         recorder = self.recorder
-        if recorder is not None:
-            recorder.record("engine." + event.kind, engine_fields(event))
+        if recorder is None:
+            self._engine_pending.append(event)
+            return
+        fields = engine_fields(event)
+        recorder.record("engine." + event.kind, fields)
+        self._engine_pending.append((event, fields))
 
     def transfer_completed(self, stats) -> None:
         """Transfer-service hook: deferred like :meth:`engine_listener`."""
-        self.net_pending.append(stats)
         recorder = self.recorder
-        if recorder is not None:
-            recorder.record("net.transfer", transfer_fields(stats))
+        if recorder is None:
+            self.net_pending.append(stats)
+            return
+        fields = transfer_fields(stats)
+        recorder.record("net.transfer", fields)
+        self.net_pending.append((stats, fields))
 
     def fold_log(self) -> None:
         """Materialize the deferred engine events and transfer completions
@@ -268,6 +278,12 @@ class Telemetry:
         records = self.log.records
         kind_counters = self._engine_kind_counters
         for event in pending:
+            # A plain tuple is an (event, fields) pair the recorder
+            # already holds; an EngineEvent is a NamedTuple subclass.
+            if type(event) is tuple:
+                event, fields = event
+            else:
+                fields = engine_fields(event)
             kind = event.kind
             cached = kind_counters.get(kind)
             if cached is None:
@@ -278,7 +294,7 @@ class Telemetry:
             counter.value += 1.0
             counter.last_updated = event.time
             records.append(tuple.__new__(TelemetryRecord, (
-                event.time, log_kind, engine_fields(event))))
+                event.time, log_kind, fields)))
         del pending[:]
 
     def _fold_net_transfers(self) -> None:
@@ -292,6 +308,10 @@ class Telemetry:
         moved = self.net_bytes
         samples = self.net_transfer_duration.samples
         for stats in pending:
+            if type(stats) is tuple:   # (stats, fields) already encoded
+                stats, fields = stats
+            else:
+                fields = transfer_fields(stats)
             now = stats.end_time
             if stats.hops:
                 wan.value += 1.0
@@ -303,7 +323,7 @@ class Telemetry:
                 local.value += 1.0
                 local.last_updated = now
             records.append(tuple.__new__(TelemetryRecord, (
-                now, "net.transfer", transfer_fields(stats))))
+                now, "net.transfer", fields)))
         del pending[:]
 
     # -- export-time folding -------------------------------------------------

@@ -12,6 +12,10 @@ Each instrument is label-aware in the Prometheus style: ``counter.labels
 (policy="archive").inc()`` tracks one time series per label combination.
 Label-less instruments are their own single series, so hot paths can hold
 a direct reference and call ``inc()`` / ``observe()`` with no dict work.
+Hot labelled sites index :attr:`_Instrument.bound` instead —
+``counter.bound["archive"].inc()`` — which holds each child once it has
+been created, so a repeat update skips the keyword plumbing of
+:meth:`~_Instrument.labels`.
 """
 
 from __future__ import annotations
@@ -21,13 +25,42 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ReproError
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
-           "DEFAULT_BUCKETS"]
+__all__ = ["BoundChildren", "Counter", "Gauge", "Histogram",
+           "MetricsRegistry", "DEFAULT_BUCKETS"]
 
 #: Default histogram bucket upper bounds (seconds-ish scale; virtual time
 #: in this reproduction spans milliseconds to months).
 DEFAULT_BUCKETS: Tuple[float, ...] = (
     0.001, 0.01, 0.1, 1.0, 10.0, 60.0, 600.0, 3600.0, 86400.0, 604800.0)
+
+
+class BoundChildren(dict):
+    """Label values → child series of one labelled instrument.
+
+    Indexed with the label values in ``labelnames`` order (a bare value
+    for one label, a tuple for several). A child is created through
+    :meth:`_Instrument.labels` on its first lookup, so no series appears
+    in an export before its first update, and is held from then on. It
+    belongs to the instrument, and so to one telemetry session.
+    """
+
+    __slots__ = ("_instrument",)
+
+    def __init__(self, instrument: "_Instrument") -> None:
+        super().__init__()
+        self._instrument = instrument
+
+    def __missing__(self, values) -> "_Instrument":
+        instrument = self._instrument
+        names = instrument.labelnames
+        key = values if type(values) is tuple else (values,)
+        if len(key) != len(names):
+            raise ReproError(
+                f"metric {instrument.name!r} takes labels {names}, "
+                f"got values {key}")
+        child = instrument.labels(**dict(zip(names, key)))
+        self[values] = child
+        return child
 
 
 class _Instrument:
@@ -43,6 +76,10 @@ class _Instrument:
         self.labelnames = labelnames
         self._clock = clock
         self._children: Dict[Tuple[str, ...], "_Instrument"] = {}
+        #: Children by label values, for hot call sites (None when the
+        #: instrument is label-less, i.e. its own one series).
+        self.bound: Optional[BoundChildren] = (
+            BoundChildren(self) if labelnames else None)
         #: Sim time of the most recent update to *any* series.
         self.last_updated: Optional[float] = None
 

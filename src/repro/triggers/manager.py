@@ -149,7 +149,7 @@ class TriggerManager:
             if met:
                 trigger.firings += 1
                 if t is not None:
-                    t.trigger_firings.labels(trigger=trigger.name).inc()
+                    t.trigger_firings.bound[trigger.name].inc()
                 if self.server is not None:
                     response = self.server.submit(DataGridRequest(
                         user=trigger.owner.qualified_name,

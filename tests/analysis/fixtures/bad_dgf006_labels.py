@@ -12,3 +12,7 @@ def record_replica(telemetry, replica):
 
 def record_fetch(telemetry, source_url, kind):
     telemetry.fetches.labels(kind=kind, url=source_url).inc()  # line 14
+
+
+def record_bound_access(telemetry, obj, kind):
+    telemetry.reads.bound[kind, obj.path].inc()  # line 18: bound by path

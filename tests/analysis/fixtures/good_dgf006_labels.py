@@ -15,3 +15,8 @@ def record_replica(telemetry, replica, outcome):
 
 def record_fetch(telemetry, kind):
     telemetry.fetches.labels(kind=kind, scope="wan").inc()
+
+
+def record_bound_access(telemetry, obj, outcome):
+    # Hot sites index the held children with the same closed enums.
+    telemetry.reads.bound[obj.storage_class, outcome].inc()

@@ -21,7 +21,9 @@ from repro.federation import (
     shard_of,
     spread_zones,
 )
-from repro.storage import MB
+from repro.grid.dgms import DataGridManagementSystem
+from repro.network.topology import Topology
+from repro.storage import GB, MB, PhysicalStorageResource, StorageClass
 
 
 def guid(index):
@@ -64,6 +66,8 @@ def test_bloom_digest_bits_are_pinned():
 
 
 def test_candidates_agree_with_each_digest():
+    # locate tests the shard's digests in one pass; the zones it queries
+    # must be exactly those whose digest claims the key.
     service = make_service(n_zones=8, objects_per_zone=40, n_shards=4)
     index = service.index
     rng = random.Random(3)
@@ -71,13 +75,19 @@ def test_candidates_agree_with_each_digest():
               for _ in range(400)]
     matched_any = 0
     for key in probes:
-        shard, matched = index.candidates(key)
+        queries = {zone: service.lrc(zone).queries
+                   for zone in service.zone_names()}
+        result = service.locate(key)
+        shard = result.shard
         assert shard == shard_of(key, 4)
-        expected = [(zone, cell.published_at)
-                    for zone, cell in index._shards[shard].items()
+        expected = [zone for zone, cell in index._shards[shard].items()
                     if cell.digest.might_contain(key)]
-        assert matched == expected
-        matched_any += bool(matched)
+        queried = [zone for zone in service.zone_names()
+                   if service.lrc(zone).queries > queries[zone]]
+        assert queried == sorted(expected)
+        assert result.lrc_queries == len(expected)
+        assert result.digests_checked == len(index._shards[shard])
+        matched_any += bool(expected)
     assert 0 < matched_any < len(probes)
 
 
@@ -210,6 +220,51 @@ def test_flush_now_publishes_without_waiting():
     assert not scenario.rls.locate(obj.guid).found
     scenario.rls.flush_all()
     assert scenario.rls.locate(obj.guid).found
+
+
+def _late_zone(scenario, name):
+    """Federate a fresh one-domain zone into a built scenario."""
+    dgms = DataGridManagementSystem(scenario.env, Topology(), name=name)
+    dgms.register_domain(f"{name}-d0")
+    dgms.register_resource(
+        f"{name}-d0-disk", f"{name}-d0",
+        PhysicalStorageResource(f"{name}-d0-disk-1", StorageClass.DISK,
+                                100 * GB))
+    admin = dgms.register_user("admin", f"{name}-d0")
+    scenario.federation.add_zone(name, dgms)
+    dgms.create_collection(admin, "/data", parents=True)
+    return dgms, admin
+
+
+@pytest.mark.parametrize("sync_period_s", [4.0, None])
+def test_zone_federated_after_attach_is_indexed(sync_period_s):
+    scenario = federation_scenario(n_zones=2, objects_per_zone=2,
+                                   sync_period_s=sync_period_s)
+    rls = scenario.rls
+    dgms, admin = _late_zone(scenario, "z9")
+    assert rls.zone_names() == ["z0", "z1", "z9"]
+    assert rls.lrc("z9").dgms is dgms
+    # Its digests are published at join, like the attach-time zones'.
+    assert all("z9" in shard for shard in rls.index._shards)
+    if sync_period_s is None:
+        assert "z9" not in rls.syncers
+    else:
+        # Same sync mode as the zones present at attach.
+        syncer = rls.syncers["z9"]
+        reference = rls.syncers["z0"]
+        assert (syncer.period_s, syncer.jitter) == (reference.period_s,
+                                                    reference.jitter)
+
+    def ingest():
+        obj = yield dgms.put(admin, "/data/late.dat", 2 * MB, "z9-d0-disk")
+        return obj
+
+    obj = scenario.run(ingest())
+    # Past the staleness bound, without an explicit flush.
+    scenario.env.run(until=scenario.env.now + 100.0)
+    result = rls.locate(obj.guid)
+    assert result.found
+    assert {loc.zone for loc in result.locations} == {"z9"}
 
 
 # -- the federated namespace router ------------------------------------------

@@ -180,7 +180,9 @@ def test_each_engine_event_is_one_object(dfms):
            .step("a", "dgl.sleep", duration=1).build())
     dfms.env.run()
     event, = watched
-    pending = [entry for entry in obs.telemetry._engine_pending
+    # With a recorder attached, each pending entry pairs the engine's
+    # event with the fields the recorder already holds.
+    pending = [entry for entry, _ in obs.telemetry._engine_pending
                if entry.kind == "step_completed"]
     assert len(pending) == 1 and pending[0] is event
     record = next(record for record in store.records()
@@ -188,14 +190,14 @@ def test_each_engine_event_is_one_object(dfms):
     assert record.detail is event.detail
     assert record.actor == event.user == dfms.alice.qualified_name
     # The recorder's live record and the export's folded record carry
-    # the same fields, built by one encoder.
+    # the same fields, encoded once.
     live = next(entry for entry in obs.recorder.ring
                 if entry.kind == "engine.step_completed")
     assert live.fields == engine_fields(event)
     obs.telemetry.collect()
     folded, = [entry for entry in obs.telemetry.log.records
                if entry.kind == "engine.step_completed"]
-    assert folded.fields == live.fields
+    assert folded.fields is live.fields
 
 
 # -- probe units -----------------------------------------------------------

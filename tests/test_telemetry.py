@@ -40,6 +40,42 @@ def test_counter_labels_and_monotonicity():
         counter.labels(wrong="a")
 
 
+def test_bound_children_are_created_on_first_use():
+    registry = MetricsRegistry(lambda: 7.0)
+    counter = registry.counter("copies_total", "copies", ["outcome"])
+    pairs = registry.counter("pairs_total", "pairs", ["a", "b"])
+    assert registry.counter("plain_total").bound is None
+    assert counter.series() == []
+    child = counter.bound["completed"]
+    assert counter.series() == [(("completed",), child)]
+    assert child.value == 0.0
+    child.inc()
+    assert counter.bound["completed"] is child
+    assert counter.labels(outcome="completed") is child
+    pairs.bound["x", "y"].inc(2)
+    assert dict(pairs.series())[("x", "y")].value == 2.0
+    assert pairs.labels(a="x", b="y") is pairs.bound["x", "y"]
+    with pytest.raises(ReproError, match="takes labels"):
+        pairs.bound["x"]
+    assert dict(pairs.series()).keys() == {("x", "y")}
+
+
+def test_labels_with_wrong_names_still_raise():
+    registry = MetricsRegistry(lambda: 0.0)
+    counter = registry.counter("copies_total", "copies", ["outcome"])
+    with pytest.raises(ReproError) as missing:
+        counter.labels(result="completed")
+    assert str(missing.value) == (
+        "metric 'copies_total' takes labels ('outcome',), "
+        "got ('result',)")
+    with pytest.raises(ReproError) as extra:
+        counter.labels(outcome="completed", zone="z0")
+    assert str(extra.value) == (
+        "metric 'copies_total' takes labels ('outcome',), "
+        "got ('outcome', 'zone')")
+    assert counter.series() == []
+
+
 def test_registry_identity_and_type_conflicts():
     registry = MetricsRegistry(lambda: 0.0)
     first = registry.counter("x_total")
@@ -309,3 +345,61 @@ def test_sim_kernel_slots_fold_into_metrics(dfms):
     before = lifetimes.count
     telemetry.collect()   # idempotent: folding twice adds nothing
     assert lifetimes.count == before
+
+
+# -- bound children at the hot sites ---------------------------------------
+
+def _federation():
+    from repro.federation import federation_scenario
+    return federation_scenario(n_zones=2, objects_per_zone=2,
+                               sync_period_s=None)
+
+
+def test_bound_series_appear_only_after_first_update():
+    scenario = _federation()
+    telemetry = attach_telemetry(scenario.env)
+    text = prometheus_text(telemetry)
+    assert "rls_lookups_total{" not in text
+    assert "rls_digest_checks_total{" not in text
+    scenario.rls.locate("guid-nowhere-00000000")
+    text = prometheus_text(telemetry)
+    assert 'rls_lookups_total{outcome="miss"} 1' in text
+    assert 'outcome="hit"' not in text
+    assert "federation_copies_total{" not in text
+    assert "recovery_actions_total{" not in text
+
+
+def test_a_later_session_never_moves_an_earlier_sessions_children():
+    from repro.faults.recovery import attach_recovery
+    from repro.sim.rng import RandomStreams
+
+    scenario = _federation()
+    env = scenario.env
+    recovery = attach_recovery(scenario.zones["z0"], RandomStreams(1))
+    guid = scenario.zones["z0"].namespace.resolve_object(
+        "/data/obj-0000.dat").guid
+    first = attach_telemetry(env)
+    scenario.rls.locate(guid)
+    recovery.note("failover", path="/data/obj-0000.dat")
+
+    def counts(session):
+        return {(metric.name, labels): series.value
+                for metric in session.metrics.metrics()
+                if metric.kind == "counter"
+                for labels, series in metric.series()}
+
+    before = counts(first)
+    assert before["rls_lookups_total", ("hit",)] == 1.0
+    assert before["recovery_actions_total", ("failover",)] == 1.0
+    env.telemetry = None
+    second = attach_telemetry(env)
+    assert second is not first
+    for _ in range(3):
+        scenario.rls.locate(guid)
+        recovery.note("failover", path="/data/obj-0000.dat")
+    assert counts(first) == before
+    after = counts(second)
+    assert after["rls_lookups_total", ("hit",)] == 3.0
+    assert after["recovery_actions_total", ("failover",)] == 3.0
+    assert second.rls_lookups.bound["hit"] is not first.rls_lookups.bound[
+        "hit"]
