@@ -15,9 +15,10 @@ claims and one safety claim:
 * **incremental publication** — a zone's guids are kept partitioned by
   shard, so republishing one dirty shard costs that shard's members, not
   the zone's whole catalog. Each size's row records the mean time of a
-  one-dirty-shard ``publish_shards``, the build time, and how far the
-  build raised the process's peak RSS (reported, not gated: the kernel
-  and observability benchmarks already show this host's timing noise).
+  one-dirty-shard ``publish_shards``, and the build time and resident
+  memory of the same build in a fresh interpreter (reported, not gated:
+  the kernel and observability benchmarks already show this host's
+  timing noise).
 * **chaos survival** — a ≥10-seed sweep of cross-zone copy workloads
   under zone outages and bridge degradations must hold every federation
   invariant (no lost replicas, zero wrong RLS answers, terminal copy
@@ -34,6 +35,9 @@ gates.
 
 import gc
 import resource
+import subprocess
+import sys
+from typing import Tuple
 
 from _helpers import (
     REPO_ROOT,
@@ -92,10 +96,40 @@ def _build_federation_index(total_objects: int):
     return service, flat, guids
 
 
-def _peak_rss_mb() -> float:
-    """The process's peak resident set size so far, in MB (Linux
-    reports ``ru_maxrss`` in KB)."""
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+def _rss_mb() -> float:
+    """This process's resident set size now, in MB (Linux ``statm``)."""
+    with open("/proc/self/statm", encoding="ascii") as statm:
+        pages = int(statm.read().split()[1])
+    return pages * resource.getpagesize() / 2**20
+
+
+#: One build of ``argv[1]`` objects, importing from this process's path
+#: (``argv[2:]``); prints its seconds and the resident memory it added
+#: while still held, in MB.
+_FRESH_BUILD = """\
+import sys
+sys.path[:0] = sys.argv[2:]
+from _helpers import timed
+from test_e25_federation import _build_federation_index, _rss_mb
+held = []
+before = _rss_mb()
+build_s = timed(lambda: held.append(_build_federation_index(int(sys.argv[1]))))
+print(build_s, _rss_mb() - before)
+"""
+
+
+def _fresh_build(total: int) -> Tuple[float, float]:
+    """Build seconds and resident-memory growth (MB) of one
+    ``total``-object build in a fresh interpreter, taken while the build
+    is held. A process that has already freed a heap (an earlier size,
+    an earlier test) would partly refill it and read low; and
+    ``ru_maxrss`` cannot stand in, as a child inherits its parent's
+    high-water mark across fork and exec."""
+    out = subprocess.run(
+        [sys.executable, "-c", _FRESH_BUILD, str(total), *sys.path],
+        check=True, capture_output=True, text=True)
+    build_s, growth_mb = map(float, out.stdout.split())
+    return build_s, growth_mb
 
 
 def _flush_one_shard_s(service: ReplicaLocationService) -> float:
@@ -136,13 +170,9 @@ def test_e25_sharded_rls_lookup_scales_flat(benchmark, experiment):
 
     rows = []
     for total in SIZES:
+        build_s, rss_growth_mb = _fresh_build(total)
         gc.collect()   # the previous size's federation is garbage now
-        peak_before = _peak_rss_mb()
-        built = []
-        build_s = timed(
-            lambda: built.append(_build_federation_index(total)))
-        rss_growth_mb = _peak_rss_mb() - peak_before
-        service, flat, guids = built.pop()
+        service, flat, guids = _build_federation_index(total)
         flush_s = _flush_one_shard_s(service)
         probes = _probe_guids(guids, SHARDED_PROBES)
         # Shard-touch accounting: every answer comes from exactly one
@@ -171,7 +201,7 @@ def test_e25_sharded_rls_lookup_scales_flat(benchmark, experiment):
             "index_bytes": service.index.size_bytes,
             "false_positives": service.false_positives,
             "build_s": round(build_s, 3),
-            "peak_rss_growth_mb": round(rss_growth_mb, 1),
+            "rss_growth_mb": round(rss_growth_mb, 1),
             "flush_one_shard_ms": round(flush_s * 1e3, 3),
         })
         report.row(total, round(sharded_s * 1e6, 2),

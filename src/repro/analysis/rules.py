@@ -406,14 +406,23 @@ class LabelCardinality(Rule):
     _UNBOUNDED = frozenset({"path", "guid", "oid", "uuid", "url", "uri",
                             "filename", "object"})
 
+    #: Registry methods whose third argument declares ``labelnames``.
+    _REGISTRARS = frozenset({"counter", "gauge", "histogram"})
+
     def __init__(self, config: LintConfig) -> None:
         super().__init__(config)
         self._allowed = frozenset(config.allowed_labels)
 
     def visit_Call(self, node: ast.Call, ctx: LintContext) -> None:
-        """Flag .labels() keywords carrying unbounded identifiers."""
+        """Flag .labels() keywords carrying unbounded identifiers, and
+        unbounded names among a registration's labelnames."""
         func = node.func
-        if not (isinstance(func, ast.Attribute) and func.attr == "labels"):
+        if not isinstance(func, ast.Attribute):
+            return
+        if func.attr in self._REGISTRARS:
+            self._check_labelnames(node, ctx)
+            return
+        if func.attr != "labels":
             return
         for keyword in node.keywords:
             if keyword.arg is None or keyword.arg in self._allowed:
@@ -425,10 +434,32 @@ class LabelCardinality(Rule):
                            "unbounded cardinality — move it to log.emit() "
                            "or label with a closed enum")
 
+    def _check_labelnames(self, node: ast.Call, ctx: LintContext) -> None:
+        """Flag a registration's literal ``labelnames`` that are named
+        like raw identifiers. A ``.bound[...]`` read passes its values
+        positionally, so this is where its label names are checked."""
+        labelnames = node.args[2] if len(node.args) > 2 else next(
+            (keyword.value for keyword in node.keywords
+             if keyword.arg == "labelnames"), None)
+        if not isinstance(labelnames, (ast.List, ast.Tuple)):
+            return
+        for element in labelnames.elts:
+            if not (isinstance(element, ast.Constant)
+                    and isinstance(element.value, str)):
+                continue
+            name = element.value
+            if (name not in self._allowed
+                    and split_tokens(name) & self._UNBOUNDED):
+                ctx.report(self, node,
+                           f"metric label {name!r} is named like a raw "
+                           "identifier: unbounded cardinality — move it "
+                           "to log.emit() or label with a closed enum")
+
     def visit_Subscript(self, node: ast.Subscript, ctx: LintContext) -> None:
         """Flag ``.bound[...]`` label values carrying unbounded
         identifiers (the values are positional, so only their
-        derivation is checked)."""
+        derivation is checked here; the names are checked where the
+        instrument is registered)."""
         if not (isinstance(node.value, ast.Attribute)
                 and node.value.attr == "bound"):
             return

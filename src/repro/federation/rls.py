@@ -41,7 +41,6 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import FederationError
 from repro.federation.sync import DigestSyncer
-from repro.grid.namespace import ReplicaState
 
 __all__ = [
     "BloomDigest",
@@ -64,9 +63,6 @@ BITS_PER_ENTRY = 10
 
 #: Hash probes per digest membership test.
 _PROBES = 4
-
-#: The replica state an LRC vouches for (``DataObject.good_replicas``).
-_GOOD = ReplicaState.GOOD
 
 
 def shard_of(guid: str, n_shards: int) -> int:
@@ -104,10 +100,17 @@ def _hash_pair(data: bytes) -> Tuple[int, int]:
             _mix(zlib.crc32(data, _SALT_B)) | 1)
 
 
-#: One shard's members in one zone: guid → its :func:`_hash_pair` (held
-#: for live zones) or None (synthetic zones, hashed at each rebuild).
-#: An insertion-ordered dict, so rebuilding iterates deterministically.
-_Members = Dict[str, Optional[Tuple[int, int]]]
+def _shard_and_pair(guid: str, n_shards: int) -> Tuple[int, int, int]:
+    """``guid``'s shard (as :func:`shard_of`) and probe pair (as
+    :func:`_hash_pair`) from one encoding: what a locate needs."""
+    data = guid.encode()
+    return (zlib.crc32(data) % n_shards,) + _hash_pair(data)
+
+
+#: One shard's members in one zone: its guids as the keys of an
+#: insertion-ordered dict (values unused), so a rebuild iterates them
+#: deterministically and a change adds or drops one in O(1).
+_Members = Dict[str, None]
 
 
 class ReplicaLocation(NamedTuple):
@@ -151,18 +154,10 @@ class BloomDigest:
 
     @classmethod
     def of_members(cls, members: _Members) -> "BloomDigest":
-        """A digest sized for and holding one shard's ``members``; the
-        same bits and count as :meth:`for_capacity` plus :meth:`add` per
-        member (bloom bits do not depend on insertion order)."""
+        """A digest sized for and holding one shard's ``members``."""
         digest = cls.for_capacity(len(members))
-        bits = digest.bits
-        n_bits = digest.n_bits
-        for guid, pair in members.items():
-            h1, h2 = pair or _hash_pair(guid.encode())
-            for i in range(_PROBES):
-                position = (h1 + i * h2) % n_bits
-                bits[position >> 3] |= 1 << (position & 7)
-        digest.count = len(members)
+        for guid in members:
+            digest.add(guid)
         return digest
 
     def add(self, guid: str) -> None:
@@ -178,7 +173,11 @@ class BloomDigest:
     def might_contain(self, guid: str) -> bool:
         """Membership test: False is definitive, True may be a false
         positive (the caller verifies against the authoritative LRC)."""
-        h1, h2 = _hash_pair(guid.encode())
+        return self._test_pair(*_hash_pair(guid.encode()))
+
+    def _test_pair(self, h1: int, h2: int) -> bool:
+        """:meth:`might_contain` for a guid whose :func:`_hash_pair` is
+        known."""
         bits = self.bits
         n_bits = self.n_bits
         for i in range(_PROBES):
@@ -284,14 +283,10 @@ class LocalReplicaCatalog:
         obj = catalog.lookup_guid(guid)
         if obj is None:
             return ()
-        zone = self.zone_name
-        # obj.good_replicas(), filtered in place: this runs for every
-        # digest match, and the state enum is a module constant here.
-        return tuple([
-            tuple.__new__(ReplicaLocation, (
-                zone, replica.domain, replica.logical_resource,
-                replica.physical_name))
-            for replica in obj.replicas if replica.state is _GOOD])
+        return tuple(
+            ReplicaLocation(self.zone_name, replica.domain,
+                            replica.logical_resource, replica.physical_name)
+            for replica in obj.good_replicas())
 
 
 class _ZoneDigest:
@@ -373,8 +368,7 @@ class ReplicaLocationService:
     Each registered zone's guids are also kept partitioned by shard,
     current through the service's own listener on the zone's LRC, so
     :meth:`publish_shards` rebuilds a digest from its shard's members
-    alone. Live zones keep each member's probe pair too; synthetic zones,
-    which may hold millions of guids, keep only the guid.
+    alone.
     """
 
     def __init__(self, env=None, n_shards: int = DEFAULT_SHARDS) -> None:
@@ -453,25 +447,19 @@ class ReplicaLocationService:
         return sorted(self._lrcs)
 
     def _partition(self, lrc: LocalReplicaCatalog) -> List[_Members]:
-        """``lrc``'s guids split by shard (probe pairs held when live)."""
+        """``lrc``'s guids split by shard."""
         n_shards = self.index.n_shards
         partition: List[_Members] = [{} for _ in range(n_shards)]
-        live = lrc.dgms is not None
         for guid in lrc.guids():
-            data = guid.encode()
-            partition[zlib.crc32(data) % n_shards][guid] = (
-                _hash_pair(data) if live else None)
+            partition[shard_of(guid, n_shards)][guid] = None
         return partition
 
     def _on_membership_change(self, lrc: LocalReplicaCatalog,
                               guid: str) -> None:
         """LRC listener: add or drop ``guid`` in its shard's members."""
-        data = guid.encode()
-        members = self._members[lrc.zone_name][
-            zlib.crc32(data) % self.index.n_shards]
+        members = self._members[lrc.zone_name][self.index.shard_of(guid)]
         if lrc.holds(guid):
-            members[guid] = (_hash_pair(data) if lrc.dgms is not None
-                             else None)
+            members[guid] = None
         else:
             members.pop(guid, None)
 
@@ -507,9 +495,7 @@ class ReplicaLocationService:
         LRC-confirmed locations in the answer. The guid is encoded and
         hashed once, and the shard's digests are tested in one pass.
         """
-        data = guid.encode()
-        shard_index = zlib.crc32(data) % self.index.n_shards
-        h1, h2 = _hash_pair(data)
+        shard_index, h1, h2 = _shard_and_pair(guid, self.index.n_shards)
         shard = self.index._shards[shard_index]
         lrcs = self._lrcs
         now = self.now
@@ -519,14 +505,7 @@ class ReplicaLocationService:
         false_positives = 0
         max_staleness = 0.0
         for zone_name, cell in shard.items():
-            digest = cell.digest
-            bits = digest.bits
-            n_bits = digest.n_bits
-            for i in range(_PROBES):
-                position = (h1 + i * h2) % n_bits
-                if not bits[position >> 3] & (1 << (position & 7)):
-                    break
-            else:
+            if cell.digest._test_pair(h1, h2):
                 lrc_queries += 1
                 staleness = now - cell.published_at
                 if staleness > max_staleness:

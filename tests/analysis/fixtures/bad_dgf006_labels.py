@@ -16,3 +16,12 @@ def record_fetch(telemetry, source_url, kind):
 
 def record_bound_access(telemetry, obj, kind):
     telemetry.reads.bound[kind, obj.path].inc()  # line 18: bound by path
+
+
+def register_reads(metric):
+    # line 23: a path-named label, read below only through bound[...]
+    return metric.counter("reads_total", "Reads, by path", ["path"])
+
+
+def record_bound_read(reads, p):
+    reads.bound[p].inc()   # the value's name says nothing; line 23 does

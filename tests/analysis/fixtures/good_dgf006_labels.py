@@ -20,3 +20,10 @@ def record_fetch(telemetry, kind):
 def record_bound_access(telemetry, obj, outcome):
     # Hot sites index the held children with the same closed enums.
     telemetry.reads.bound[obj.storage_class, outcome].inc()
+
+
+def register_reads(metric):
+    # Closed-enum label names, positional or by keyword.
+    metric.histogram("read_seconds", "Read time, by surface and outcome",
+                     labelnames=("surface", "outcome"))
+    return metric.counter("reads_total", "Reads, by outcome", ["outcome"])

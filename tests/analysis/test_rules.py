@@ -75,6 +75,13 @@ def test_bad_dgf003_flags_each_loop_once():
     assert [f.line for f in findings] == [12, 21, 27]
 
 
+def test_bad_dgf006_flags_every_unbounded_label_site():
+    # .labels() by name and by value, .bound[...] by value, and a
+    # registration by name (its bound[p] read carries no name).
+    findings = _lint(FIXTURES / "bad_dgf006_labels.py")
+    assert [f.line for f in findings] == [5, 9, 14, 18, 23]
+
+
 def test_dgf005_except_checks_only_apply_in_dispatch_paths():
     path = FIXTURES / "bad_dgf005_retry_contract.py"
     outside = LintConfig(dispatch_paths=("*/faults/recovery.py",))

@@ -335,22 +335,24 @@ def test_a_flush_hashes_only_its_dirty_shards():
     assert sorted(set(calls)) == sorted(guid.encode() for guid in members)
     assert len(calls) == 2 * len(members)
 
-    # Live zone: members keep their probe pairs, so a syncer flush
-    # hashes nothing; the one new guid was hashed when it joined.
+    # Live zone: a syncer flush after one put hashes the members of the
+    # one dirty shard, the new guid among them, and no other guid.
     scenario = federation_scenario(n_zones=2, objects_per_zone=40,
                                    n_shards=16, sync_period_s=5.0)
     dgms = scenario.zones["z1"]
     syncer = scenario.rls.syncers["z1"]
+    obj = scenario.run(_wait(dgms.put(scenario.admins["z1"],
+                                      "/data/fresh.dat", 1 * MB,
+                                      "z1-d0-disk")))
+    dirty = shard_of(obj.guid, 16)
+    assert syncer.pending_shards == [dirty]
+    members = [guid for guid in dgms.namespace.guids()
+               if shard_of(guid, 16) == dirty]
+    assert obj.guid in members
     with counting_crc32() as calls:
-        obj = scenario.run(_wait(dgms.put(scenario.admins["z1"],
-                                          "/data/fresh.dat", 1 * MB,
-                                          "z1-d0-disk")))
-        joined = len(calls)
-        assert syncer.pending_shards
         scenario.rls.flush_all()
-        flushed = len(calls) - joined
-    assert set(calls) == {obj.guid.encode()}
-    assert flushed == 0
+    assert sorted(set(calls)) == sorted(guid.encode() for guid in members)
+    assert len(calls) == 2 * len(members)
     assert syncer.pending_shards == []
     assert syncer.shards_published == 1
     assert scenario.rls.locate(obj.guid).found
