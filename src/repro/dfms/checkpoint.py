@@ -76,7 +76,8 @@ def restore_execution(server: DfMSServer, snapshot: dict,
         journal = {
             entry["key"]: JournalEntry(
                 instance_key=entry["key"],
-                effects=[(name, value) for name, value in entry["effects"]],
+                effects=tuple((name, value)
+                              for name, value in entry["effects"]),
                 finished_at=entry["finished_at"])
             for entry in snapshot["journal"]}
     except KeyError as exc:

@@ -10,12 +10,15 @@ The status tree reuses :class:`repro.dgl.model.FlowStatus` as a *mutable*
 structure: one node per definition node, mirrored up front so a status
 query can see PENDING children before they run. Loop flows report progress
 through ``iterations`` rather than materializing per-iteration nodes.
+Only the nodes' state, times and iterations change; the tree's shape does
+not, so a step's node keeps the shared ``()`` for its children, as a
+journal entry does for the effects of a step that assigned nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import InvalidTransition
 from repro.dgl.model import ExecutionState, Flow, FlowStatus, Step
@@ -27,7 +30,7 @@ __all__ = ["FlowExecution", "JournalEntry", "build_status_tree"]
 def build_status_tree(node: Union[Flow, Step]) -> FlowStatus:
     """Mirror a flow definition as an all-PENDING status tree."""
     status = FlowStatus(name=node.name, state=ExecutionState.PENDING)
-    if isinstance(node, Flow):
+    if isinstance(node, Flow) and node.children:
         status.children = [build_status_tree(child) for child in node.children]
     return status
 
@@ -37,7 +40,7 @@ class JournalEntry:
     """One completed step instance, sufficient to skip it on replay."""
 
     instance_key: str
-    effects: List[Tuple[str, Any]] = field(default_factory=list)
+    effects: Tuple[Tuple[str, Any], ...] = ()
     finished_at: float = 0.0
 
 
@@ -135,10 +138,10 @@ class FlowExecution:
     # -- journal -----------------------------------------------------------
 
     def record_step(self, instance_key: str,
-                    effects: List[Tuple[str, Any]]) -> None:
-        """Journal a completed step instance."""
+                    effects: Sequence[Tuple[str, Any]]) -> None:
+        """Journal a completed step instance (its effects as a tuple)."""
         self.journal[instance_key] = JournalEntry(
-            instance_key=instance_key, effects=list(effects),
+            instance_key=instance_key, effects=tuple(effects),
             finished_at=self.env.now)
 
     def journalled(self, instance_key: str) -> Optional[JournalEntry]:

@@ -84,10 +84,8 @@ class CostModel:
             replicas = obj.good_replicas()
             if not replicas:
                 raise SchedulingError(f"{path} has no good replicas to stage")
-            total += min(
-                self.dgms.topology.transfer_time(r.domain, compute.domain,
-                                                 obj.size)
-                for r in replicas)
+            total += self.dgms.nearest_replica(obj, compute.domain,
+                                               replicas)[1]
         return total
 
     def bytes_moved(self, task: TaskSpec, compute: ComputeResource) -> float:

@@ -154,12 +154,14 @@ class FlowBuilder:
 
     def build(self, validate: bool = True) -> Flow:
         """Produce the :class:`Flow` (validating unless told not to)."""
+        # The model copies each list into a tuple, so building again
+        # after more calls yields a second, independent flow.
         flow = Flow(
             name=self._name,
             logic=FlowLogic(pattern=self._pattern or Sequential(),
-                            rules=list(self._rules)),
-            variables=list(self._variables),
-            children=list(self._children))
+                            rules=self._rules),
+            variables=self._variables,
+            children=self._children)
         if validate:
             validate_flow(flow)
         return flow

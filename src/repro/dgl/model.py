@@ -17,13 +17,21 @@ Mirrors Appendix A of the paper:
   (synchronous requests), a :class:`RequestAcknowledgement`
   (asynchronous requests) (paper Fig. 4), or — from a load-managed
   front end — a :class:`RequestRejection` shedding the request outright.
+
+Definition trees are values. Every sequence in one (a flow's variables
+and children, a logic's rules, a step's variables and rules, a rule's
+actions) is a tuple, converted once when the node is built, so the
+builder, the XML and MoML readers and every other producer yield equal
+trees. An empty sequence is the shared ``()``: a node keeps no container
+of its own for what it does not have, and leaves nothing for the cyclic
+collector to scan.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import DGLValidationError
 
@@ -103,9 +111,10 @@ class UserDefinedRule:
 
     name: str
     condition: str
-    actions: List[Action] = field(default_factory=list)
+    actions: Tuple[Action, ...] = ()
 
     def __post_init__(self) -> None:
+        self.actions = tuple(self.actions)
         if not self.actions:
             raise DGLValidationError(f"rule {self.name!r} needs at least one action")
         names = [action.name for action in self.actions]
@@ -220,9 +229,10 @@ class FlowLogic:
     """Control-structure choice + the rules that wrap execution (Fig. 3)."""
 
     pattern: ControlPattern = field(default_factory=Sequential)
-    rules: List[UserDefinedRule] = field(default_factory=list)
+    rules: Tuple[UserDefinedRule, ...] = ()
 
     def __post_init__(self) -> None:
+        self.rules = tuple(self.rules)
         if not isinstance(self.pattern, _PATTERN_TYPES):
             raise DGLValidationError(
                 f"unknown control pattern {type(self.pattern).__name__}")
@@ -249,13 +259,15 @@ class Step:
 
     name: str
     operation: Operation
-    variables: List[Variable] = field(default_factory=list)
-    rules: List[UserDefinedRule] = field(default_factory=list)
+    variables: Tuple[Variable, ...] = ()
+    rules: Tuple[UserDefinedRule, ...] = ()
     #: Abstract resource requirements for the scheduler (§2.3: "describe the
     #: requirements in terms of resource types and the service levels").
     requirements: Dict[str, Union[str, int, float]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        self.variables = tuple(self.variables)
+        self.rules = tuple(self.rules)
         if not self.name:
             raise DGLValidationError("step name cannot be empty")
 
@@ -273,10 +285,12 @@ class Flow:
 
     name: str
     logic: FlowLogic = field(default_factory=FlowLogic)
-    variables: List[Variable] = field(default_factory=list)
-    children: List[Union["Flow", Step]] = field(default_factory=list)
+    variables: Tuple[Variable, ...] = ()
+    children: Tuple[Union["Flow", Step], ...] = ()
 
     def __post_init__(self) -> None:
+        self.variables = tuple(self.variables)
+        self.children = tuple(self.children)
         if not self.name:
             raise DGLValidationError("flow name cannot be empty")
         kinds = {type(child) for child in self.children}
@@ -414,7 +428,9 @@ class FlowStatus:
     error: Optional[str] = None
     #: Loop flows report how many iterations have completed.
     iterations: int = 0
-    children: List["FlowStatus"] = field(default_factory=list)
+    #: A flow's nodes, in definition order; ``()`` for a step, and for
+    #: a node a snapshot or document cut off below.
+    children: Sequence["FlowStatus"] = ()
 
     def find(self, path: str) -> Optional["FlowStatus"]:
         """Descend by ``/``-joined child names ('' or None = self)."""
@@ -436,8 +452,8 @@ class FlowStatus:
         polls dominate gateway traffic. ``max_depth=0`` copies just this
         node (children omitted); ``None`` copies everything below.
         """
-        if max_depth == 0:
-            children: List["FlowStatus"] = []
+        if max_depth == 0 or not self.children:
+            children: Sequence["FlowStatus"] = ()
         else:
             deeper = None if max_depth is None else max_depth - 1
             children = [child.snapshot(deeper) for child in self.children]

@@ -16,6 +16,7 @@ Two jobs:
 
 from __future__ import annotations
 
+import collections.abc
 import dataclasses
 import typing
 from typing import List, Union
@@ -75,6 +76,11 @@ def validate_request(request: DataGridRequest) -> None:
 # --------------------------------------------------------------------------
 
 
+#: Annotation origins rendered as a repeated element: ``List[X]``, the
+#: model's ``Tuple[X, ...]`` and ``Sequence[X]``.
+_SEQUENCES = (list, tuple, collections.abc.Sequence)
+
+
 def _type_label(annotation) -> str:
     """Human-readable label for one field annotation."""
     origin = typing.get_origin(annotation)
@@ -85,9 +91,8 @@ def _type_label(annotation) -> str:
         if type(None) in typing.get_args(annotation):
             label += "?"
         return label
-    if origin in (list, List):
-        (arg,) = typing.get_args(annotation)
-        return f"{_type_label(arg)}*"
+    if origin in _SEQUENCES:
+        return f"{_type_label(typing.get_args(annotation)[0])}*"
     if origin is dict:
         key, value = typing.get_args(annotation)
         return f"map<{_type_label(key)}, {_type_label(value)}>"
@@ -105,9 +110,8 @@ def _expandable_classes(annotation) -> list:
         for arg in typing.get_args(annotation):
             out.extend(_expandable_classes(arg))
         return out
-    if origin in (list, List):
-        (arg,) = typing.get_args(annotation)
-        return _expandable_classes(arg)
+    if origin in _SEQUENCES:
+        return _expandable_classes(typing.get_args(annotation)[0])
     if dataclasses.is_dataclass(annotation) and isinstance(annotation, type):
         return [annotation]
     return []

@@ -469,7 +469,7 @@ def _status_node(element: ET.Element, children: list) -> FlowStatus:
         finished_at=_attr(element, "finishedAt", float, None),
         error=element.get("error"),
         iterations=_attr(element, "iterations", int, "0"),
-        children=children)
+        children=children or ())
 
 
 def request_from_xml(text: str) -> DataGridRequest:

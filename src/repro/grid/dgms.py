@@ -20,9 +20,11 @@ defining property of a datagrid.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Dict, List, Mapping, NamedTuple, Optional
+from typing import (
+    Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple)
 
-from repro.errors import GridError, NamespaceError, ReplicaError, Retryable
+from repro.errors import (
+    GridError, NamespaceError, NetworkError, ReplicaError, Retryable)
 from repro.grid.acl import Permission, readable
 from repro.grid.domains import DomainRegistry, DomainRole
 from repro.grid.events import (
@@ -393,10 +395,36 @@ class DataGridManagementSystem:
         if policy == "fixed":
             return min(replicas, key=lambda r: r.replica_number)
         if policy == "nearest":
-            return min(replicas, key=lambda r: (
-                self.topology.transfer_time(r.domain, to_domain, obj.size),
-                r.replica_number))
+            return self.nearest_replica(obj, to_domain, replicas)[0]
         raise GridError(f"unknown replica policy {policy!r}")
+
+    def nearest_replica(self, obj: DataObject, to_domain: str,
+                        replicas: Sequence[Replica]) -> Tuple[Replica, float]:
+        """The replica of ``obj`` cheapest to read to ``to_domain``, and
+        its uncontended transfer time.
+
+        Each of the (non-empty) ``replicas`` costs what
+        :meth:`Topology.transfer_time` says for ``obj.size`` bytes, the
+        same float: ``0.0`` over a local route, else latency plus size
+        over the bottleneck bandwidth. The lowest (cost, replica number)
+        wins, so ties go to the older replica. Routes come from the
+        destination's route map in one pass, with no call per candidate.
+        """
+        size = obj.size
+        if size < 0:
+            raise NetworkError(f"negative transfer size: {size}")
+        routes = self.topology.routes_to(to_domain)
+        best = None
+        best_cost = best_number = 0
+        for replica in replicas:
+            route = routes[replica.domain]
+            cost = (route.latency_s + size / route.bottleneck_bps
+                    if route.links else 0.0)
+            number = replica.replica_number
+            if best is None or cost < best_cost or (
+                    cost == best_cost and number < best_number):
+                best, best_cost, best_number = replica, cost, number
+        return best, best_cost
 
     def _get(self, user, path, to_domain, replica_policy):
         obj = self.namespace.resolve_object(path)

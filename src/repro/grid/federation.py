@@ -292,13 +292,19 @@ class Federation:
         source = self.zone(src_zone)
         target = self.zone(dst_zone)
         obj = source.namespace.resolve_object(src_path)
+        # Both zones are federated and the source path resolved, so this
+        # cannot raise. The destination's name is qualified at the first
+        # failover: a malformed destination path raises there, or from
+        # the put when nothing fails over.
+        src_name = qualify(src_zone, src_path)
+        dst_name = None
         recovery = target.recovery if target.recovery is not None \
             else source.recovery
         attempt = 0
         while True:
             try:
                 copied = yield from self._copy_once(
-                    user, source, target, obj, src_zone, src_path,
+                    user, source, target, obj, src_zone, src_path, src_name,
                     dst_path, dst_logical_resource, bridge, replica_policy)
             except Exception as exc:
                 if recovery is None or not isinstance(exc, Retryable):
@@ -308,10 +314,10 @@ class Federation:
                 if attempt >= recovery.policy.max_attempts:
                     self._note_copy("failed")
                     raise
-                recovery.note("federation-failover",
-                              src=qualify(src_zone, src_path),
-                              dst=qualify(dst_zone, dst_path),
-                              error=type(exc).__name__)
+                if dst_name is None:
+                    dst_name = qualify(dst_zone, dst_path)
+                recovery.note("federation-failover", src=src_name,
+                              dst=dst_name, error=type(exc).__name__)
                 yield from recovery.backoff(attempt,
                                             operation="cross_zone_copy",
                                             path=src_path)
@@ -320,7 +326,8 @@ class Federation:
             return copied
 
     def _copy_once(self, user, source, target, obj, src_zone, src_path,
-                   dst_path, dst_logical_resource, bridge, replica_policy):
+                   src_name, dst_path, dst_logical_resource, bridge,
+                   replica_policy):
         """Generator: one attempt at read → bridge hop → put."""
         good = obj.good_replicas()
         if not good:
@@ -345,7 +352,7 @@ class Federation:
         copied = yield target.put(
             user, dst_path, obj.size, dst_logical_resource,
             metadata=dict(obj.metadata.items()), guid=obj.guid)
-        copied.metadata.set("federation:source", qualify(src_zone, src_path))
+        copied.metadata.set("federation:source", src_name)
         return copied
 
     # -- accounting -----------------------------------------------------------

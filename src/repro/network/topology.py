@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.errors import NetworkError, NoRouteError
 
@@ -79,6 +79,29 @@ class _Route(NamedTuple):
 _LOCAL = _Route.over([])
 
 
+class _RoutesTo(dict):
+    """One destination's routes, keyed by source domain.
+
+    A source seen for the first time is routed by :meth:`Topology._fill`,
+    which raises for an unknown or unreachable source and caches only a
+    route it found.
+    """
+
+    __slots__ = ("_topology", "_dst")
+
+    def __init__(self, topology: "Topology", dst: str) -> None:
+        super().__init__()
+        self._topology = topology
+        self._dst = dst
+        # The local route is every destination's own entry.
+        self[dst] = _LOCAL
+
+    def __missing__(self, src: str) -> _Route:
+        route = self._topology._fill(src, self._dst)
+        self[src] = route
+        return route
+
+
 class Topology:
     """An undirected graph of domains and links."""
 
@@ -86,9 +109,10 @@ class Topology:
         self._domains: set = set()
         self._adjacency: Dict[str, List[Link]] = {}
         self._version = 0
-        #: (src, dst) -> (version when computed, route). Entries from an
-        #: older version are stale and recomputed on the next lookup.
-        self._route_cache: Dict[Tuple[str, str], Tuple[int, _Route]] = {}
+        #: dst -> (version when filled, {src: route}). A destination's map
+        #: from an older version is stale: the next lookup into that
+        #: destination starts a fresh one.
+        self._route_cache: Dict[str, Tuple[int, _RoutesTo]] = {}
 
     @property
     def version(self) -> int:
@@ -171,28 +195,52 @@ class Topology:
         """Lowest-latency path from ``src`` to ``dst`` as a list of links.
 
         A same-domain route is the empty list (local access). Routes are
-        cached per (src, dst) and invalidated by the topology version, so
-        repeated transfers between the same pair skip Dijkstra entirely.
+        cached per destination, then per source, and invalidated by the
+        topology version, so repeated transfers between the same pair
+        skip Dijkstra entirely.
         """
         # A fresh list: callers hold on to (and could mutate) the path.
         return list(self._route(src, dst).links)
 
     def _route(self, src: str, dst: str) -> _Route:
         """The cached route with its metrics (see :meth:`route`)."""
-        # Domains are never removed and local routes are never cached, so
-        # a current entry needs none of the checks below.
-        cached = self._route_cache.get((src, dst))
+        # Domains are never removed, so a current entry needs none of
+        # the checks in _fill.
+        cached = self._route_cache.get(dst)
         if cached is not None and cached[0] == self._version:
-            return cached[1]
+            route = cached[1].get(src)
+            if route is not None:
+                return route
         if src not in self._domains:
             raise NetworkError(f"unknown domain {src!r}")
+        return self.routes_to(dst)[src]
+
+    def routes_to(self, dst: str) -> Mapping[str, _Route]:
+        """Every route into ``dst``, keyed by source domain.
+
+        The map is the route cache itself, for reading only: it is
+        current until the next :meth:`connect` or :meth:`disconnect`, and
+        a source missing from it is routed on first lookup. Scoring many
+        sources against one destination (replica selection) reads it
+        once instead of making a call per source. Raises
+        :class:`~repro.errors.NetworkError` for an unknown ``dst``; a
+        lookup raises it for an unknown source and
+        :class:`~repro.errors.NoRouteError` for an unreachable one.
+        """
+        cached = self._route_cache.get(dst)
+        if cached is not None and cached[0] == self._version:
+            return cached[1]
         if dst not in self._domains:
             raise NetworkError(f"unknown domain {dst!r}")
-        if src == dst:
-            return _LOCAL
-        route = _Route.over(self._dijkstra(src, dst))
-        self._route_cache[(src, dst)] = (self._version, route)
-        return route
+        routes = _RoutesTo(self, dst)
+        self._route_cache[dst] = (self._version, routes)
+        return routes
+
+    def _fill(self, src: str, dst: str) -> _Route:
+        """Route a pair missing from ``dst``'s map (``dst`` is known)."""
+        if src not in self._domains:
+            raise NetworkError(f"unknown domain {src!r}")
+        return _Route.over(self._dijkstra(src, dst))
 
     def _dijkstra(self, src: str, dst: str) -> List[Link]:
         dist: Dict[str, float] = {src: 0.0}

@@ -263,7 +263,7 @@ def test_status_query_max_depth_zero_prunes_children(dfms):
     response = dfms.server.submit(DataGridRequest(
         user=dfms.alice.qualified_name, virtual_organization="vo",
         body=FlowStatusQuery(request_id=ack.request_id, max_depth=0)))
-    assert response.body.children == []
+    assert response.body.children == ()
     full = dfms.server.status(ack.request_id)
     assert len(full.children) == 3      # the tree itself is intact
 
@@ -271,7 +271,7 @@ def test_status_query_max_depth_zero_prunes_children(dfms):
 def test_status_snapshot_is_detached_at_every_depth(dfms):
     ack = dfms.server.submit(make_request(dfms, sleepy_flow()))
     shallow = dfms.server.status(ack.request_id, max_depth=1)
-    assert [child.children for child in shallow.children] == [[], [], []]
+    assert [child.children for child in shallow.children] == [(), (), ()]
     live = dfms.server.execution(ack.request_id).status
     shallow.children[0].name = "mutated"
     assert live.children[0].name == "s0"

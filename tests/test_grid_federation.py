@@ -271,6 +271,89 @@ def test_copy_retries_through_a_destination_outage():
     assert recovery.count("federation-failover") >= 1
 
 
+def test_a_copy_qualifies_its_names_once_however_often_it_fails_over(
+        monkeypatch):
+    import repro.grid.federation as federation_module
+
+    calls = []
+
+    def counting_qualify(zone, path):
+        calls.append((zone, path))
+        return qualify(zone, path)
+
+    monkeypatch.setattr(federation_module, "qualify", counting_qualify)
+    env = Environment()
+    fed = Federation(env)
+    us, us_admin = make_mesh_zone(env, "us", ["sdsc"])
+    uk, uk_admin = make_mesh_zone(env, "uk", ["ral"])
+    fed.add_zone("usgrid", us)
+    fed.add_zone("ukgrid", uk)
+    recovery = attach_recovery(
+        uk, policy=RetryPolicy(max_attempts=8, base_delay=0.5))
+    notes = []
+    note = recovery.note
+    monkeypatch.setattr(recovery, "note", lambda kind, **fields: (
+        notes.append((kind, fields)), note(kind, **fields)))
+    mechanics = FaultDriver(uk, FaultSchedule())
+
+    def scenario():
+        yield us.put(us_admin, "/data/obs.dat", 4 * MB, "sdsc-disk")
+        us.grant(us_admin, "/data/obs.dat", uk_admin.qualified_name,
+                 Permission.READ)
+        mechanics.hold_storage("ral-disk-1")
+        timer = env.timeout(6.0)
+        timer.callbacks.append(
+            lambda _event: mechanics.release_storage("ral-disk-1"))
+        calls.clear()
+        copied = yield fed.cross_zone_copy(
+            uk_admin, "usgrid", "/data/obs.dat",
+            "ukgrid", "/data/obs.dat", "ral-disk")
+        return copied
+
+    copied = env.run_process(scenario())
+    failovers = [fields for kind, fields in notes
+                 if kind == "federation-failover"]
+    assert len(failovers) >= 2
+    assert calls == [("usgrid", "/data/obs.dat"), ("ukgrid", "/data/obs.dat")]
+    assert {(f["src"], f["dst"]) for f in failovers} == {
+        ("usgrid:/data/obs.dat", "ukgrid:/data/obs.dat")}
+    assert copied.metadata.get("federation:source") == "usgrid:/data/obs.dat"
+
+
+def test_a_malformed_destination_path_raises_at_the_first_failover():
+    env = Environment()
+    fed = Federation(env)
+    us, us_admin = make_mesh_zone(env, "us", ["sdsc"])
+    uk, uk_admin = make_mesh_zone(env, "uk", ["ral"])
+    fed.add_zone("usgrid", us)
+    fed.add_zone("ukgrid", uk)
+    recovery = attach_recovery(
+        uk, policy=RetryPolicy(max_attempts=8, base_delay=0.5))
+    source_mechanics = FaultDriver(us, FaultSchedule())
+
+    def copy(dst_path):
+        yield fed.cross_zone_copy(uk_admin, "usgrid", "/data/obs.dat",
+                                  "ukgrid", dst_path, "ral-disk")
+
+    def scenario():
+        yield us.put(us_admin, "/data/obs.dat", 4 * MB, "sdsc-disk")
+        us.grant(us_admin, "/data/obs.dat", uk_admin.qualified_name,
+                 Permission.READ)
+        # Without a failover the put refuses the path itself.
+        with pytest.raises(NamespaceError):
+            yield from copy("data/obs.dat")
+        assert recovery.count("federation-failover") == 0
+        # A failed read fails over first, and the failover names the
+        # destination.
+        source_mechanics.hold_storage("sdsc-disk-1")
+        yield from copy("data/obs.dat")
+
+    with pytest.raises(FederationError, match="must be absolute"):
+        env.run_process(scenario())
+    assert recovery.count("federation-failover") == 0
+    assert fed.copies_failed == 1
+
+
 def test_copy_without_recovery_fails_terminally_not_silently():
     env = Environment()
     fed = Federation(env)
