@@ -48,6 +48,7 @@ Correctness model — sim-time TTL plus precise invalidation:
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.grid.acl import Permission, readable
@@ -65,6 +66,8 @@ _UNCACHEABLE_FIELDS = frozenset({"checksum"})
 #: staleness of surfaces the feed cannot see (none known — belt and
 #: braces) and the memory held by one-off queries.
 DEFAULT_TTL_S = 300.0
+
+_PATH = attrgetter("path")
 
 
 class _QueryEntry:
@@ -210,10 +213,10 @@ class DgmsCache:
         """
         entry = self._query_entry(user, query)
         if entry is None:
-            return [obj.path for obj in self._run_filtered(user, query)]
+            return list(map(_PATH, self._run_filtered(user, query)))
         paths = entry.paths
         if paths is None:
-            paths = entry.paths = tuple(obj.path for obj in entry.results)
+            paths = entry.paths = tuple(map(_PATH, entry.results))
         return list(paths)
 
     # -- replica choices -----------------------------------------------------

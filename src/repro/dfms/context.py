@@ -45,7 +45,10 @@ class ExecutionContext:
 
     def log(self, message: str) -> None:
         """Append to the execution's message log (the ``dgl.log`` channel)."""
-        self.execution.messages.append((self.env.now, str(message)))
+        execution = self.execution
+        if not execution.messages:
+            execution.messages = []
+        execution.messages.append((self.env.now, str(message)))
 
     def for_step(self, scope: Scope,
                  requirements: Optional[dict] = None) -> "ExecutionContext":

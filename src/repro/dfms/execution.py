@@ -18,7 +18,7 @@ journal entry does for the effects of a step that assigned nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
 from repro.errors import InvalidTransition
 from repro.dgl.model import ExecutionState, Flow, FlowStatus, Step
@@ -64,7 +64,10 @@ class FlowExecution:
         self.failure: Optional[BaseException] = None
         self.submitted_at = env.now
         self.finished_at: Optional[float] = None
-        self.messages: List[Tuple[float, str]] = []
+        #: ``(time, message)`` pairs from ``dgl.log``: the shared ``()``
+        #: until the first message, when :meth:`~repro.dfms.context.
+        #: ExecutionContext.log` makes it a list.
+        self.messages: Sequence[Tuple[float, str]] = ()
         #: instance_key -> JournalEntry for completed steps.
         self.journal: Dict[str, JournalEntry] = {}
         #: When True the engine skips steps found in the journal (recovery).

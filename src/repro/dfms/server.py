@@ -87,6 +87,9 @@ class DfMSServer:
             self.set_infrastructure(infrastructure)
         self._executions: Dict[str, FlowExecution] = {}
         self._requests: Dict[str, DataGridRequest] = {}
+        # Launched executions whose done event has not fired (see
+        # running_count).
+        self._running = 0
         #: Advertised liveness; the P2P lookup service skips offline peers.
         self.online = True
         #: Optional zone federation this server participates in; enables
@@ -173,6 +176,8 @@ class DfMSServer:
             raise DfMSError(f"request {request_id!r} already registered")
         self._executions[request_id] = execution
         self._requests[request_id] = request
+        self._running += 1
+        execution.done.callbacks.append(self._execution_done)
         ctx = ExecutionContext(env=self.env, dgms=self.dgms,
                                user=self.dgms.users.get(request.user),
                                scope=Scope(), execution=execution,
@@ -321,9 +326,16 @@ class DfMSServer:
 
     @property
     def running_count(self) -> int:
-        """Executions not yet in a terminal state."""
-        return sum(1 for execution in self._executions.values()
-                   if not execution.state.is_terminal)
+        """Executions not yet in a terminal state.
+
+        A live count: :meth:`launch` adds one and each execution's
+        ``done`` event takes it away when it fires, so P2P routing can
+        read every peer's load on every referral.
+        """
+        return self._running
+
+    def _execution_done(self, _event) -> None:
+        self._running -= 1
 
     def executions(self) -> List[FlowExecution]:
         """All executions this server has accepted."""

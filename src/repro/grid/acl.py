@@ -41,8 +41,12 @@ class AccessControlList:
             self._entries[owner.qualified_name] = Permission.OWN
 
     def grant(self, principal: str, permission: Permission) -> None:
-        """Set ``principal``'s level (use ``group:<name>`` for groups)."""
-        if permission is Permission.NONE:
+        """Set ``principal``'s level (use ``group:<name>`` for groups).
+
+        Granting NONE removes the entry, so every entry kept grants at
+        least READ (:func:`readable` relies on it).
+        """
+        if permission <= Permission.NONE:
             self._entries.pop(principal, None)
         else:
             self._entries[principal] = permission
@@ -82,19 +86,14 @@ class AccessControlList:
 def readable(user: User, nodes: Iterable, required: Permission) -> List:
     """The nodes on which ``user`` holds at least ``required``, in order.
 
-    The same filter as ``node.acl.allows(user, required)`` per node, but
-    the caller's principal keys (qualified name, ``*``, ``group:`` names)
-    are built once per call, and a node is kept as soon as one key grants
-    enough: the effective level is the maximum over those keys.
+    The same filter as ``node.acl.allows(user, required)`` per node. For
+    READ, the level queries ask for, it is one pass over the user's
+    precomputed :attr:`~repro.grid.users.User.principal_keys`: every
+    explicit entry grants at least READ, so a node is readable exactly
+    when one of those keys has an entry on it.
     """
-    need = int(required)
-    keys = (user.qualified_name, "*",
-            *(f"group:{group}" for group in user.groups))
-    kept = []
-    for node in nodes:
-        get = node.acl._entries.get
-        for key in keys:
-            if get(key, 0) >= need:
-                kept.append(node)
-                break
-    return kept
+    if required == Permission.READ:
+        keys = user.principal_keys
+        return [node for node in nodes
+                if not keys.isdisjoint(node.acl._entries)]
+    return [node for node in nodes if node.acl.allows(user, required)]

@@ -17,20 +17,30 @@ Indexes maintained:
   values — mirroring the query language's mixed string/numeric equality;
 * per-attribute EXISTS sets (attribute → objects carrying it);
 * a sorted size index for range conjuncts (``size > …``, ``size <= …``),
-  answering every size bound of a query as one merged range.
+  answering every size bound of a query as one merged, exact range.
+
+Every metadata posting (one value's objects, or one attribute's EXISTS
+set) is a :class:`_Posting`: an identity-keyed dict, so inserts and
+removals stay O(1), plus a path-ordered *view* of its members. The view
+is built by one sort on the first read. While inserts arrive in path
+order (an ingest appending to a collection) they extend it in place; an
+insert out of order, or any removal, drops it, and the next read sorts
+again. A posting that is never read is never sorted. Lookups return
+their candidates in path order, which lets the planner take a scope as
+one bisected slice and a ``limit`` as the slice's first entries.
 
 Index lookups return *candidate supersets*, and the query planner in
 :mod:`repro.grid.query` re-verifies the conditions a lookup does not
-guarantee. Two lookups are exact for their own conjunct and are relied
-on as such: the string-keyed posting list (``meta:a = 'v'`` with a
-string value) and the EXISTS set. All containers are insertion-ordered
-dicts keyed by object identity, which keeps iteration deterministic for
-a deterministic operation sequence.
+guarantee. Three lookups are exact and are relied on as such: the
+string-keyed posting list (``meta:a = 'v'`` with a string value), the
+EXISTS set, and the size range for the size bounds it was asked for.
 """
 
 from __future__ import annotations
 
 import bisect
+import heapq
+import operator
 from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
                     Tuple)
 
@@ -48,8 +58,51 @@ _AFTER_ANY_GUID = "\uffff"
 SizeBounds = Sequence[Tuple[str, float]]
 
 
+_PATH = operator.attrgetter("path")
+
+
 def _is_numeric(value: MetadataValue) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+class _Posting(dict):
+    """``{id(obj): obj}`` for one index key, plus its path-ordered view.
+
+    ``view`` is None until :func:`_in_path_order` sorts the members;
+    :meth:`GridCatalog._add` extends or drops it and
+    :meth:`GridCatalog._discard` drops it. An object's path changes only
+    while it is out of the catalog (a move deregisters and re-registers
+    it), so a view stays sorted until a member is added out of order or
+    removed.
+    """
+
+    __slots__ = ("view",)
+
+
+def _in_path_order(posting: Optional[_Posting]) -> List["DataObject"]:
+    """``posting``'s members by path: the catalog's own list, not a copy."""
+    if posting is None:
+        return []
+    view = posting.view
+    if view is None:
+        view = posting.view = sorted(posting.values(), key=_PATH)
+    return view
+
+
+def _union_in_path_order(first: List["DataObject"],
+                         second: List["DataObject"]) -> List["DataObject"]:
+    """Merge two path-ordered lists, keeping an object in both once."""
+    if not second:
+        return first
+    if not first:
+        return second
+    merged: List["DataObject"] = []
+    previous = None
+    for obj in heapq.merge(first, second, key=_PATH):
+        if obj is not previous:
+            merged.append(obj)
+        previous = obj
+    return merged
 
 
 class GridCatalog:
@@ -57,12 +110,12 @@ class GridCatalog:
 
     def __init__(self) -> None:
         self._by_guid: Dict[str, "DataObject"] = {}
-        # attribute -> str(value) -> {id(obj): obj}  (every value)
-        self._meta_str: Dict[str, Dict[str, Dict[int, "DataObject"]]] = {}
-        # attribute -> float(value) -> {id(obj): obj}  (numeric values only)
-        self._meta_num: Dict[str, Dict[float, Dict[int, "DataObject"]]] = {}
-        # attribute -> {id(obj): obj}  (EXISTS)
-        self._meta_exists: Dict[str, Dict[int, "DataObject"]] = {}
+        # attribute -> str(value) -> posting  (every value)
+        self._meta_str: Dict[str, Dict[str, _Posting]] = {}
+        # attribute -> float(value) -> posting  (numeric values only)
+        self._meta_num: Dict[str, Dict[float, _Posting]] = {}
+        # attribute -> posting  (EXISTS)
+        self._meta_exists: Dict[str, _Posting] = {}
         # Sorted (size, guid) keys; guid resolves back through _by_guid.
         self._size_keys: List[Tuple[float, str]] = []
         # The size each object is currently indexed under (sizes mutate on
@@ -143,12 +196,11 @@ class GridCatalog:
 
     def _index_meta(self, obj: "DataObject", attribute: str,
                     value: MetadataValue) -> None:
-        self._meta_exists.setdefault(attribute, {})[id(obj)] = obj
-        by_str = self._meta_str.setdefault(attribute, {})
-        by_str.setdefault(str(value), {})[id(obj)] = obj
+        self._add(self._meta_exists, attribute, obj)
+        self._add(self._meta_str.setdefault(attribute, {}), str(value), obj)
         if _is_numeric(value):
-            by_num = self._meta_num.setdefault(attribute, {})
-            by_num.setdefault(float(value), {})[id(obj)] = obj
+            self._add(self._meta_num.setdefault(attribute, {}),
+                      float(value), obj)
 
     def _unindex_meta(self, obj: "DataObject", attribute: str,
                       value: MetadataValue) -> None:
@@ -166,12 +218,27 @@ class GridCatalog:
                     del self._meta_num[attribute]
 
     @staticmethod
+    def _add(index: Dict, key, obj: "DataObject") -> None:
+        posting = index.get(key)
+        if posting is None:
+            posting = index[key] = _Posting()
+            posting.view = None
+        posting[id(obj)] = obj
+        view = posting.view
+        if view is not None:
+            if view[-1].path < obj.path:
+                view.append(obj)
+            else:
+                posting.view = None
+
+    @staticmethod
     def _discard(index: Dict, key, obj: "DataObject") -> None:
-        bucket = index.get(key)
-        if bucket is None:
+        posting = index.get(key)
+        if posting is None:
             return
-        bucket.pop(id(obj), None)
-        if not bucket:
+        if posting.pop(id(obj), None) is not None:
+            posting.view = None
+        if not posting:
             del index[key]
 
     # -- lookups (candidate supersets) ---------------------------------------
@@ -198,53 +265,69 @@ class GridCatalog:
 
     def candidates_meta_eq(self, attribute: str,
                            value: MetadataValue) -> List["DataObject"]:
-        """Candidate objects whose ``attribute`` may equal ``value``.
+        """Candidate objects whose ``attribute`` may equal ``value``, in
+        path order.
 
         A superset under the query language's comparison rules (numeric
-        compare when both sides are numeric, string compare otherwise).
+        compare when both sides are numeric, string compare otherwise);
+        exact for a string ``value``. The list may be the posting's own
+        view: read it, never mutate it.
         """
-        by_str = self._meta_str.get(attribute, {}).get(str(value), {})
+        by_str = _in_path_order(
+            self._meta_str.get(attribute, {}).get(str(value)))
         if not _is_numeric(value):
-            return list(by_str.values())
-        merged = dict(by_str)
-        merged.update(self._meta_num.get(attribute, {}).get(float(value), {}))
-        return list(merged.values())
+            return by_str
+        return _union_in_path_order(by_str, _in_path_order(
+            self._meta_num.get(attribute, {}).get(float(value))))
 
     def count_meta_exists(self, attribute: str) -> int:
         """Number of objects carrying ``attribute``."""
         return len(self._meta_exists.get(attribute, ()))
 
     def candidates_meta_exists(self, attribute: str) -> List["DataObject"]:
-        """Objects carrying ``attribute`` (exact, not just a superset)."""
-        return list(self._meta_exists.get(attribute, {}).values())
+        """Objects carrying ``attribute`` (exact), in path order.
+
+        The list is the posting's own view: read it, never mutate it.
+        """
+        return _in_path_order(self._meta_exists.get(attribute))
 
     def _size_range(self, bounds: SizeBounds) -> Tuple[int, int]:
-        """Index range [lo, hi) of size keys possibly satisfying every
+        """Index range [lo, hi) of exactly the size keys satisfying every
         ``size <op> value`` bound: the max of the lower ends and the min
-        of the upper ends."""
+        of the upper ends.
+
+        A key is ``(size, guid)``: ``(value, "")`` sorts before every key
+        of size ``value`` and ``(value, _AFTER_ANY_GUID)`` after them, so
+        ``>`` and ``<`` leave ties out and ``>=``, ``<=`` and ``=`` keep
+        them. ``value`` must not be NaN.
+        """
         keys = self._size_keys
         lo, hi = 0, len(keys)
         for op_value, value in bounds:
-            if op_value in (">", ">=", "="):
-                lo = max(lo, bisect.bisect_left(keys, (value, "")))
-            if op_value in ("<", "<=", "="):
-                # _AFTER_ANY_GUID sorts after every guid, so the bound lands
-                # past every key whose size equals ``value``.
-                hi = min(hi, bisect.bisect_right(keys,
+            if op_value == ">":
+                lo = max(lo, bisect.bisect_right(keys,
                                                  (value, _AFTER_ANY_GUID)))
+            elif op_value == "<":
+                hi = min(hi, bisect.bisect_left(keys, (value, "")))
+            else:
+                if op_value in (">=", "="):
+                    lo = max(lo, bisect.bisect_left(keys, (value, "")))
+                if op_value in ("<=", "="):
+                    hi = min(hi, bisect.bisect_right(
+                        keys, (value, _AFTER_ANY_GUID)))
         return lo, max(lo, hi)
 
     def count_size(self, bounds: SizeBounds) -> int:
-        """Upper bound on objects whose size satisfies every bound."""
+        """Number of objects whose size satisfies every bound."""
         lo, hi = self._size_range(bounds)
         return hi - lo
 
     def candidates_size(self, bounds: SizeBounds) -> List["DataObject"]:
-        """Candidate objects whose size may satisfy every bound.
+        """The objects whose size satisfies every bound, in size order.
 
         ``bounds`` is a sequence of ``(op, value)`` pairs, ``op`` one of
         ``=``, ``>``, ``>=``, ``<``, ``<=``: the conjunction of a query's
-        numeric ``size`` conditions, answered as one range.
+        numeric ``size`` conditions, answered as one exact range.
         """
         lo, hi = self._size_range(bounds)
         by_guid = self._by_guid

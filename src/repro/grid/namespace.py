@@ -167,11 +167,9 @@ class DataObject(_Node):
     def __init__(self, name: str, size: float, owner: Optional[User],
                  created_at: float, guid: Optional[str] = None) -> None:
         super().__init__(name, owner, created_at)
-        if size < 0:
-            raise NamespaceError(f"object size cannot be negative: {size}")
+        self.size = float(size)
         self.guid = (guid if guid is not None
                      else f"guid-local-{next(DataObject._local_guid_counter):06d}")
-        self.size = float(size)
         self.checksum: Optional[str] = None
         self.replicas: List[Replica] = []
         self.version = 1
@@ -183,7 +181,13 @@ class DataObject(_Node):
 
     @size.setter
     def size(self, value: float) -> None:
-        self._size = float(value)
+        value = float(value)
+        # NaN fails every comparison, so it would also break the
+        # catalog's sorted size index, which answers size bounds exactly.
+        if not value >= 0:
+            raise NamespaceError(
+                f"object size cannot be negative or NaN: {value}")
+        self._size = value
         if self._catalog is not None:
             self._catalog.object_resized(self)
 

@@ -15,10 +15,12 @@ used inside DGL documents, e.g.::
 
 from __future__ import annotations
 
+import bisect
 import enum
 import fnmatch
 import functools
 import heapq
+import itertools
 import operator
 import re
 from dataclasses import dataclass, field
@@ -121,11 +123,12 @@ _PATH = operator.attrgetter("path")
 
 
 def _is_size_bound(condition: Condition) -> bool:
-    """True if ``condition`` narrows the size index (a numeric range)."""
+    """True if ``condition`` is answered exactly by the size index: a
+    numeric range bound (a NaN bound is left to verification)."""
     value = condition.value
     return (condition.field == "size" and condition.op in _SIZE_RANGE_OPS
             and isinstance(value, (int, float))
-            and not isinstance(value, bool))
+            and not isinstance(value, bool) and value == value)
 
 
 @dataclass
@@ -139,10 +142,13 @@ class Query:
     size-index range scored the same way; evaluation starts from the most
     selective access path. Candidates are verified against the conditions
     the access path does not already guarantee: all of them, unless the
-    winner is *exact* for its conjunct (``meta:`` EQ with a string value,
-    ``meta:`` EXISTS), in which case only the rest. Results are always
-    identical to a brute-force scan (:meth:`run_scan`), just sublinear
-    for selective queries.
+    winner is *exact* (``meta:`` EQ with a string value, ``meta:`` EXISTS,
+    or the size range for its bounds), in which case only the rest.
+    Every access path but the size range yields its candidates in path
+    order, so the scope is one bisected slice and ``limit k`` stops at
+    the k-th verified candidate. Results are always identical to a
+    brute-force scan (:meth:`run_scan`), just sublinear for selective
+    queries.
     """
 
     collection: str = "/"
@@ -170,7 +176,10 @@ class Query:
 
         plan = self._plan(namespace)
         if plan is not None:
-            candidates, residual = plan
+            candidates, residual, in_path_order = plan
+            if in_path_order:
+                return self._first_in_scope(candidates, residual, scope.path,
+                                            telemetry)
             scope_path = scope.path
             if scope_path == "/":
                 in_scope = candidates
@@ -197,6 +206,36 @@ class Query:
         if telemetry is not None:
             self._account(telemetry, "scan", examined)
         return results
+
+    def _first_in_scope(self, candidates: List[DataObject],
+                        residual: Optional["Query"], scope_path: str,
+                        telemetry) -> List[DataObject]:
+        """The answer from path-ordered ``candidates``.
+
+        The objects under ``scope_path`` are one contiguous run: every
+        path from ``scope/`` up to, not including, ``scope0`` (``0``
+        follows ``/``) starts with ``scope/``. Bisect finds the run; the
+        first :attr:`limit` entries that pass ``residual`` are the
+        answer, so an exact access path with a limit costs O(log n + k).
+        """
+        lo, hi = 0, len(candidates)
+        if scope_path != "/":
+            lo = bisect.bisect_left(candidates, scope_path + "/", key=_PATH)
+            hi = bisect.bisect_left(candidates, scope_path + "0", lo,
+                                    key=_PATH)
+        if telemetry is not None:
+            self._account(telemetry, "index", hi - lo)
+        limit = self.limit
+        if limit is not None and limit >= 0:
+            if residual is None:
+                return candidates[lo:min(hi, lo + limit)]
+            return list(itertools.islice(
+                filter(residual.matches,
+                       map(candidates.__getitem__, range(lo, hi))), limit))
+        results = candidates[lo:hi]
+        if residual is not None:
+            results = list(filter(residual.matches, results))
+        return results if limit is None else results[:limit]
 
     def _first_by_path(self, objects) -> List[DataObject]:
         """``objects`` in path order, cut to :attr:`limit`.
@@ -238,28 +277,32 @@ class Query:
     # -- planning -----------------------------------------------------------
 
     def _plan(self, namespace: LogicalNamespace):
-        """``(candidates, residual)`` from the cheapest access path, or None.
+        """``(candidates, residual, in_path_order)`` from the cheapest
+        access path, or None.
 
         Scores every index-eligible conjunct by its (cheaply counted)
         candidate population, plus one size-index range merged from every
         numeric ``size`` bound, and fetches only the winner. ``residual``
         is the query left to verify on each candidate: None when the
-        winner is exact for the only condition, a :class:`Query` of the
+        winner is exact for every condition, a :class:`Query` of the
         other conditions when it is exact for its own, else this query.
-        Returns None when nothing is indexable, sending :meth:`run` down
-        the scan path.
+        ``in_path_order`` is False only for the size range, whose
+        candidates come in size order. Returns None when nothing is
+        indexable, sending :meth:`run` down the scan path.
         """
         catalog = getattr(namespace, "catalog", None)
         if catalog is None:
             return None
         best_count: Optional[int] = None
         best_fetch = None
-        exact_index: Optional[int] = None
+        exact_for: List[int] = []   # conjuncts the winner answers exactly
         size_bounds = []
+        size_conjuncts = []
         for index, condition in enumerate(self.conditions):
             if _is_size_bound(condition):
                 size_bounds.append((condition.op.value,
                                     float(condition.value)))
+                size_conjuncts.append(index)
                 continue
             count, fetch, exact = self._access_path(namespace, catalog,
                                                     condition)
@@ -267,21 +310,23 @@ class Query:
                 continue
             if best_count is None or count < best_count:
                 best_count, best_fetch = count, fetch
-                exact_index = index if exact else None
+                exact_for = [index] if exact else []
+        in_path_order = True
         if size_bounds:
             count = catalog.count_size(size_bounds)
             if best_count is None or count < best_count:
-                best_count = count
                 best_fetch = functools.partial(catalog.candidates_size,
                                                size_bounds)
-                exact_index = None
+                exact_for = size_conjuncts
+                in_path_order = False
         if best_fetch is None:
             return None
-        if exact_index is None:
-            return best_fetch(), self
+        if not exact_for:
+            return best_fetch(), self, in_path_order
         rest = [condition for index, condition in enumerate(self.conditions)
-                if index != exact_index]
-        return best_fetch(), (Query(self.collection, rest) if rest else None)
+                if index not in exact_for]
+        return (best_fetch(), Query(self.collection, rest) if rest else None,
+                in_path_order)
 
     @staticmethod
     def _access_path(namespace: LogicalNamespace, catalog, condition):
@@ -291,7 +336,8 @@ class Query:
         satisfying the conjunct, so it needs no re-verification: the
         string-keyed posting list of ``meta:`` EQ with a ``str`` value
         (the query language compares that case as strings), and the
-        ``meta:`` EXISTS set.
+        ``meta:`` EXISTS set. Every fetch returns its candidates in path
+        order.
         """
         field_name, op, value = condition.field, condition.op, condition.value
         if field_name.startswith("meta:"):

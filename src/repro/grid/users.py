@@ -8,6 +8,7 @@ given appropriate access permissions").
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Set
 
@@ -28,6 +29,17 @@ class User:
     def qualified_name(self) -> str:
         """The globally unique ``name@domain`` form."""
         return f"{self.name}@{self.domain}"
+
+    @functools.cached_property
+    def principal_keys(self) -> FrozenSet[str]:
+        """The ACL principals that speak for this user: the qualified
+        name, the wildcard ``*`` and one ``group:<name>`` per group.
+
+        Built once per user (the identity is immutable) and kept outside
+        the dataclass fields, so equality and hashing are unchanged.
+        """
+        return frozenset((self.qualified_name, "*",
+                          *(f"group:{group}" for group in self.groups)))
 
     def __str__(self) -> str:
         return self.qualified_name

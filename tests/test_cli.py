@@ -98,3 +98,33 @@ def test_demo_bbsrc(capsys):
 def test_demo_cms(capsys):
     assert main(["demo", "cms", "--files", "2"]) == 0
     assert "completed" in capsys.readouterr().out
+
+
+# -- run-a-scenario subcommands, each at its smallest size -------------------
+
+
+def test_trace_lists_a_chaos_seeds_executions(capsys):
+    assert main(["trace", "--chaos-seed", "0"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("executions in this telemetry stream")
+
+
+def test_telemetry_runs_a_demo_with_telemetry_attached(capsys):
+    assert main(["telemetry", "library", "--files", "1"]) == 0
+    assert "scenario 'library': completed at virtual" in (
+        capsys.readouterr().out)
+
+
+def test_gateway_runs_one_saturation_point_inline(capsys):
+    assert main(["gateway", "--jobs", "1", "--loads", "1",
+                 "--horizon", "5"]) == 0
+    assert capsys.readouterr().out.splitlines()[0].split() == [
+        "offered/s", "goodput/s", "p50_soj_s", "p99_soj_s", "shed",
+        "peak_q", "cache_hit"]
+
+
+def test_federation_runs_one_seed_inline(capsys):
+    assert main(["federation", "--jobs", "1", "--seeds", "1",
+                 "--zones", "2"]) == 0
+    assert ("1 seed(s), 2 zones, policy bridge-cost-aware; "
+            "0 invariant failure(s)") in capsys.readouterr().out

@@ -209,7 +209,7 @@ def test_rule_with_no_matching_action_is_skipped(dfms):
         actions=[Action("a", Operation("dgl.log", {"message": "never"}))])
     flow = flow_builder("f").rule(rule).step("s", "dgl.noop").build()
     submit(dfms, flow)
-    assert dfms.server.executions()[0].messages == []
+    assert dfms.server.executions()[0].messages == ()
 
 
 # -- failures and fault handling ---------------------------------------------

@@ -275,3 +275,66 @@ def test_status_snapshot_is_detached_at_every_depth(dfms):
     live = dfms.server.execution(ack.request_id).status
     shallow.children[0].name = "mutated"
     assert live.children[0].name == "s0"
+
+
+# -- load (the live running count P2P routing reads) -------------------------
+
+
+def test_running_count_equals_a_scan_through_every_transition(dfms):
+    """The live count must equal a scan of every accepted execution's
+    state after each way an execution starts or stops: submit, pause,
+    resume, cancel, failure, a restart in place and a checkpoint
+    restore."""
+    from repro.dfms import DfMSServer, checkpoint_execution, restore_execution
+    from repro.storage import MB
+    from repro.storage.failures import FailureInjector
+
+    other = DfMSServer(dfms.env, dfms.dgms, name="matrix-2")
+
+    def scanned(server):
+        return sum(1 for execution in server.executions()
+                   if not execution.state.is_terminal)
+
+    def check():
+        for server in (dfms.server, other):
+            assert server.running_count == scanned(server)
+
+    puts = flow_builder("ingest")
+    for index in range(3):
+        puts.step(f"put{index}", "srb.put", path=f"/home/alice/c{index}.dat",
+                  size=MB, resource="sdsc-disk")
+    doomed = (flow_builder("doomed")
+              .step("wait", "dgl.sleep", duration=12)
+              .step("boom", "dgl.fail", message="deliberate").build())
+    dfms.sdsc_disk.failures = FailureInjector(fail_ops=[2])
+    paused, cancelled, _ = (
+        dfms.server.submit(make_request(dfms, sleepy_flow())).request_id
+        for _ in range(3))
+    dfms.server.submit(make_request(dfms, doomed))
+    restarted = dfms.server.submit(make_request(dfms, puts.build()))
+    check()
+    assert dfms.server.running_count == 5
+
+    def scenario():
+        yield dfms.env.timeout(5.0)
+        dfms.server.pause(paused)
+        yield dfms.env.timeout(10.0)     # t=15: paused, failures landed
+        check()
+        assert dfms.server.execution(restarted.request_id).state is (
+            ExecutionState.FAILED)
+        dfms.server.resume(paused)
+        dfms.server.cancel(cancelled)
+        yield dfms.env.timeout(1.0)
+        check()
+        snapshot = checkpoint_execution(dfms.server, restarted.request_id)
+        restore_execution(dfms.server, snapshot, replace=True)
+        restore_execution(other, snapshot)
+        check()
+        assert other.running_count == 1
+        for server in (dfms.server, other):
+            for execution in server.executions():
+                yield server.wait(execution.request_id)
+        check()
+
+    dfms.run(scenario())
+    assert dfms.server.running_count == other.running_count == 0

@@ -12,6 +12,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from repro.errors import NamespaceError
 from repro.grid import (
     Condition,
     DataObject,
@@ -162,6 +163,145 @@ def test_planner_equals_scan_under_interleaved_mutations(namespace_seed,
     assert_equivalent(random_query(random.Random(namespace_seed), ns), ns)
 
 
+# -- path-ordered posting views -----------------------------------------------
+#
+# Postings keep a path-ordered view that in-order inserts extend and any
+# other write drops. The property below reads every view between writes,
+# so a write that should drop a view meets one, and compares the planner
+# with the scan in sibling scopes that share a prefix ("/a" must not see
+# "/a-b", "/a0" or "/ab"), with limits of every sign, with and without a
+# residual, with size bounds that tie object sizes (int and float), and
+# with numeric equality merged from both keyings.
+
+SIBLING_SCOPES = ["/a", "/a-b", "/a0", "/ab", "/a/x"]
+VIEW_SIZES = [0, 1, 2, 2.0, 2.5, 3, 7]
+VIEW_TAGS = [1, 2, "2", 2.0, "2.0", 3.5, "x"]
+
+
+def sibling_namespace() -> LogicalNamespace:
+    ns = LogicalNamespace()
+    for path in ("/a/x", "/a-b", "/a0", "/ab"):
+        ns.create_collection(path, ALICE, 0.0, parents=True)
+    return ns
+
+
+def read_every_view(ns: LogicalNamespace) -> None:
+    """Read (so build) every posting's view and check it against the
+    objects themselves: exactly the members, in path order."""
+    catalog = ns.catalog
+    objects = sorted(ns.iter_objects("/"), key=lambda o: o.path)
+    for attribute in ("stage", "tag"):
+        holders = [o for o in objects
+                   if o.metadata.get(attribute) is not None]
+        assert catalog.candidates_meta_exists(attribute) == holders
+        for value in {str(o.metadata.get(attribute)) for o in holders}:
+            assert catalog.candidates_meta_eq(attribute, value) == [
+                o for o in holders
+                if str(o.metadata.get(attribute)) == value]
+    for value in VIEW_TAGS:
+        catalog.candidates_meta_eq("tag", value)
+
+
+def apply_view_write(ns: LogicalNamespace, write) -> None:
+    """One namespace write; object choices index the live objects."""
+    objects = sorted(ns.iter_objects("/"), key=lambda o: o.path)
+    kind, pick, scope, number, size, value = write
+    target = objects[pick % len(objects)] if objects else None
+    if kind == "create":
+        path = f"{scope}/o{number:02d}.dat"
+        if ns.exists(scope) and not ns.exists(path):
+            obj = ns.create_object(path, size, ALICE, 0.0)
+            if value is not None:
+                obj.metadata.set("tag", value)
+            obj.metadata.set("stage", STAGES[number % len(STAGES)])
+    elif kind == "move_collection":
+        src, dst = (("/a/x", "/ab/x") if ns.exists("/a/x")
+                    else ("/ab/x", "/a/x"))
+        ns.move(src, dst)
+    elif target is None:
+        return
+    elif kind == "move":
+        path = f"{scope}/m{number:02d}.dat"
+        if ns.exists(scope) and not ns.exists(path):
+            ns.move(target.path, path)
+    elif kind == "remove":
+        ns.remove(target.path)
+    elif kind == "stage":
+        if value is None:
+            target.metadata.remove("stage")
+        else:
+            target.metadata.set("stage", STAGES[number % len(STAGES)])
+    elif kind == "tag":
+        if value is None:
+            target.metadata.remove("tag")
+        else:
+            target.metadata.set("tag", value)
+    elif kind == "resize":
+        target.size = size
+
+
+VIEW_WRITES = st.tuples(
+    st.sampled_from(["create", "create", "create", "move", "remove",
+                     "stage", "tag", "resize", "move_collection"]),
+    st.integers(0, 2**16), st.sampled_from(SIBLING_SCOPES),
+    st.integers(0, 40), st.sampled_from(VIEW_SIZES),
+    st.sampled_from(VIEW_TAGS + [None]))
+
+VIEW_ACCESS = st.one_of(
+    st.sampled_from(STAGES).map(
+        lambda stage: [Condition("meta:stage", Op.EQ, stage)]),
+    st.sampled_from(VIEW_TAGS).map(
+        lambda tag: [Condition("meta:tag", Op.EQ, tag)]),
+    st.sampled_from([[Condition("meta:stage", Op.EXISTS)],
+                     [Condition("meta:tag", Op.EXISTS)]]),
+    st.lists(st.builds(Condition, st.just("size"),
+                       st.sampled_from([Op.GT, Op.GE, Op.LT, Op.LE, Op.EQ]),
+                       st.sampled_from(VIEW_SIZES)),
+             min_size=1, max_size=2))
+
+VIEW_RESIDUALS = st.sampled_from([
+    [], [Condition("name", Op.LIKE, "*1*")],
+    [Condition("meta:stage", Op.NE, "raw")],
+    [Condition("meta:tag", Op.EXISTS)]])
+
+VIEW_QUERIES = st.tuples(
+    st.sampled_from(["/"] + SIBLING_SCOPES + ["/ab/x"]), VIEW_ACCESS,
+    VIEW_RESIDUALS, st.sampled_from([None, 0, 1, 3, -1, -2]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(steps=st.lists(st.tuples(VIEW_WRITES, VIEW_QUERIES),
+                      min_size=1, max_size=30))
+def test_path_ordered_views_equal_scan_between_writes(steps):
+    ns = sibling_namespace()
+    for write, (scope, access, residual, limit) in steps:
+        apply_view_write(ns, write)
+        read_every_view(ns)
+        if not ns.exists(scope):
+            continue
+        assert_equivalent(Query(collection=scope,
+                                conditions=access + residual,
+                                limit=limit), ns)
+
+
+def test_an_in_order_insert_extends_the_view_and_others_drop_it():
+    ns = sibling_namespace()
+    first = ns.create_object("/a/o01.dat", 1, ALICE, 0.0)
+    first.metadata.set("stage", "raw")
+    posting = ns.catalog._meta_exists["stage"]
+    view = ns.catalog.candidates_meta_exists("stage")
+    assert posting.view is view == [first]
+    ns.create_object("/a/o02.dat", 1, ALICE, 0.0).metadata.set("stage", "raw")
+    assert posting.view is view                    # extended in place
+    assert [o.name for o in view] == ["o01.dat", "o02.dat"]
+    ns.create_object("/a/o00.dat", 1, ALICE, 0.0).metadata.set("stage", "x")
+    assert posting.view is None                    # out of path order
+    view = ns.catalog.candidates_meta_exists("stage")
+    assert [o.name for o in view] == ["o00.dat", "o01.dat", "o02.dat"]
+    ns.remove("/a/o02.dat")
+    assert posting.view is None                    # a removal
+
+
 # -- exact access paths -------------------------------------------------------
 
 @pytest.fixture
@@ -220,12 +360,38 @@ def test_size_bounds_merge_into_one_range():
     ns = build_random_namespace(5)
     window = [Condition("size", Op.GT, 1000), Condition("size", Op.LE, 1400)]
     bounds = [(">", 1000.0), ("<=", 1400.0)]
-    inside = [o for o in ns.iter_objects("/") if 1000 <= o.size <= 1400]
-    # The merged range holds the window (plus ties at the open end), not
-    # either half-range.
+    inside = [o for o in ns.iter_objects("/") if 1000 < o.size <= 1400]
+    # The merged range is exactly the window, not either half-range.
     assert ns.catalog.count_size(bounds) == len(inside)
     assert ns.catalog.count_size([(">", 1400.0), ("<", 1000.0)]) == 0
     assert_equivalent(Query(conditions=window), ns)
+
+
+@pytest.mark.parametrize("op", [Op.GT, Op.GE, Op.LT, Op.LE, Op.EQ])
+@pytest.mark.parametrize("bound", [200, 200.0])
+def test_size_ranges_are_exact_so_size_queries_verify_nothing(
+        counted_matches, op, bound):
+    ns, a, b = small_namespace()
+    ns.create_object("/data/raw/c.dat", 200, ALICE, 0.0)   # ties b
+    query = Query(conditions=[Condition("size", op, bound)])
+    results = query.run(ns)
+    assert counted_matches == []
+    assert [o.path for o in results] == [o.path for o in query.run_scan(ns)]
+    assert ns.catalog.count_size([(op.value, float(bound))]) == len(results)
+
+
+@pytest.mark.parametrize("size", [float("nan"), -1.0])
+def test_a_size_the_index_cannot_order_is_refused(size):
+    """A NaN size fails every comparison, so it has no place in the
+    sorted size index that answers size bounds without verifying."""
+    ns, a, b = small_namespace()
+    with pytest.raises(NamespaceError, match="negative or NaN"):
+        ns.create_object("/data/raw/c.dat", size, ALICE, 0.0)
+    with pytest.raises(NamespaceError, match="negative or NaN"):
+        a.size = size
+    assert not ns.exists("/data/raw/c.dat")
+    assert a.size == 100.0
+    assert_equivalent(Query(conditions=[Condition("size", Op.GT, 50)]), ns)
 
 
 # -- targeted invalidation cases ----------------------------------------------
