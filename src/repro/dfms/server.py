@@ -329,8 +329,9 @@ class DfMSServer:
         """Executions not yet in a terminal state.
 
         A live count: :meth:`launch` adds one and each execution's
-        ``done`` event takes it away when it fires, so P2P routing can
-        read every peer's load on every referral.
+        ``done`` event takes it away when the kernel processes it, at
+        the sim instant the execution finished, so P2P routing can read
+        every peer's load on every referral.
         """
         return self._running
 
