@@ -14,6 +14,7 @@ import gc
 import json
 import os
 import platform
+import subprocess
 import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -114,11 +115,25 @@ def least_overhead(modes: Sequence[Tuple[str, Callable[[], float]]],
     return min(attempts, key=lambda attempt: attempt[0])
 
 
+def _dirty() -> bool:
+    """True when a tracked file other than a ``BENCH_*.json`` differs from
+    HEAD, i.e. the results come from code no commit holds yet; False when
+    that cannot be told (no git, or not a checkout)."""
+    try:
+        diff = subprocess.run(
+            ["git", "diff", "--quiet", "HEAD", "--", ".",
+             ":(exclude)BENCH_*.json"], cwd=REPO_ROOT, capture_output=True)
+    except OSError:
+        return False
+    return diff.returncode == 1
+
+
 def merge_results(path: Path, **sections) -> None:
     """Merge ``sections`` into the JSON result file at ``path``.
 
     The file's ``envelope`` records what produced it: the schema, Python
-    version, usable cores, git commit and whether the shapes were smoke.
+    version, usable cores, git commit, whether the shapes were smoke, and
+    ``"dirty": true`` when the tree differed from that commit.
     """
     payload = json.loads(path.read_text()) if path.exists() else {}
     payload.update(sections)
@@ -129,6 +144,8 @@ def merge_results(path: Path, **sections) -> None:
         "git_sha": _git_sha(),
         "smoke": SMOKE,
     }
+    if _dirty():
+        payload["envelope"]["dirty"] = True
     path.write_text(json.dumps(payload, indent=2) + "\n")
 
 

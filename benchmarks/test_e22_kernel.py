@@ -25,13 +25,21 @@ Two throughput claims land here, both against hard gates:
   workload in the *same order* — the speedup may not buy any behaviour
   change — and so must the batched kernel with a schedule sanitizer
   attached, which drains the same hot loop through its own lanes.
-* **seed farm** — fanning the 20-seed chaos sweep across a process pool
-  (:func:`repro.farm.run_farm`) must return results byte-identical to
-  the serial loop, in the same order, and scale near-linearly: farm
-  speedup over serial > 0.6 x the effective worker count (workers capped
-  by the cores this host actually grants). The sweep fingerprint is also
-  pinned to the hash recorded under the pre-batching kernel, so the
-  rewrite provably moved no float anywhere in the chaos stack.
+* **seed farm** — :func:`repro.farm.run_farm` pools a sweep only when
+  its first item says the rest cost :data:`repro.farm.runner.POOL_PAYBACK_S`
+  or more. The 20-seed chaos sweep (~0.15 s serial) runs inline; forced
+  through the pool it must still return results byte-identical to the
+  inline loop, in the same order, and its fingerprint is pinned to the
+  hash recorded under the pre-batching kernel, so the rewrite provably
+  moved no float anywhere in the chaos stack. Its time on the farm is
+  reported against inline, not gated. The scaling gate sits on the sweep
+  the farm does pool, ``repro sanitize``'s permutation proofs: the
+  report must be byte-identical to the inline one, and the farm's speedup
+  over inline > 0.6 x the effective worker count (workers capped by the
+  cores this host grants and by the proofs after the first). Each side
+  takes its best of three alternating rounds: on a shared 2-vCPU host a
+  worker's wall time ran up to 1.7x its CPU time in some rounds, which
+  one round of a ~2 s sweep cannot average away.
 
 Results land in ``BENCH_kernel.json`` at the repo root, with the
 reference-kernel baseline recorded alongside so the ratio is auditable.
@@ -44,17 +52,21 @@ a 2-vCPU host measured 3.7x and 5.3x where the parent measured 6.6x and
 6.0x.
 
 The smoke shape runs a fifth of the trigger storm and a quarter of the
-cascade roots, and skips the 5x gate; the farm sweeps the pinned 20 seeds
-at both shapes.
+cascade roots, and skips the 5x gate; the farm sweeps the pinned 20 chaos
+seeds at both shapes, and proves 15 of the 30 sanitizer scenarios (about
+2.5 s serial, well past the payback) instead of all 30.
 """
 
 import time
 
+import pytest
+
 from _helpers import REPO_ROOT, SMOKE, check_pinned_sweep, merge_results, shape
 import _kernel_reference as reference_kernel
 from repro.analysis.sanitizer import SanitizeConfig, ScheduleSanitizer
+from repro.cli import main
 from repro.errors import Interrupt
-from repro.farm import default_jobs
+from repro.farm import default_jobs, runner
 from repro.sim import kernel as batched_kernel
 from repro.workloads import run_chaos_sweep, sweep_fingerprint
 
@@ -67,8 +79,14 @@ STORM = shape(full=150_000, smoke=30_000)
 ROOTS = shape(full=400, smoke=100)
 DEPTH = 200
 BACKGROUND = 5000
-#: The farm's sweep: the pinned chaos seeds, at both shapes.
+#: The chaos sweep: the pinned seeds, at both shapes.
 SEEDS = list(range(20))
+#: The sanitizer sweep: ``repro sanitize``'s seed flags, all 30 scenarios
+#: (20 chaos, 10 federation) at the full shape.
+PROOFS = shape(full=(20, 10), smoke=(10, 5))
+#: Alternating inline/farm rounds of the sanitizer sweep; each side keeps
+#: its best.
+ROUNDS = 3
 
 
 def trigger_storm(kernel, n_events: int, n_background: int):
@@ -238,62 +256,115 @@ def test_e22_kernel_batching_speedup(benchmark, experiment):
             f"(gate: {SPEEDUP_GATE}x)")
 
 
-def test_e22_seed_farm_scaling(benchmark, experiment):
+def _on_cores(cores, sweep):
+    """``sweep()`` with the farm told the host grants ``cores`` cores and
+    that every sweep pays for a pool: one core runs it inline."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(runner, "POOL_PAYBACK_S", 0.0)
+        patch.setattr(runner, "default_jobs", lambda: cores)
+        return sweep()
+
+
+def _timed(sweep):
+    start = time.perf_counter()
+    result = sweep()
+    return time.perf_counter() - start, result
+
+
+def test_e22_seed_farm_scaling(benchmark, experiment, tmp_path):
     cores = default_jobs()
-    jobs = max(2, cores)  # force a real pool even on a one-core host
 
     report = experiment(
-        "E22b", "Seed farm: multiprocess chaos sweep vs serial loop",
-        header=["mode", "seeds", "jobs", "elapsed_s", "seeds_per_s"],
-        expectation="pool results byte-identical to serial, in order; "
-                    f"speedup > {FARM_EFFICIENCY_GATE} x effective workers")
+        "E22b", "Seed farm: each sweep on the farm vs inline",
+        header=["sweep", "mode", "items", "elapsed_s", "items_per_s"],
+        expectation="chaos sweep forced through the pool byte-identical "
+                    "to inline, in order; sanitizer report identical and "
+                    f"its speedup > {FARM_EFFICIENCY_GATE} x effective "
+                    "workers")
 
-    start = time.perf_counter()
-    serial = run_chaos_sweep(seeds=SEEDS, jobs=1)
-    serial_s = time.perf_counter() - start
+    # The chaos sweep: forced inline, as the farm chooses for itself, and
+    # forced through the pool (two workers even on a one-core host).
+    inline_s, serial = _timed(lambda: _on_cores(1, lambda: run_chaos_sweep(
+        seeds=SEEDS)))
+    chaos_farm_s, _ = _timed(lambda: run_chaos_sweep(seeds=SEEDS))
+    pooled = _on_cores(max(2, cores), lambda: run_chaos_sweep(seeds=SEEDS))
 
-    start = time.perf_counter()
-    farmed = run_chaos_sweep(seeds=SEEDS, jobs=jobs)
-    farm_s = time.perf_counter() - start
-
-    assert [r.seed for r in farmed] == SEEDS, "farm reordered results"
+    assert [r.seed for r in pooled] == SEEDS, "farm reordered results"
     identical = all(repr(a.signature) == repr(b.signature)
                     and a.ok == b.ok and a.violations == b.violations
-                    for a, b in zip(serial, farmed))
-    assert identical, "farmed chaos results differ from the serial loop"
-    assert all(r.ok for r in farmed), "chaos invariants violated under farm"
-
-    speedup = serial_s / farm_s
-    effective = min(jobs, cores, len(SEEDS))
-    report.row("serial", len(SEEDS), 1, serial_s, len(SEEDS) / serial_s)
-    report.row("farm", len(SEEDS), jobs, farm_s, len(SEEDS) / farm_s)
-    report.conclusion = (f"farm is {speedup:.2f}x serial on {cores} core(s) "
-                         f"({jobs} workers); results byte-identical")
-
-    benchmark.pedantic(lambda: run_chaos_sweep(seeds=SEEDS[:4], jobs=jobs),
-                       rounds=1, iterations=1)
-    benchmark.extra_info["farm_speedup"] = round(speedup, 2)
+                    for a, b in zip(serial, pooled))
+    assert identical, "pooled chaos results differ from the inline loop"
+    assert all(r.ok for r in pooled), "chaos invariants violated under farm"
+    report.row("chaos", "inline", len(SEEDS), inline_s,
+               len(SEEDS) / inline_s)
+    report.row("chaos", "farm", len(SEEDS), chaos_farm_s,
+               len(SEEDS) / chaos_farm_s)
 
     # The 20-seed determinism gate: the sweep fingerprint is pinned to the
     # hash recorded under the pre-batching kernel, so any kernel change
     # that moves a single float fails here, not in some downstream paper
     # figure.
-    sweep_sha = sweep_fingerprint(farmed)
+    sweep_sha = sweep_fingerprint(pooled)
     bit_identical = check_pinned_sweep(
         sweep_sha, SEEDS, "chaos_sweep_baseline.sha256",
-        "farmed chaos sweep")
+        "pooled chaos sweep")
+
+    # The sanitizer sweep: the one long sweep, which the farm pools.
+    chaos_proofs, federation_proofs = PROOFS
+    scenarios = chaos_proofs + federation_proofs
+
+    def sanitize(name):
+        path = tmp_path / f"sanitize-{name}.json"
+        assert main(["sanitize", "--chaos-seeds", str(chaos_proofs),
+                     "--federation-seeds", str(federation_proofs),
+                     "--format", "json", "-o", str(path)]) == 0
+        return path.read_bytes()
+
+    inline_rounds, farm_rounds = [], []
+    for _ in range(ROUNDS):
+        serial_s, serial_report = _timed(
+            lambda: _on_cores(1, lambda: sanitize("inline")))
+        farm_s, farm_report = _timed(lambda: sanitize("farm"))
+        assert farm_report == serial_report, (
+            "farmed sanitizer report differs from the inline one")
+        inline_rounds.append(serial_s)
+        farm_rounds.append(farm_s)
+    serial_s, farm_s = min(inline_rounds), min(farm_rounds)
+
+    speedup = serial_s / farm_s
+    effective = min(cores, scenarios - 1)
+    report.row("sanitize", "inline", scenarios, serial_s,
+               scenarios / serial_s)
+    report.row("sanitize", "farm", scenarios, farm_s, scenarios / farm_s)
+    report.conclusion = (f"sanitizer farm is {speedup:.2f}x inline on "
+                         f"{cores} core(s); chaos sweep "
+                         f"{inline_s / chaos_farm_s:.2f}x, results "
+                         "byte-identical")
+
+    benchmark.pedantic(lambda: run_chaos_sweep(seeds=SEEDS[:4]),
+                       rounds=1, iterations=1)
+    benchmark.extra_info["farm_speedup"] = round(speedup, 2)
 
     merge_results(_RESULT_PATH, farm={
-        "seeds": len(SEEDS),
-        "jobs": jobs,
         "cores": cores,
-        "serial_s": round(serial_s, 3),
-        "farm_s": round(farm_s, 3),
-        "speedup": round(speedup, 2),
-        "signatures_identical": identical,
-        "sweep_sha256": sweep_sha,
+        "pool_payback_s": runner.POOL_PAYBACK_S,
+        "chaos": {
+            "seeds": len(SEEDS),
+            "inline_s": round(inline_s, 3),
+            "farm_s": round(chaos_farm_s, 3),
+            "pooled_identical": identical,
+            "sweep_sha256": sweep_sha,
+        },
+        "sanitize": {
+            "scenarios": scenarios,
+            "inline_s": round(serial_s, 3),
+            "farm_s": round(farm_s, 3),
+            "speedup": round(speedup, 2),
+            "effective_workers": effective,
+            "report_identical": True,
+        },
     }, chaos_bit_identical=bit_identical)
 
     assert speedup > FARM_EFFICIENCY_GATE * effective, (
-        f"farm speedup {speedup:.2f}x below gate "
+        f"sanitizer farm speedup {speedup:.2f}x below gate "
         f"{FARM_EFFICIENCY_GATE} x {effective} effective workers")

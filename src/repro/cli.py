@@ -19,9 +19,9 @@ Operator-facing utilities over DGL documents and the simulated grid:
 * ``lint``      — run dgflint, the determinism-contract linter
   (:mod:`repro.analysis`), over a source tree and emit a text or JSON
   report;
-* ``farm``      — fan the seeded chaos sweep across all cores with the
-  :mod:`repro.farm` runner and print per-seed invariant results,
-  signatures, and sweep throughput;
+* ``farm``      — run the seeded chaos sweep on the :mod:`repro.farm`
+  runner and print per-seed invariant results, signatures, and sweep
+  throughput;
 * ``federation`` — run the multi-zone federation chaos sweep
   (:mod:`repro.federation.chaos`): cross-zone copies under zone outages
   and bridge degradations, with per-seed survival invariants and the
@@ -387,28 +387,34 @@ def _signature_sha256(report) -> str:
     return hashlib.sha256(repr(report.signature).encode()).hexdigest()
 
 
+def _prove_scenario(scenario, **options):
+    """Prove one ``(kind, harness, seed)`` scenario of ``repro sanitize``;
+    module-level so the seed farm can send it to a worker."""
+    _, harness, seed = scenario
+    return harness.prove(seed, **options)
+
+
 def _cmd_sanitize(args) -> int:
     from repro.analysis.report import Report, render_text
+    from repro.farm import run_farm
     from repro.federation.chaos import FEDERATION_CHAOS
     from repro.workloads.chaos import CHAOS
 
-    scenarios = []
-    races_total = 0
-    proved = True
-    for kind, harness, raw in (
+    scenarios = [
+        (kind, harness, seed)
+        for kind, harness, raw in (
             ("chaos", CHAOS, args.chaos_seeds),
-            ("federation", FEDERATION_CHAOS, args.federation_seeds)):
-        for seed in _parse_seeds(raw) if raw else harness.seeds():
-            proof = harness.prove(seed, order=args.order,
-                                  permute_seed=args.permute_seed,
-                                  max_runs=args.max_runs)
-            proved = proved and proof.proved
-            races_total += proof.races_total
-            scenarios.append({"kind": kind, "seed": seed,
-                              "proof": proof.to_dict()})
-    report = Report(sanitizer={"proved": proved,
-                               "races_total": races_total,
-                               "scenarios": scenarios})
+            ("federation", FEDERATION_CHAOS, args.federation_seeds))
+        for seed in (_parse_seeds(raw) if raw else harness.seeds())]
+    proofs = run_farm(_prove_scenario, scenarios, kwargs={
+        "order": args.order, "permute_seed": args.permute_seed,
+        "max_runs": args.max_runs})
+    report = Report(sanitizer={
+        "proved": all(proof.proved for proof in proofs),
+        "races_total": sum(proof.races_total for proof in proofs),
+        "scenarios": [{"kind": kind, "seed": seed, "proof": proof.to_dict()}
+                      for (kind, _, seed), proof in zip(scenarios, proofs)],
+    })
     if args.format == "json":
         _write(args.output, report.to_json())
     else:
@@ -420,15 +426,13 @@ def _cmd_farm(args) -> int:
     import json
     import time
 
-    from repro.farm import default_jobs
     from repro.workloads.chaos import CHAOS
 
     seeds = _parse_seeds(args.seeds)
-    jobs = args.jobs if args.jobs else default_jobs()
     # Wall clock, deliberately: the farm is host-side tooling reporting
     # real sweep throughput; nothing below feeds back into any simulation.
     started = time.perf_counter()  # dgf: noqa[DGF001]: farm orchestration is host-side, not sim code — this measures real seeds/sec and never touches a kernel clock
-    reports = CHAOS.sweep(seeds, jobs=jobs)
+    reports = CHAOS.sweep(seeds)
     elapsed = time.perf_counter() - started  # dgf: noqa[DGF001]: same wall-clock throughput measurement as above
 
     failures = sum(not report.ok for report in reports)
@@ -440,12 +444,12 @@ def _cmd_farm(args) -> int:
           "ok" if report.ok else "VIOLATED",
           _signature_sha256(report)[:12]) for report in reports])
     rate = len(seeds) / elapsed if elapsed else float("inf")
-    print(f"{len(seeds)} seeds on {jobs} worker(s) in {elapsed:.2f} s "
-          f"({rate:.2f} seeds/s); {failures} invariant failure(s)")
+    print(f"{len(seeds)} seeds in {elapsed:.2f} s ({rate:.2f} seeds/s); "
+          f"{failures} invariant failure(s)")
     _print_violations(reports)
     if args.json is not None:
         payload = {
-            "seeds": seeds, "jobs": jobs, "elapsed_s": round(elapsed, 3),
+            "seeds": seeds, "elapsed_s": round(elapsed, 3),
             "seeds_per_s": round(rate, 3),
             "reports": [{
                 "seed": report.seed, "ok": report.ok,
@@ -474,7 +478,7 @@ def _cmd_gateway(args) -> int:
     points = run_saturation_curve(
         rates, seed=args.seed, horizon_s=args.horizon,
         workers=args.workers, queue_limit=args.queue_limit,
-        cache=not args.no_cache, jobs=args.jobs)
+        cache=not args.no_cache)
     _print_table(
         ("offered/s", "goodput/s", "p50_soj_s", "p99_soj_s", "shed",
          "peak_q", "cache_hit"),
@@ -500,8 +504,7 @@ def _cmd_federation(args) -> int:
 
     seeds = _parse_seeds(args.seeds)
     reports = run_federation_sweep(
-        seeds=seeds, jobs=args.jobs or None,
-        faults=not args.no_faults, recovery=not args.no_recovery,
+        seeds=seeds, faults=not args.no_faults, recovery=not args.no_recovery,
         n_zones=args.zones, placement_policy=args.policy)
     failures = sum(not report.ok for report in reports)
     _print_table(
@@ -644,11 +647,10 @@ def build_parser() -> argparse.ArgumentParser:
     sanitize.add_argument("--chaos-seeds", default=None,
                           help="a count ('20' = seeds 0..19) or a "
                                "comma-separated seed list (default: the "
-                               "pinned sweep, CHAOS_SEEDS-overridable)")
+                               "pinned 20-seed sweep)")
     sanitize.add_argument("--federation-seeds", default=None,
                           help="federation seeds, same syntax (default: "
-                               "the pinned sweep, "
-                               "FEDERATION_CHAOS_SEEDS-overridable)")
+                               "the pinned 10-seed sweep)")
     sanitize.add_argument("--order", choices=("reverse", "random"),
                           default="reverse",
                           help="how permuted runs reorder each "
@@ -665,13 +667,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     farm = commands.add_parser(
         "farm",
-        help="fan the seeded chaos sweep across cores (repro.farm)")
+        help="run the seeded chaos sweep on the seed farm (repro.farm), "
+             "which spreads it over cores when that pays")
     farm.add_argument("--seeds", default="20",
                       help="a count ('20' = seeds 0..19) or an explicit "
                            "comma-separated seed list (default: 20)")
-    farm.add_argument("--jobs", type=int, default=0,
-                      help="worker processes (default: all usable cores; "
-                           "1 = run serially in-process)")
     farm.add_argument("--json", default=None,
                       help="also write a JSON report here ('-' = stdout)")
     farm.set_defaults(handler=_cmd_farm)
@@ -692,9 +692,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="bounded queue size (default: 32)")
     gateway.add_argument("--no-cache", action="store_true",
                          help="run without the DGMS cache tier")
-    gateway.add_argument("--jobs", type=int, default=None,
-                         help="worker processes for the sweep "
-                              "(default: all usable cores)")
     gateway.add_argument("--json", default=None,
                          help="also write the curve as JSON ('-' = stdout)")
     gateway.set_defaults(handler=_cmd_gateway)
@@ -706,9 +703,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="a count ('10' = seeds 0..9) or an "
                                  "explicit comma-separated seed list "
                                  "(default: 10)")
-    federation.add_argument("--jobs", type=int, default=0,
-                            help="worker processes (default: all usable "
-                                 "cores; 1 = run serially in-process)")
     federation.add_argument("--zones", type=int, default=3,
                             help="federated zones per run (default: 3)")
     federation.add_argument("--policy", default="bridge-cost-aware",

@@ -338,17 +338,9 @@ class DgmsCache:
         self.invalidate_all()
 
 
-def attach_cache(dgms, query_ttl_s: float = DEFAULT_TTL_S,
-                 replica_ttl_s: float = DEFAULT_TTL_S,
-                 max_entries: int = 4096) -> DgmsCache:
-    """Attach a :class:`DgmsCache` to ``dgms`` (idempotent).
-
-    A cache already attached is returned as-is (the tuning arguments are
-    ignored then), mirroring the recovery/observability attach surfaces.
-    """
+def attach_cache(dgms) -> DgmsCache:
+    """Attach a default :class:`DgmsCache` to ``dgms``, or return the one
+    already attached, mirroring the recovery/observability attach
+    surfaces."""
     existing = dgms.cache
-    if existing is not None:
-        return existing
-    return DgmsCache(dgms, query_ttl_s=query_ttl_s,
-                     replica_ttl_s=replica_ttl_s,
-                     max_entries=max_entries).attach()
+    return existing if existing is not None else DgmsCache(dgms).attach()

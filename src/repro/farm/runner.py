@@ -1,34 +1,44 @@
 """The multiprocess farm runner.
 
 One deliberately small primitive: :func:`run_farm` maps a picklable task
-over a list of items on a process pool and returns the results *in item
-order*, as if a plain list comprehension had run — except wall-clock time
-divides by the worker count. Everything else (which sweeps exist, what a
-task computes) lives with the callers.
+over a list of items and returns the results *in item order*, as if a
+plain list comprehension had run, inline or on a process pool as the
+first item's measured cost says. Processes, not threads: a seed run is
+pure Python burning CPU in the sim kernel, so threads serialize on the GIL.
 
-Why processes and not threads: a seed run is pure Python burning CPU in
-the sim kernel, so threads serialize on the GIL. Fork-based processes
-give each seed its own interpreter; results come back by pickle.
+Each worker gets one strided chunk (item ``i`` of the rest goes to worker
+``i % w``) and sends its results home at once, so no item pays a round
+trip of its own, and a sweep ordered by kind (the sanitizer's slow chaos
+proofs, then its quick federation ones) still splits evenly.
 
-Failure surfacing: a task that raises inside a worker does not vanish
-into a half-filled result list. The worker catches it, pickles the full
-traceback text home, and the parent raises :class:`FarmWorkerError`
-naming the item, its index, and the remote traceback. A worker that dies
-without even reporting (segfault, OOM kill) surfaces the same way, with
-the pool's diagnosis attached as the cause.
+A task that raises stops its chunk; the parent raises
+:class:`FarmWorkerError` for the first failing item in item order, with
+the remote traceback. A worker that dies without reporting (segfault, OOM
+kill) names the lowest index in its chunk, with the pool's error as cause.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Iterable, List, Optional
 
 from repro.errors import ReproError
 
-__all__ = ["FarmWorkerError", "default_jobs", "run_farm"]
+__all__ = ["FarmWorkerError", "POOL_PAYBACK_S", "default_jobs", "run_farm"]
+
+#: Estimated serial seconds of the items after the first below which they
+#: run inline, because a pool would not pay for itself. Measured on a
+#: 2-vCPU host with chaos sweeps, each sample a fresh process, nine
+#: alternating pairs per size: two workers with strided chunks lost all
+#: nine pairs at 30 seeds (0.24 s inline), won five of nine at 45 (0.36 s)
+#: and all nine at 60 (0.49 s). On that sweep the estimate (items left
+#: times the first item's time) reads about 1.3x the real serial time,
+#: since the first seed also warms caches, so 0.5 s is about 0.38 s of work.
+POOL_PAYBACK_S = 0.5
 
 
 class FarmWorkerError(ReproError):
@@ -49,34 +59,44 @@ class FarmWorkerError(ReproError):
 
 
 def default_jobs() -> int:
-    """Worker count for this host: the CPUs this process may run on.
-
-    Respects CPU affinity (a containerized runner often sees fewer cores
-    than the machine has) and the ``REPRO_FARM_JOBS`` environment
-    variable, which overrides everything — CI smoke jobs pin it to keep
-    runs comparable.
-    """
-    override = os.environ.get("REPRO_FARM_JOBS")
-    if override:
-        return max(1, int(override))
+    """The CPUs this process may run on (CPU affinity where the platform
+    has it: a containerized runner often sees fewer cores than exist)."""
     try:
         return max(1, len(os.sched_getaffinity(0)))
     except (AttributeError, OSError):
         return max(1, os.cpu_count() or 1)
 
 
-def _run_task(payload) -> tuple:
-    """Worker-side shim: run one task and make the outcome picklable.
+def _task_failed(items: List[Any], index: int, exc_repr: str,
+                 text: str) -> FarmWorkerError:
+    return FarmWorkerError(
+        f"farm task failed on item {items[index]!r} (index {index}): "
+        f"{exc_repr}", item=items[index], index=index,
+        worker_traceback=text)
 
-    Returns ``(True, result)`` or ``(False, (exc_repr, traceback_text))``
-    — never raises, so a Python-level task failure cannot take the pool
-    down or reorder the surviving results.
-    """
-    task, item, kwargs = payload
+
+def _run_inline(task: Callable[..., Any], items: List[Any], index: int,
+                kwargs: dict) -> Any:
     try:
-        return (True, task(item, **kwargs))
-    except BaseException as exc:
-        return (False, (repr(exc), traceback.format_exc()))
+        return task(items[index], **kwargs)
+    except Exception as exc:
+        raise _task_failed(items, index, repr(exc),
+                           traceback.format_exc()) from exc
+
+
+def _run_chunk(task: Callable[..., Any], chunk: List[Any],
+               kwargs: dict) -> tuple:
+    """Worker side: ``(values, failure)`` for ``task`` over ``chunk``,
+    stopping at the first failure, which is ``None`` or the ``(repr,
+    traceback text)`` of the item after ``values``. Never raises for a
+    task, so the parent can compare chunks."""
+    values = []
+    for item in chunk:
+        try:
+            values.append(task(item, **kwargs))
+        except Exception as exc:
+            return values, (repr(exc), traceback.format_exc())
+    return values, None
 
 
 def _mp_context():
@@ -87,74 +107,69 @@ def _mp_context():
         return multiprocessing.get_context()
 
 
+def _run_pooled(task: Callable[..., Any], items: List[Any], kwargs: dict,
+                workers: int) -> List[Any]:
+    """``task`` over ``items[1:]``, one strided chunk per worker; the
+    results in item order."""
+    rest = items[1:]
+    with ProcessPoolExecutor(max_workers=workers,
+                             mp_context=_mp_context()) as pool:
+        futures = [pool.submit(_run_chunk, task, rest[offset::workers],
+                               kwargs) for offset in range(workers)]
+        outcomes = []
+        for future in futures:
+            try:
+                outcomes.append(future.result())
+            except Exception as exc:
+                # The worker died without reporting, the pool broke, or
+                # the chunk would not pickle: the error names its chunk.
+                outcomes.append(exc)
+    results: List[Any] = [None] * len(rest)
+    failures = []
+    for offset, outcome in enumerate(outcomes):
+        if isinstance(outcome, Exception):
+            failures.append((1 + offset, outcome))
+        elif outcome[1] is None:
+            results[offset::workers] = outcome[0]
+        else:
+            failures.append((1 + offset + len(outcome[0]) * workers,
+                             outcome[1]))
+    if failures:
+        index, cause = min(failures, key=lambda failure: failure[0])
+        if isinstance(cause, Exception):
+            raise FarmWorkerError(
+                f"farm worker died on item {items[index]!r} "
+                f"(index {index}): {cause!r}", item=items[index],
+                index=index) from cause
+        raise _task_failed(items, index, *cause)
+    return results
+
+
 def run_farm(task: Callable[..., Any], items: Iterable[Any],
-             jobs: Optional[int] = None, kwargs: Optional[dict] = None,
-             ) -> List[Any]:
-    """Map ``task`` over ``items`` on a process pool; results in item order.
+             kwargs: Optional[dict] = None) -> List[Any]:
+    """``[task(item, **kwargs) for item in items]``: the same values in
+    the same order. The items after the first go to
+    ``min(default_jobs(), len(items) - 1)`` worker processes when that is
+    two or more and they would take :data:`POOL_PAYBACK_S` or more at the
+    first item's pace; otherwise they run inline. ``task`` must pickle
+    (module-level).
 
-    Parameters
-    ----------
-    task:
-        A picklable (module-level) callable; invoked as
-        ``task(item, **kwargs)`` in a worker process.
-    items:
-        The work list. Result ``i`` is always ``task(items[i])`` — worker
-        scheduling never reorders or drops results.
-    jobs:
-        Worker count. ``None`` means :func:`default_jobs`; ``1`` runs the
-        tasks inline in this process (no pool, no pickling) — the serial
-        reference the parallel path must match byte-for-byte.
-    kwargs:
-        Extra keyword arguments forwarded to every task call.
-
-    Raises
-    ------
-    FarmWorkerError
-        If any task raised or any worker died. The first failing item (in
-        item order, not completion order) wins, so the error is itself
-        deterministic.
+    Raises :class:`FarmWorkerError` if any task raised or any worker
+    died; the first failing item in item order wins, so the error is
+    itself deterministic.
     """
     items = list(items)
     kwargs = kwargs or {}
-    if jobs is None:
-        jobs = default_jobs()
-    if jobs < 1:
-        raise ReproError(f"farm needs at least one worker, got jobs={jobs}")
-    if jobs == 1 or len(items) <= 1:
-        results = []
-        for index, item in enumerate(items):
-            ok, value = _run_task((task, item, kwargs))
-            if not ok:
-                exc_repr, text = value
-                raise FarmWorkerError(
-                    f"farm task failed on item {item!r} (index {index}): "
-                    f"{exc_repr}", item=item, index=index,
-                    worker_traceback=text)
-            results.append(value)
-        return results
-
-    payloads = [(task, item, kwargs) for item in items]
-    workers = min(jobs, len(items))
-    with ProcessPoolExecutor(max_workers=workers,
-                             mp_context=_mp_context()) as pool:
-        futures = [pool.submit(_run_task, payload) for payload in payloads]
-        outcomes = []
-        for index, future in enumerate(futures):
-            try:
-                outcomes.append(future.result())
-            except BaseException as exc:
-                # The worker died without reporting (hard crash) or the
-                # pool broke. Surface which item was running, keep the
-                # pool's diagnosis as the cause.
-                raise FarmWorkerError(
-                    f"farm worker died on item {items[index]!r} "
-                    f"(index {index}): {exc!r}", item=items[index],
-                    index=index) from exc
-    for index, (ok, value) in enumerate(outcomes):
-        if not ok:
-            exc_repr, text = value
-            raise FarmWorkerError(
-                f"farm task failed on item {items[index]!r} "
-                f"(index {index}): {exc_repr}", item=items[index],
-                index=index, worker_traceback=text)
-    return [value for _, value in outcomes]
+    if not items:
+        return []
+    # Wall clock, deliberately: it times the first item only to decide
+    # where the rest run, and no result depends on it.
+    started = time.perf_counter()  # dgf: noqa[DGF001]: host-side sizing of a sweep, outside every simulation; it picks inline or pooled, never a result
+    first = _run_inline(task, items, 0, kwargs)
+    first_s = time.perf_counter() - started  # dgf: noqa[DGF001]: the other end of the same host-side sizing read
+    remaining = len(items) - 1
+    workers = min(default_jobs(), remaining)
+    if workers > 1 and remaining * first_s >= POOL_PAYBACK_S:
+        return [first] + _run_pooled(task, items, kwargs, workers)
+    return [first] + [_run_inline(task, items, index, kwargs)
+                      for index in range(1, len(items))]

@@ -534,10 +534,8 @@ def run_federation_chaos(seed: int, faults: bool = True,
     return report
 
 
-#: The federation chaos scenario's harness; ``FEDERATION_CHAOS_SEEDS``
-#: resizes its sweep.
-FEDERATION_CHAOS = ChaosHarness(run_federation_chaos,
-                                "FEDERATION_CHAOS_SEEDS", 10)
+#: The federation chaos scenario's harness.
+FEDERATION_CHAOS = ChaosHarness(run_federation_chaos, 10)
 default_federation_seeds = FEDERATION_CHAOS.seeds
 run_federation_sweep = FEDERATION_CHAOS.sweep
 prove_federation_order_independence = FEDERATION_CHAOS.prove

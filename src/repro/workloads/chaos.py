@@ -32,7 +32,6 @@ case: rerun :func:`run_chaos` with the reported seed.
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -181,32 +180,30 @@ class ChaosHarness:
 
     ``run(seed, **kwargs)`` returns a report with ``signature`` (and
     ``canonical`` when sanitized); it stays module-level because
-    :func:`repro.farm.run_farm` pickles it. The ``seeds_env`` variable
-    resizes the default sweep of ``seed_count`` seeds.
+    :func:`repro.farm.run_farm` pickles it. The default sweep is seeds
+    ``0 .. seed_count - 1``.
     """
 
     run: Callable[..., Any]
-    seeds_env: str
     seed_count: int
 
     def seeds(self) -> List[int]:
-        """The default seed list (CI smoke jobs shrink it via the env)."""
-        return list(range(int(os.environ.get(self.seeds_env,
-                                             self.seed_count))))
+        """The default seed list."""
+        return list(range(self.seed_count))
 
     def sweep(self, seeds: Optional[List[int]] = None,
-              jobs: Optional[int] = None, **kwargs) -> List[Any]:
-        """``run`` for every seed, farmed by :func:`repro.farm.run_farm`.
+              **kwargs) -> List[Any]:
+        """``run`` for every seed, through :func:`repro.farm.run_farm`.
 
-        Reports come back in seed order, byte-identical to the serial
-        loop (``jobs=1``); ``seeds`` defaults to :meth:`seeds`, ``jobs``
-        to every core, and ``kwargs`` reach every run.
+        Reports come back in seed order, byte-identical to a serial loop,
+        whether the farm ran them inline or pooled; ``seeds`` defaults to
+        :meth:`seeds`, and ``kwargs`` reach every run.
         """
         from repro.farm import run_farm
 
         if seeds is None:
             seeds = self.seeds()
-        return run_farm(self.run, seeds, jobs=jobs, kwargs=kwargs)
+        return run_farm(self.run, seeds, kwargs=kwargs)
 
     def prove(self, seed: int, *, order: str = "reverse",
               permute_seed: int = 0, max_runs: int = 40, **kwargs):
@@ -606,8 +603,8 @@ def _observe_report(obs, report: ChaosReport,
     )
 
 
-#: The CMS chaos scenario's harness; ``CHAOS_SEEDS`` resizes its sweep.
-CHAOS = ChaosHarness(run_chaos, "CHAOS_SEEDS", 20)
+#: The CMS chaos scenario's harness.
+CHAOS = ChaosHarness(run_chaos, 20)
 default_chaos_seeds = CHAOS.seeds
 run_chaos_sweep = CHAOS.sweep
 prove_chaos_order_independence = CHAOS.prove

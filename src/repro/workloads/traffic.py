@@ -269,12 +269,12 @@ def run_saturation_point(arrival_rate: float, seed: int = 0,
 def run_saturation_curve(arrival_rates, seed: int = 0,
                          horizon_s: float = 60.0, workers: int = 4,
                          queue_limit: int = 32, cache: bool = True,
-                         jobs: Optional[int] = None
                          ) -> List[Dict[str, object]]:
-    """:func:`run_saturation_point` per rate, farmed across cores."""
+    """:func:`run_saturation_point` per rate, through
+    :func:`repro.farm.run_farm`."""
     from repro.farm import run_farm
 
-    return run_farm(run_saturation_point, list(arrival_rates), jobs=jobs,
+    return run_farm(run_saturation_point, list(arrival_rates),
                     kwargs={"seed": seed, "horizon_s": horizon_s,
                             "workers": workers, "queue_limit": queue_limit,
                             "cache": cache})

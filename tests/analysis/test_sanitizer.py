@@ -427,11 +427,13 @@ def test_set_keys_render_the_same_in_every_process():
     assert _item_key({2, 1}) == "set({1, 2})"
 
 
-def test_sanitized_sweep_payloads_match_across_processes():
+def test_sanitized_sweep_payloads_match_across_processes(farm_cores):
     from repro.workloads.chaos import run_chaos_sweep
 
-    serial = run_chaos_sweep([0, 1, 2, 3], jobs=1, sanitize=True)
-    pooled = run_chaos_sweep([0, 1, 2, 3], jobs=2, sanitize=True)
+    farm_cores(1)
+    serial = run_chaos_sweep([0, 1, 2, 3], sanitize=True)
+    farm_cores(2)
+    pooled = run_chaos_sweep([0, 1, 2, 3], sanitize=True)
     assert [r.sanitizer for r in serial] == [r.sanitizer for r in pooled]
 
 

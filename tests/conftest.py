@@ -1,4 +1,5 @@
-"""Shared fixtures: a small standard datagrid used across test modules."""
+"""Shared fixtures: a small standard datagrid used across test modules,
+and a switch for the seed farm's execution path."""
 
 import pytest
 
@@ -116,3 +117,18 @@ class DfMSGrid(SmallGrid):
 @pytest.fixture
 def dfms():
     return DfMSGrid()
+
+
+@pytest.fixture
+def farm_cores(monkeypatch):
+    """Pretend the host grants ``n`` cores and that every sweep pays for a
+    pool: after ``farm_cores(1)`` :func:`repro.farm.run_farm` runs inline,
+    and after ``farm_cores(2)`` it sends the items after the first to two
+    worker processes however cheap they are. Call again to switch."""
+    from repro.farm import runner
+
+    def force(cores: int) -> None:
+        monkeypatch.setattr(runner, "POOL_PAYBACK_S", 0.0)
+        monkeypatch.setattr(runner, "default_jobs", lambda: cores)
+
+    return force

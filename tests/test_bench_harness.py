@@ -4,6 +4,7 @@ timer, and one environment switch for every benchmark."""
 import ast
 import gc
 import json
+import subprocess
 from pathlib import Path
 
 from benchmarks import _helpers
@@ -12,7 +13,8 @@ BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
 def test_merge_results_keeps_earlier_sections_and_adds_the_envelope(
-        tmp_path):
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(_helpers, "_dirty", lambda: False)
     path = tmp_path / "BENCH_demo.json"
     _helpers.merge_results(path, first={"rows": [1, 2]}, flag=True)
     _helpers.merge_results(path, second={"rows": [3]})
@@ -25,6 +27,40 @@ def test_merge_results_keeps_earlier_sections_and_adds_the_envelope(
     assert envelope["schema"] == _helpers.SCHEMA
     assert envelope["smoke"] is _helpers.SMOKE
     assert envelope["cores"] >= 1
+
+
+def test_envelope_marks_results_built_from_a_dirty_tree(tmp_path,
+                                                        monkeypatch):
+    path = tmp_path / "BENCH_demo.json"
+    monkeypatch.setattr(_helpers, "_dirty", lambda: True)
+    _helpers.merge_results(path, rows=[1])
+    assert json.loads(path.read_text())["envelope"]["dirty"] is True
+    monkeypatch.setattr(_helpers, "_dirty", lambda: False)
+    _helpers.merge_results(path, rows=[1])
+    assert "dirty" not in json.loads(path.read_text())["envelope"]
+
+
+def test_a_tree_is_dirty_when_a_tracked_file_but_a_bench_file_differs(
+        tmp_path, monkeypatch):
+    def git(*args):
+        subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=bench",
+                        "-c", "user.email=bench@example.org",
+                        "-c", "commit.gpgsign=false", *args],
+                       check=True, capture_output=True)
+
+    code, bench = tmp_path / "code.py", tmp_path / "BENCH_demo.json"
+    code.write_text("x = 1\n")
+    bench.write_text("{}\n")
+    git("init", "-q")
+    git("add", ".")
+    git("commit", "-q", "-m", "seed")
+    monkeypatch.setattr(_helpers, "REPO_ROOT", tmp_path)
+    assert not _helpers._dirty()
+    bench.write_text('{"rows": [1]}\n')
+    (tmp_path / "untracked.txt").write_text("scratch\n")
+    assert not _helpers._dirty()
+    code.write_text("x = 2\n")
+    assert _helpers._dirty()
 
 
 def _timed_under(collector_on: bool):

@@ -1,5 +1,7 @@
 """Tests for the datagridflow CLI."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -115,16 +117,31 @@ def test_telemetry_runs_a_demo_with_telemetry_attached(capsys):
         capsys.readouterr().out)
 
 
-def test_gateway_runs_one_saturation_point_inline(capsys):
-    assert main(["gateway", "--jobs", "1", "--loads", "1",
-                 "--horizon", "5"]) == 0
+def test_gateway_runs_one_saturation_point_inline(capsys, farm_cores):
+    farm_cores(1)
+    assert main(["gateway", "--loads", "1", "--horizon", "5"]) == 0
     assert capsys.readouterr().out.splitlines()[0].split() == [
         "offered/s", "goodput/s", "p50_soj_s", "p99_soj_s", "shed",
         "peak_q", "cache_hit"]
 
 
-def test_federation_runs_one_seed_inline(capsys):
-    assert main(["federation", "--jobs", "1", "--seeds", "1",
-                 "--zones", "2"]) == 0
+def test_federation_runs_one_seed_inline(capsys, farm_cores):
+    farm_cores(1)
+    assert main(["federation", "--seeds", "1", "--zones", "2"]) == 0
     assert ("1 seed(s), 2 zones, policy bridge-cost-aware; "
             "0 invariant failure(s)") in capsys.readouterr().out
+
+
+def test_sanitize_proves_the_same_report_inline_and_pooled(capsys,
+                                                           farm_cores):
+    reports = []
+    for cores in (1, 2):
+        farm_cores(cores)
+        assert main(["sanitize", "--chaos-seeds", "2",
+                     "--federation-seeds", "1", "--format", "json"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    sanitizer = json.loads(reports[0])["sanitizer"]
+    assert sanitizer["proved"] is True
+    assert [(s["kind"], s["seed"]) for s in sanitizer["scenarios"]] == [
+        ("chaos", 0), ("chaos", 1), ("federation", 0)]

@@ -4,8 +4,8 @@ The two pinned files under ``benchmarks/`` are the replay contract: the
 20-seed chaos sweep and the 10-seed federation sweep must hash to them
 bit for bit, and attaching a read-only layer (the cache tier, the
 observability stack, the schedule sanitizer) may not move a float. The
-seed lists are explicit and the sweeps run serially, so neither
-``CHAOS_SEEDS`` nor the host's core count can shrink or reorder them.
+seed lists are explicit and the sweeps are forced inline, so the host's
+core count cannot change how they run.
 """
 
 from pathlib import Path
@@ -32,9 +32,10 @@ SWEEPS = {
 
 
 @pytest.mark.parametrize("name", sorted(SWEEPS))
-def test_sweep_matches_its_pinned_fingerprint(name):
+def test_sweep_matches_its_pinned_fingerprint(name, farm_cores):
     (sweep, seeds, baseline), kwargs = SWEEPS[name]
-    reports = sweep(seeds=list(seeds), jobs=1, **kwargs)
+    farm_cores(1)
+    reports = sweep(seeds=list(seeds), **kwargs)
     assert all(report.ok for report in reports), [
         (report.seed, report.violations) for report in reports
         if not report.ok]

@@ -112,11 +112,13 @@ def test_real_export_builds_a_clean_forest():
 # -- farm merge ------------------------------------------------------------
 
 
-def test_farmed_telemetry_merge_is_byte_identical_to_serial():
+def test_farmed_telemetry_merge_is_byte_identical_to_serial(farm_cores):
     seeds = [0, 1, 2, 3]
     kwargs = dict(observe=True, observe_export=True, **SMALL)
-    serial = run_farm(run_chaos, seeds, jobs=1, kwargs=kwargs)
-    farmed = run_farm(run_chaos, seeds, jobs=2, kwargs=kwargs)
+    farm_cores(1)
+    serial = run_farm(run_chaos, seeds, kwargs=kwargs)
+    farm_cores(2)
+    farmed = run_farm(run_chaos, seeds, kwargs=kwargs)
     merged_serial = merge_jsonl(
         (f"seed-{report.seed}", report.observe.jsonl) for report in serial)
     merged_farmed = merge_jsonl(
