@@ -182,6 +182,32 @@ class FlowEngine:
                 ExecutionState.COMPLETED else execution.state.value)
         return execution
 
+    # -- node exit ------------------------------------------------------------
+
+    def _settle(self, kind, execution, key, status, t, span, exc=None,
+                active=None, prev_tspan=None):
+        """End a flow or step node (``kind``): completed, or cancelled or
+        failed by ``exc``. Sets its terminal state and end time; a failure
+        is recorded and notified while a step's span is still its
+        process's span context. Then a step's ``active`` process gets
+        ``prev_tspan`` back, and the span closes ``ok``, ``cancelled`` or
+        ``error`` in ``t``, the telemetry session that opened it (the
+        environment may hold another one by now)."""
+        status.finished_at = self.env.now
+        if exc is None:
+            status.state, outcome = ExecutionState.COMPLETED, "ok"
+        elif isinstance(exc, FlowCancelled):
+            status.state, outcome = ExecutionState.CANCELLED, "cancelled"
+        else:
+            status.state, outcome = ExecutionState.FAILED, "error"
+            status.error = str(exc)
+            self._notify(f"{kind}_failed", execution, key, error=str(exc),
+                         error_type=type(exc).__name__)
+        if span is not None:
+            if active is not None:
+                active._tspan = prev_tspan
+            t.tracer.finish(span, outcome)
+
     # -- flows ------------------------------------------------------------------
 
     def _run_flow(self, flow: Flow, status: FlowStatus, parent_scope: Scope,
@@ -191,12 +217,12 @@ class FlowEngine:
         if status.started_at is None:
             status.started_at = self.env.now
         status.state = ExecutionState.RUNNING
-        self._notify("flow_started", execution, prefix or flow.name)
+        key = prefix or flow.name
+        self._notify("flow_started", execution, key)
         t = self.env.telemetry
         span = None if t is None else t.tracer.begin(
             "flow", parent_span,
-            {"key": prefix or flow.name,
-             "request_id": execution.request_id})
+            {"key": key, "request_id": execution.request_id})
         scope = Scope(parent=parent_scope)
         for variable in flow.variables:
             scope.declare(variable.name,
@@ -204,80 +230,104 @@ class FlowEngine:
         try:
             yield from self._run_rule_if_defined(
                 flow.logic.rule(BEFORE_ENTRY), scope, ctx, execution)
-            yield from self._dispatch_pattern(flow, status, scope, ctx,
-                                              execution, prefix, span)
+            yield from self._run_pattern(flow, status, scope, ctx,
+                                         execution, prefix, span)
             yield from self._run_rule_if_defined(
                 flow.logic.rule(AFTER_EXIT), scope, ctx, execution)
-        except FlowCancelled:
-            status.state = ExecutionState.CANCELLED
-            status.finished_at = self.env.now
-            if span is not None:
-                t.tracer.finish(span, status="cancelled")
-            raise
         except Exception as exc:
-            status.state = ExecutionState.FAILED
-            status.error = str(exc)
-            status.finished_at = self.env.now
-            self._notify("flow_failed", execution, prefix or flow.name,
-                         error=str(exc), error_type=type(exc).__name__)
-            if span is not None:
-                t.tracer.finish(span, status="error")
+            self._settle("flow", execution, key, status, t, span, exc)
             raise
-        status.state = ExecutionState.COMPLETED
-        status.finished_at = self.env.now
-        if span is not None:
-            t.tracer.finish(span)
-        self._notify("flow_completed", execution, prefix or flow.name)
+        self._settle("flow", execution, key, status, t, span)
+        self._notify("flow_completed", execution, key)
 
-    def _dispatch_pattern(self, flow, status, scope, ctx, execution, prefix,
-                          span=None):
+    def _run_pattern(self, flow, status, scope, ctx, execution, prefix,
+                     span):
+        """Run ``flow``'s children under its control pattern."""
         pattern = flow.logic.pattern
-        if isinstance(pattern, Sequential):
-            yield from self._run_children_once(flow, status, scope, ctx,
-                                               execution, prefix, span)
-        elif isinstance(pattern, Parallel):
+        if isinstance(pattern, Parallel):
             yield from self._run_parallel(flow, status, scope, ctx,
                                           execution, prefix, pattern, span)
-        elif isinstance(pattern, WhileLoop):
-            yield from self._run_loop(
-                flow, status, scope, ctx, execution, prefix, span,
-                should_continue=lambda i: bool(
-                    evaluate_condition(pattern.condition, scope)))
-        elif isinstance(pattern, Repeat):
+            return
+        if isinstance(pattern, Sequential):
+            children = zip(flow.children, status.children)
+        elif isinstance(pattern, SwitchCase):
+            value = evaluate_condition(pattern.expression, scope)
+            child = flow.child(value) if isinstance(value, str) else None
+            if child is None and pattern.default is not None:
+                child = flow.child(pattern.default)
+            # No matching case and no default: a no-op (documented).
+            children = () if child is None else (
+                (child, status.children[flow.children.index(child)]),)
+        else:
+            # A loop: every child in order once per pass, keyed base[i].
+            variable, items = self._loop_items(scope, ctx, pattern)
+            base = prefix or flow.name
+            # forEach walks a list it already holds; a loop with no item
+            # variable (while, repeat) is capped against runaway documents.
+            capped = variable is None
+            for index, item in enumerate(items):
+                if capped and index >= MAX_LOOP_ITERATIONS:
+                    raise ExecutionError(
+                        f"flow {flow.name!r} exceeded {MAX_LOOP_ITERATIONS} "
+                        "iterations; aborting (runaway loop?)")
+                yield from self._gate(execution)
+                if variable is not None:
+                    scope.declare(variable, item)
+                iter_prefix = f"{base}[{index}]"
+                for child, child_status in zip(flow.children,
+                                                status.children):
+                    yield from self._run_child(child, child_status, scope,
+                                               ctx, execution, iter_prefix,
+                                               span)
+                status.iterations = index + 1
+            return
+        for child, child_status in children:
+            yield from self._run_child(child, child_status, scope, ctx,
+                                       execution, prefix, span)
+
+    @staticmethod
+    def _loop_items(scope, ctx, pattern):
+        """A loop flow's item variable and an iterable with one entry per
+        pass: the forEach items, ``range(count)``, or the while condition
+        re-tested before each pass. A None variable (while, repeat) is
+        what puts the loop under the ``MAX_LOOP_ITERATIONS`` cap."""
+        if isinstance(pattern, WhileLoop):
+            return None, iter(lambda: bool(
+                evaluate_condition(pattern.condition, scope)), False)
+        if isinstance(pattern, Repeat):
             count = pattern.count
             if isinstance(count, str):
                 count = int(render_template(count, scope)
                             if "${" in count else evaluate(count, scope))
             if count < 0:
                 raise ExecutionError(f"repeat count is negative: {count}")
-            yield from self._run_loop(
-                flow, status, scope, ctx, execution, prefix, span,
-                should_continue=lambda i: i < count)
-        elif isinstance(pattern, ForEach):
-            yield from self._run_foreach(flow, status, scope, ctx,
-                                         execution, prefix, pattern, span)
-        elif isinstance(pattern, SwitchCase):
-            yield from self._run_switch(flow, status, scope, ctx,
-                                        execution, prefix, pattern, span)
-        else:  # pragma: no cover - FlowLogic already validates
-            raise DGLValidationError(
-                f"unknown control pattern {type(pattern).__name__}")
-
-    def _run_children_once(self, flow, status, scope, ctx, execution, prefix,
-                           span=None):
-        for child, child_status in zip(flow.children, status.children):
-            yield from self._run_child(child, child_status, scope, ctx,
-                                       execution, prefix, span)
+            return None, range(count)
+        if isinstance(pattern, ForEach):
+            if pattern.items is not None:
+                items = evaluate(pattern.items, scope)
+                if not isinstance(items, list):
+                    raise ExecutionError(
+                        f"forEach items expression must yield a list, "
+                        f"got {type(items).__name__}")
+            else:
+                collection = render_template(pattern.collection, scope)
+                conditions = parse_conditions(
+                    render_template(pattern.query, scope)
+                    if pattern.query else "")
+                query = Query(collection=collection, conditions=conditions)
+                items = ctx.dgms.query_paths(ctx.user, query)
+            scope.declare(pattern.item_variable, None)
+            return pattern.item_variable, items
+        raise DGLValidationError(  # pragma: no cover - FlowLogic validates
+            f"unknown control pattern {type(pattern).__name__}")
 
     def _run_child(self, child, child_status, scope, ctx, execution, prefix,
                    span=None):
+        """The generator that runs ``child``, a flow or a step, under
+        ``prefix``."""
         key = f"{prefix}/{child.name}" if prefix else child.name
-        if isinstance(child, Flow):
-            yield from self._run_flow(child, child_status, scope, ctx,
-                                      execution, key, span)
-        else:
-            yield from self._run_step(child, child_status, scope, ctx,
-                                      execution, key, span)
+        run = self._run_flow if isinstance(child, Flow) else self._run_step
+        return run(child, child_status, scope, ctx, execution, key, span)
 
     def _run_parallel(self, flow, status, scope, ctx, execution, prefix,
                       pattern: Parallel, span=None):
@@ -325,85 +375,28 @@ class FlowEngine:
         if first_error is not None:
             raise first_error
 
-    def _run_loop(self, flow, status, scope, ctx, execution, prefix, span=None,
-                  should_continue=None):
-        iteration = 0
-        while should_continue(iteration):
-            if iteration >= MAX_LOOP_ITERATIONS:
-                raise ExecutionError(
-                    f"flow {flow.name!r} exceeded {MAX_LOOP_ITERATIONS} "
-                    "iterations; aborting (runaway loop?)")
-            yield from self._gate(execution)
-            iter_prefix = (f"{prefix}[{iteration}]" if prefix
-                           else f"{flow.name}[{iteration}]")
-            for child, child_status in zip(flow.children, status.children):
-                yield from self._run_child(child, child_status, scope, ctx,
-                                           execution, iter_prefix, span)
-            iteration += 1
-            status.iterations = iteration
-
-    def _run_foreach(self, flow, status, scope, ctx, execution, prefix,
-                     pattern: ForEach, span=None):
-        if pattern.items is not None:
-            items = evaluate(pattern.items, scope)
-            if not isinstance(items, list):
-                raise ExecutionError(
-                    f"forEach items expression must yield a list, "
-                    f"got {type(items).__name__}")
-        else:
-            collection = render_template(pattern.collection, scope)
-            conditions = parse_conditions(
-                render_template(pattern.query, scope) if pattern.query else "")
-            query = Query(collection=collection, conditions=conditions)
-            items = ctx.dgms.query_paths(ctx.user, query)
-        scope.declare(pattern.item_variable, None)
-        for index, item in enumerate(items):
-            yield from self._gate(execution)
-            scope.declare(pattern.item_variable, item)
-            iter_prefix = (f"{prefix}[{index}]" if prefix
-                           else f"{flow.name}[{index}]")
-            for child, child_status in zip(flow.children, status.children):
-                yield from self._run_child(child, child_status, scope, ctx,
-                                           execution, iter_prefix, span)
-            status.iterations = index + 1
-
-    def _run_switch(self, flow, status, scope, ctx, execution, prefix,
-                    pattern: SwitchCase, span=None):
-        value = evaluate_condition(pattern.expression, scope)
-        child = flow.child(value) if isinstance(value, str) else None
-        if child is None and pattern.default is not None:
-            child = flow.child(pattern.default)
-        if child is None:
-            return   # no matching case and no default: a no-op (documented)
-        index = flow.children.index(child)
-        yield from self._run_child(child, status.children[index], scope, ctx,
-                                   execution, prefix, span)
-
     # -- steps ------------------------------------------------------------------
 
     def _run_step(self, step: Step, status: FlowStatus, parent_scope: Scope,
                   ctx: ExecutionContext, execution: FlowExecution, key: str,
                   parent_span=None):
         yield from self._gate(execution)
+        if status.started_at is None:
+            status.started_at = self.env.now
         entry = execution.journalled(key)
         if entry is not None:
             # Recovery: this instance already completed before the restart.
             for name, value in entry.effects:
                 parent_scope.assign(name, value)
-            status.state = ExecutionState.COMPLETED
-            if status.started_at is None:
-                status.started_at = self.env.now
-            status.finished_at = self.env.now
+            self._settle("step", execution, key, status, None, None)
             self._notify("step_replayed", execution, key)
             return
-        if status.started_at is None:
-            status.started_at = self.env.now
         status.state = ExecutionState.RUNNING
         self._notify("step_started", execution, key,
                      operation=step.operation.name)
         t = self.env.telemetry
         if t is None:
-            span = None
+            span = active = prev_tspan = None
         else:
             span = t.tracer.begin(
                 "step", parent_span,
@@ -430,32 +423,18 @@ class FlowEngine:
                 step_ctx.effects.append((step.operation.assign_to, result))
             yield from self._run_rule_if_defined(
                 step.rule(AFTER_EXIT), scope, step_ctx, execution)
-        except FlowCancelled:
-            status.state = ExecutionState.CANCELLED
-            status.finished_at = self.env.now
-            if span is not None:
-                active._tspan = prev_tspan
-                t.tracer.finish(span, status="cancelled")
-            raise
         except Exception as exc:
-            status.state = ExecutionState.FAILED
-            status.error = str(exc)
-            status.finished_at = self.env.now
-            self._notify("step_failed", execution, key, error=str(exc),
-                         error_type=type(exc).__name__)
-            if span is not None:
-                active._tspan = prev_tspan
-                t.tracer.finish(span, status="error")
+            self._settle("step", execution, key, status, t, span, exc,
+                         active, prev_tspan)
             raise
-        status.state = ExecutionState.COMPLETED
-        status.finished_at = self.env.now
+        self._settle("step", execution, key, status, t, span,
+                     active=active, prev_tspan=prev_tspan)
         if span is not None:
-            active._tspan = prev_tspan
-            t.tracer.finish(span)
-            # Raw sample append; buckets fold at export (see Histogram).
+            # This run of the step, from its span: a looped or restarted
+            # node's status keeps its first start. Raw sample append;
+            # buckets fold at export (see Histogram).
             t.dfms_step_duration.samples.append(
-                (status.finished_at,
-                 status.finished_at - status.started_at))
+                (span.end, span.end - span.start))
         execution.record_step(key, step_ctx.effects)
         self._notify("step_completed", execution, key,
                      operation=step.operation.name)

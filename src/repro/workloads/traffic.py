@@ -201,20 +201,23 @@ class TrafficGenerator:
             self._classify("status", poll)
 
 
+#: Sim seconds a saturation point runs past its horizon, so that admitted
+#: work drains before the point is measured.
+SATURATION_DRAIN_S = 120.0
+
+
 def run_saturation_point(arrival_rate: float, seed: int = 0,
                          horizon_s: float = 60.0, workers: int = 4,
                          queue_limit: int = 32,
-                         cache: bool = True,
-                         drain_s: float = 120.0,
-                         profile: Optional[TrafficProfile] = None
-                         ) -> Dict[str, object]:
+                         cache: bool = True) -> Dict[str, object]:
     """One offered-load point of the gateway saturation curve.
 
     Builds a fresh CMS scenario, fronts its server with a
     :class:`~repro.dfms.gateway.DfMSGateway` (cache tier attached unless
     ``cache=False``), offers ``arrival_rate`` sessions/s of heavy-tailed
-    traffic for ``horizon_s``, then lets admitted work drain. Returns
-    the plain-dict measurements the benchmark and CLI plot.
+    traffic (a default :class:`TrafficProfile`) for ``horizon_s``, then
+    lets admitted work drain for :data:`SATURATION_DRAIN_S`. Returns the
+    plain-dict measurements the benchmark and CLI plot.
     """
     from repro.dfms.cache import attach_cache
     from repro.dfms.gateway import DfMSGateway, VOPolicy
@@ -234,17 +237,17 @@ def run_saturation_point(arrival_rate: float, seed: int = 0,
         # sheds should come from the bound, not per-VO throttling.
         default_policy=VOPolicy(rate=max(4.0 * arrival_rate, 10.0),
                                 burst=max(8.0 * arrival_rate, 20.0)))
-    shape = profile or TrafficProfile()
-    shape.mean_interarrival_s = 1.0 / arrival_rate
-    if shape.query_collection is None and scenario.collections:
-        shape.query_collection = scenario.collections[0]
+    shape = TrafficProfile(
+        mean_interarrival_s=1.0 / arrival_rate,
+        query_collection=(scenario.collections[0] if scenario.collections
+                          else None))
     user = scenario.users[sorted(scenario.users)[0]]
     generator = TrafficGenerator(scenario.env, gateway,
                                  user.qualified_name, shape,
                                  streams=RandomStreams(seed),
                                  horizon_s=horizon_s)
     generator.start()
-    scenario.env.run(until=horizon_s + drain_s)
+    scenario.env.run(until=horizon_s + SATURATION_DRAIN_S)
     stats = generator.stats
     sojourns = gateway.sojourns
     return {

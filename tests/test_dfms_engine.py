@@ -402,3 +402,95 @@ def test_control_transitions_validated(dfms):
         dfms.server.pause(ack.request_id)
     with pytest.raises(InvalidTransition):
         dfms.server.cancel(ack.request_id)
+
+
+# -- loop passes ---------------------------------------------------------------
+
+def test_cancel_at_a_loop_gate_closes_enclosing_spans_cancelled(dfms):
+    from repro.telemetry import attach_telemetry
+    telemetry = attach_telemetry(dfms.env, server=dfms.server)
+    inner = (flow_builder("inner").repeat(3)
+             .step("nap", "dgl.sleep", duration=2))
+    flow = flow_builder("outer").subflow(inner).build()
+    ack = dfms.server.submit(DataGridRequest(
+        user=dfms.alice.qualified_name, virtual_organization="vo",
+        body=flow))
+
+    def scenario():
+        yield dfms.env.timeout(3.0)      # pass 1's nap runs 2..4
+        dfms.server.cancel(ack.request_id)
+        yield dfms.server.wait(ack.request_id)
+
+    dfms.run(scenario())
+    # The nap in flight finishes; the gate before pass 2 cancels at 4 s
+    # and every enclosing span closes `cancelled` at that instant.
+    assert [(span.name, span.attrs.get("key"), span.status, span.start,
+             span.end) for span in telemetry.tracer.finished] == [
+        ("step", "inner[0]/nap", "ok", 0.0, 2.0),
+        ("step", "inner[1]/nap", "ok", 2.0, 4.0),
+        ("flow", "inner", "cancelled", 0.0, 4.0),
+        ("flow", "outer", "cancelled", 0.0, 4.0),
+        ("execution", None, "cancelled", 0.0, 4.0)]
+    status = dfms.server.status(ack.request_id)
+    assert status.state is ExecutionState.CANCELLED
+    (loop,) = status.children
+    assert (loop.state, loop.iterations, loop.finished_at) == (
+        ExecutionState.CANCELLED, 2, 4.0)
+    assert loop.children[0].state is ExecutionState.COMPLETED
+
+
+def test_cancel_during_a_childless_loop_rule_stops_at_the_pass_gate(dfms):
+    # With no child to pass a gate of its own, the gate before each pass
+    # is what honours a cancel that lands while beforeEntry runs.
+    flow = (flow_builder("idle")
+            .before_entry(operation("dgl.sleep", duration=5))
+            .repeat(2)
+            .build())
+    ack = dfms.server.submit(DataGridRequest(
+        user=dfms.alice.qualified_name, virtual_organization="vo",
+        body=flow))
+
+    def scenario():
+        yield dfms.env.timeout(1.0)
+        dfms.server.cancel(ack.request_id)
+        yield dfms.server.wait(ack.request_id)
+
+    dfms.run(scenario())
+    status = dfms.server.status(ack.request_id)
+    assert (status.state, status.iterations, status.finished_at) == (
+        ExecutionState.CANCELLED, 0, 5.0)
+
+
+@pytest.mark.parametrize("count", [None, 6, 5])
+def test_while_and_repeat_are_capped(dfms, monkeypatch, count):
+    # None is `while true`; a repeat of 6 runs one pass past the cap, a
+    # repeat of 5 reaches it exactly.
+    from repro.dfms import engine
+    monkeypatch.setattr(engine, "MAX_LOOP_ITERATIONS", 5)
+    builder = flow_builder("spin")
+    builder = builder.while_loop("true") if count is None \
+        else builder.repeat(count)
+    status = submit(dfms, builder.step("tick", "dgl.sleep", duration=1)
+                    .build()).body
+    assert (status.iterations, dfms.env.now) == (5, 5.0)
+    if count == 5:
+        assert status.state is ExecutionState.COMPLETED
+    else:
+        assert status.state is ExecutionState.FAILED
+        assert status.error == ("flow 'spin' exceeded 5 iterations; "
+                                "aborting (runaway loop?)")
+
+
+def test_foreach_is_not_capped(dfms, monkeypatch):
+    from repro.dfms import engine
+    monkeypatch.setattr(engine, "MAX_LOOP_ITERATIONS", 5)
+    flow = (flow_builder("many")
+            .variable("total", 0)
+            .for_each("x", items="[1, 2, 3, 4, 5, 6, 7, 8]")
+            .step("add", "dgl.set", variable="total", value="${total + x}")
+            .build())
+    status = submit(dfms, flow).body
+    assert status.state is ExecutionState.COMPLETED
+    assert status.iterations == 8
+    execution = dfms.server.executions()[0]
+    assert execution.journal["many[7]/add"].effects == (("total", 36),)

@@ -33,24 +33,27 @@ def test_default_factory_is_shared():
 # -- engine edge cases ------------------------------------------------------------
 
 def test_foreach_items_must_be_a_list(dfms):
-    flow = (flow_builder("bad")
-            .for_each("x", items="42")
-            .step("s", "dgl.noop")
-            .build())
-    response = dfms.submit_sync(flow)
-    assert response.body.state is ExecutionState.FAILED
-    assert "must yield a list" in response.body.error
+    for items, kind in (("42", "int"), ("'abc'", "str")):
+        flow = (flow_builder("bad")
+                .for_each("x", items=items)
+                .step("s", "dgl.noop")
+                .build())
+        response = dfms.submit_sync(flow)
+        assert response.body.state is ExecutionState.FAILED
+        assert response.body.error == (
+            f"forEach items expression must yield a list, got {kind}")
 
 
 def test_repeat_negative_count_fails(dfms):
-    flow = (flow_builder("bad")
-            .variable("n", -2)
-            .repeat("${n}")
-            .step("s", "dgl.noop")
-            .build())
-    response = dfms.submit_sync(flow)
-    assert response.body.state is ExecutionState.FAILED
-    assert "negative" in response.body.error
+    # An expression count and a literal one are checked alike, before
+    # any pass runs.
+    for builder in (flow_builder("bad").variable("n", -2).repeat("${n}"),
+                    flow_builder("bad").repeat(-1)):
+        response = dfms.submit_sync(builder.step("s", "dgl.noop").build())
+        assert response.body.state is ExecutionState.FAILED
+        assert "negative" in response.body.error
+        assert response.body.iterations == 0
+        assert response.body.children[0].state is ExecutionState.PENDING
 
 
 def test_switch_non_string_value_with_default(dfms):

@@ -47,11 +47,11 @@ def _event_line(event) -> str:
 
 
 CHAOS_PINS = {
-    0: ("b3d747b53d787ab5c989ae31bb07fcc549c77e19526db2e1994f0703cdc15ee0",
+    0: ("aace2dbe700aeeccf4fe16a2aafa3651f94dd2686e516f7c272e9fbcfaad6ee6",
         "6ded71d5a1f6e544234fd37ff986ca3721e5252777d6ccb5d81e74c0bb79f2d4"),
-    3: ("d7edab0341401d47a0096f03e87b24898163cfdbfcbe44905290764fcd73f097",
+    3: ("7ee6aa58b2a24d0561d558a6f44db8a4124fd286044b0926a084408f282ec05a",
         "5529b52902d123f4fcae2d33679aa962c956d3972f5e788f82b4a9ba4c6760be"),
-    7: ("0bfdbc09b5f632817aa9c4104d8c6720676f7f7845ccf53fc839d9bfab2ac8ae",
+    7: ("c15e6df699a615e0493d1f9b9c10e0c4ce4950dbee506e55c0a1c162f11cb825",
         "e642b01f81aff30ac85ffcb6228a3a5e132c75dcb17d3cbf2c6927acb31a4b20"),
 }
 

@@ -211,6 +211,47 @@ def test_step_failure_marks_span(dfms):
     assert statuses["execution"] == "failed"
 
 
+def test_step_duration_samples_each_pass_of_a_looped_step(dfms):
+    # A looped step's status keeps its first start; each sample times
+    # its own pass, as its span does.
+    telemetry = attach_telemetry(dfms.env, server=dfms.server)
+    flow = (flow_builder("naps").repeat(3)
+            .step("nap", "dgl.sleep", duration=2)
+            .build())
+    assert dfms.submit_sync(flow).body.state.value == "completed"
+    assert telemetry.dfms_step_duration.samples == [
+        (2.0, 2.0), (4.0, 2.0), (6.0, 2.0)]
+    assert [span.duration for span in telemetry.tracer.finished
+            if span.name == "step"] == [2.0, 2.0, 2.0]
+
+
+@pytest.mark.parametrize("replace", [False, True])
+def test_spans_close_in_the_session_that_opened_them(dfms, replace):
+    # Detaching or replacing telemetry while a flow runs neither fails
+    # the flow nor moves its open spans into the new session.
+    first = attach_telemetry(dfms.env, server=dfms.server)
+    flow = flow_builder("nap").step("nap", "dgl.sleep", duration=2).build()
+    ack = dfms.server.submit(DataGridRequest(
+        user=dfms.alice.qualified_name, virtual_organization="vo",
+        body=flow))
+
+    def scenario():
+        yield dfms.env.timeout(1.0)
+        dfms.env.telemetry = None
+        if replace:
+            attach_telemetry(dfms.env)
+        yield dfms.server.wait(ack.request_id)
+
+    dfms.run(scenario())
+    assert dfms.server.status(ack.request_id).state.value == "completed"
+    assert [(span.name, span.status, span.end)
+            for span in first.tracer.finished] == [
+        ("step", "ok", 2.0), ("flow", "ok", 2.0), ("execution", "ok", 2.0)]
+    assert first.dfms_step_duration.samples == [(2.0, 2.0)]
+    if replace:
+        assert dfms.env.telemetry.tracer.finished == []
+
+
 # -- listener hooks (ILM + triggers) --------------------------------------
 
 def test_ilm_listener_hook(dfms):
