@@ -19,7 +19,6 @@ flow), so they can be installed remotely.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
@@ -111,9 +110,10 @@ class ProcedureRegistry:
                     f"{parameter.name!r}")
             variables.append(Variable(parameter.name, value))
         # The call wrapper: arguments become variables in an enclosing
-        # scope; the stored body is untouched (deep-copied per call).
+        # scope. The stored body is an immutable value, validated at
+        # definition, so every call shares it.
         return Flow(name=f"call:{procedure.name}", variables=variables,
-                    children=[copy.deepcopy(procedure.flow)])
+                    children=[procedure.flow])
 
     def call(self, user: User, name: str,
              arguments: Optional[Dict[str, object]] = None,

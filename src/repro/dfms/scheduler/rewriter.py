@@ -12,16 +12,16 @@ Two binding disciplines live here:
   each one at the moment it runs. Nothing to do ahead of time.
 * **Early binding** (:func:`bind_flow_early`) is the baseline for
   experiment E5: walk the flow once, up front, and pin every ``exec`` step
-  to a concrete compute resource by writing a ``compute`` parameter into a
-  copy of the document. If the infrastructure churns afterwards (a resource
+  to a concrete compute resource by giving it a ``compute`` parameter, in
+  a rewritten tree. If the infrastructure churns afterwards (a resource
   goes offline), the pinned step fails — exactly the fragility the paper's
   late-binding argument predicts.
 """
 
 from __future__ import annotations
 
-import copy
-from typing import List, Tuple
+from dataclasses import replace
+from typing import Dict, List, Tuple, Union
 
 from repro.errors import ExpressionError
 from repro.dfms.scheduler.cost import TaskSpec
@@ -64,20 +64,35 @@ def task_spec_for_exec(step: Step, scope=None) -> TaskSpec:
 
 def bind_flow_early(flow: Flow, virtual_organization: str,
                     placer: Placer) -> Flow:
-    """Return a deep copy of ``flow`` with every exec step pinned.
+    """``flow`` rewritten with every exec step pinned.
 
     The pin is the ``compute`` parameter naming a concrete resource; the
     DfMS ``exec`` handler honours it verbatim instead of placing late.
+    Steps are placed in document order. The rewrite builds new nodes
+    only for the pinned steps and the flows above them
+    (:func:`dataclasses.replace`); ``flow`` is unchanged, and every other
+    subtree is shared with it.
     """
-    bound = copy.deepcopy(flow)
-    for _, _, node in bound.walk():
-        if (isinstance(node, Step)
-                and node.operation.name in _EXEC_OPERATIONS
+    rewritten: Dict[str, Union[Flow, Step]] = {}
+    flows: List[Tuple[str, Flow]] = []
+    for path, _, node in flow.walk():
+        if isinstance(node, Flow):
+            flows.append((path, node))
+        elif (node.operation.name in _EXEC_OPERATIONS
                 and "compute" not in node.operation.parameters):
             resource = placer.place(virtual_organization,
                                     task_spec_for_exec(node))
-            node.operation.parameters["compute"] = resource.name
-    return bound
+            operation = node.operation
+            rewritten[path] = replace(node, operation=replace(
+                operation, parameters={**operation.parameters,
+                                       "compute": resource.name}))
+    # In reverse document order every flow comes after the flows below it.
+    for path, node in reversed(flows):
+        children = tuple(rewritten.get(f"{path}/{child.name}", child)
+                         for child in node.children)
+        if any(new is not old for new, old in zip(children, node.children)):
+            rewritten[path] = replace(node, children=children)
+    return rewritten.get(flow.name, flow)
 
 
 def pinned_steps(flow: Flow) -> List[Tuple[str, str]]:

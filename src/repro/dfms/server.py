@@ -138,21 +138,20 @@ class DfMSServer:
         submit and checkpoint restore), so operation handlers may rely
         on it. Checks run in order — structure, unknown operations,
         required parameters, nesting depth, grid user — and the first
-        failure is the answer. None of them recurses, so a document of
-        any depth gets an answer.
+        failure is the answer. A tree ``validate_flow`` already passed
+        is not walked for structure again, and the next three checks
+        share one walk (:meth:`OperationRegistry.check`). None of them
+        recurses, so a document of any depth gets an answer.
         """
         try:
             validate_request(request)
         except DGLValidationError as exc:
             return f"invalid DGL document: {exc}"
-        flow = request.body
-        missing = self.registry.missing_operations(flow)
+        missing, problems, depth = self.registry.check(request.body)
         if missing:
             return f"unknown operations: {', '.join(missing)}"
-        problems = self.registry.parameter_problems(flow)
         if problems:
             return "; ".join(problems)
-        depth = flow.depth()
         if depth > MAX_NESTING_DEPTH:
             return (f"flow nests {depth} levels deep; "
                     f"the engine supports at most {MAX_NESTING_DEPTH}")

@@ -22,6 +22,8 @@ from repro.errors import DGLValidationError
 from repro.dgl.model import (
     AFTER_EXIT,
     BEFORE_ENTRY,
+    DEFAULT_LOGIC,
+    SEQUENTIAL,
     Action,
     Flow,
     FlowLogic,
@@ -29,7 +31,6 @@ from repro.dgl.model import (
     Operation,
     Parallel,
     Repeat,
-    Sequential,
     Step,
     SwitchCase,
     UserDefinedRule,
@@ -68,7 +69,7 @@ class FlowBuilder:
 
     def sequential(self) -> "FlowBuilder":
         """Children run one after another (the default)."""
-        return self._set_pattern(Sequential())
+        return self._set_pattern(SEQUENTIAL)
 
     def parallel(self, max_concurrent: int = 0) -> "FlowBuilder":
         """Children run concurrently (optionally bounded)."""
@@ -156,12 +157,11 @@ class FlowBuilder:
         """Produce the :class:`Flow` (validating unless told not to)."""
         # The model copies each list into a tuple, so building again
         # after more calls yields a second, independent flow.
-        flow = Flow(
-            name=self._name,
-            logic=FlowLogic(pattern=self._pattern or Sequential(),
-                            rules=self._rules),
-            variables=self._variables,
-            children=self._children)
+        pattern = self._pattern or SEQUENTIAL
+        logic = (DEFAULT_LOGIC if pattern is SEQUENTIAL and not self._rules
+                 else FlowLogic(pattern=pattern, rules=self._rules))
+        flow = Flow(name=self._name, logic=logic,
+                    variables=self._variables, children=self._children)
         if validate:
             validate_flow(flow)
         return flow

@@ -25,13 +25,28 @@ builder, the XML and MoML readers and every other producer yield equal
 trees. An empty sequence is the shared ``()``: a node keeps no container
 of its own for what it does not have, and leaves nothing for the cyclic
 collector to scan.
+
+Definition nodes are frozen, slotted values, so a producer may share one
+subtree among many trees and executions, and a check may be remembered
+on the node it was made on. An operation's ``parameters`` and a step's
+``requirements`` read as a read-only view of a private dict. Flows with
+no pattern and no rules share :data:`DEFAULT_LOGIC`, and nodes with no
+parameters or requirements share one empty dict. Derive a changed tree
+with :func:`dataclasses.replace`: the nodes it replaces are new and
+unchecked, and every other subtree is shared. The memo fields, ``_valid``
+on flows and steps (see :func:`~repro.dgl.schema.validate_flow`) and
+``_admitted`` on steps (see :meth:`~repro.dgl.operations.
+OperationRegistry.check`), take no part in ``==`` or ``repr``, and no
+document form writes them.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from types import MappingProxyType
+from typing import (
+    Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union)
 
 from repro.errors import DGLValidationError
 
@@ -42,11 +57,49 @@ __all__ = [
     "DocumentMetadata", "DataGridRequest", "FlowStatusQuery",
     "ExecutionState", "FlowStatus", "RequestAcknowledgement",
     "RequestRejection", "DataGridResponse", "BEFORE_ENTRY", "AFTER_EXIT",
+    "SEQUENTIAL", "DEFAULT_LOGIC",
 ]
 
 #: Reserved user-defined-rule names (Appendix A).
 BEFORE_ENTRY = "beforeEntry"
 AFTER_EXIT = "afterExit"
+
+#: The one dict every node without parameters or requirements holds.
+_NO_ENTRIES: Dict[str, Union[str, int, float, None]] = {}
+
+
+def _read_only(name: str):
+    """Class decorator: serve the slotted mapping field ``name``
+    read-only.
+
+    The slot keeps an exact dict copied from what the node was built
+    with, or the shared empty one. The collector does not track a dict
+    of strings and numbers, so the node keeps no tracked object for it.
+    Each read wraps the dict in a fresh :class:`~types.MappingProxyType`
+    that lives only as long as its reader holds it. Only construction
+    writes the field, through ``object.__setattr__``: a frozen node
+    refuses plain assignment first.
+    """
+
+    def _install(cls):
+        slot = cls.__dict__[name]
+
+        def read(node, _get=slot.__get__, _view=MappingProxyType):
+            return _view(_get(node))
+
+        def write(node, value, _set=slot.__set__):
+            _set(node, dict(value) if value else _NO_ENTRIES)
+
+        setattr(cls, name, property(read, write))
+        return cls
+
+    return _install
+
+
+def _memo(default=None):
+    """A memo field: set after construction, outside ``==`` and
+    ``repr``, and reset by :func:`dataclasses.replace`."""
+    return field(default=default, init=False, repr=False, compare=False)
 
 
 # --------------------------------------------------------------------------
@@ -54,7 +107,7 @@ AFTER_EXIT = "afterExit"
 # --------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Variable:
     """A variable declaration in a Flow's or Step's scope."""
 
@@ -67,7 +120,8 @@ class Variable:
                 f"variable name must be an identifier, got {self.name!r}")
 
 
-@dataclass
+@_read_only("parameters")
+@dataclass(frozen=True, slots=True)
 class Operation:
     """The atomic action a Step performs.
 
@@ -90,7 +144,7 @@ class Operation:
                 f"assign_to must be an identifier, got {self.assign_to!r}")
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Action:
     """One named action inside a user-defined rule."""
 
@@ -98,7 +152,7 @@ class Action:
     operation: Operation
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class UserDefinedRule:
     """An ECA rule: evaluate ``condition``; run the action it names.
 
@@ -114,7 +168,7 @@ class UserDefinedRule:
     actions: Tuple[Action, ...] = ()
 
     def __post_init__(self) -> None:
-        self.actions = tuple(self.actions)
+        object.__setattr__(self, "actions", tuple(self.actions))
         if not self.actions:
             raise DGLValidationError(f"rule {self.name!r} needs at least one action")
         names = [action.name for action in self.actions]
@@ -139,12 +193,12 @@ class UserDefinedRule:
 # --------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Sequential:
     """Children execute one after another."""
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Parallel:
     """Children execute concurrently; the flow completes when all do.
 
@@ -158,7 +212,7 @@ class Parallel:
             raise DGLValidationError("max_concurrent cannot be negative")
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class WhileLoop:
     """Children execute (in order) repeatedly while ``condition`` holds."""
 
@@ -169,14 +223,14 @@ class WhileLoop:
             raise DGLValidationError("while loop needs a condition")
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Repeat:
     """Children execute ``count`` times (count may be an expression)."""
 
     count: Union[int, str]
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class ForEach:
     """Children execute once per item.
 
@@ -206,7 +260,7 @@ class ForEach:
             raise DGLValidationError("forEach query requires a collection")
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class SwitchCase:
     """Evaluate ``expression``; execute the child whose name matches.
 
@@ -223,16 +277,19 @@ ControlPattern = Union[Sequential, Parallel, WhileLoop, Repeat, ForEach, SwitchC
 
 _PATTERN_TYPES = (Sequential, Parallel, WhileLoop, Repeat, ForEach, SwitchCase)
 
+#: The default pattern, shared by every flow that does not choose one.
+SEQUENTIAL = Sequential()
 
-@dataclass
+
+@dataclass(frozen=True, slots=True)
 class FlowLogic:
     """Control-structure choice + the rules that wrap execution (Fig. 3)."""
 
-    pattern: ControlPattern = field(default_factory=Sequential)
+    pattern: ControlPattern = SEQUENTIAL
     rules: Tuple[UserDefinedRule, ...] = ()
 
     def __post_init__(self) -> None:
-        self.rules = tuple(self.rules)
+        object.__setattr__(self, "rules", tuple(self.rules))
         if not isinstance(self.pattern, _PATTERN_TYPES):
             raise DGLValidationError(
                 f"unknown control pattern {type(self.pattern).__name__}")
@@ -248,12 +305,17 @@ class FlowLogic:
         return None
 
 
+#: The default logic (sequential, no rules), shared like :data:`SEQUENTIAL`.
+DEFAULT_LOGIC = FlowLogic()
+
+
 # --------------------------------------------------------------------------
 # Steps and Flows
 # --------------------------------------------------------------------------
 
 
-@dataclass
+@_read_only("requirements")
+@dataclass(frozen=True, slots=True)
 class Step:
     """A concrete action: one operation, with its own scope and rules."""
 
@@ -264,10 +326,12 @@ class Step:
     #: Abstract resource requirements for the scheduler (§2.3: "describe the
     #: requirements in terms of resource types and the service levels").
     requirements: Dict[str, Union[str, int, float]] = field(default_factory=dict)
+    _valid: bool = _memo(False)
+    _admitted: object = _memo()
 
     def __post_init__(self) -> None:
-        self.variables = tuple(self.variables)
-        self.rules = tuple(self.rules)
+        object.__setattr__(self, "variables", tuple(self.variables))
+        object.__setattr__(self, "rules", tuple(self.rules))
         if not self.name:
             raise DGLValidationError("step name cannot be empty")
 
@@ -279,18 +343,19 @@ class Step:
         return None
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Flow:
     """The recursive control structure of Fig. 1."""
 
     name: str
-    logic: FlowLogic = field(default_factory=FlowLogic)
+    logic: FlowLogic = DEFAULT_LOGIC
     variables: Tuple[Variable, ...] = ()
     children: Tuple[Union["Flow", Step], ...] = ()
+    _valid: bool = _memo(False)
 
     def __post_init__(self) -> None:
-        self.variables = tuple(self.variables)
-        self.children = tuple(self.children)
+        object.__setattr__(self, "variables", tuple(self.variables))
+        object.__setattr__(self, "children", tuple(self.children))
         if not self.name:
             raise DGLValidationError("flow name cannot be empty")
         kinds = {type(child) for child in self.children}
@@ -310,15 +375,19 @@ class Flow:
                 return child
         return None
 
-    def walk(self) -> Iterator[Tuple[str, int, Union["Flow", Step]]]:
+    def walk(self, skip: Optional[Callable[[Union["Flow", Step]], bool]]
+             = None) -> Iterator[Tuple[str, int, Union["Flow", Step]]]:
         """Every flow and step of this tree, in document order.
 
         Yields ``(path, depth, node)`` in pre-order, this flow first:
         ``path`` joins names with ``/`` from this flow's name, and
         ``depth`` is the nesting level of the flow that is, or holds,
         ``node`` (this flow is level 1). An explicit stack stands in for
-        recursion, so no document is too deep to walk.
+        recursion, so no document is too deep to walk. A node for which
+        ``skip`` holds is left out, with everything below it.
         """
+        if skip is not None and skip(self):
+            return
         stack: List[Tuple[str, int, Union["Flow", Step]]] = [
             (self.name, 1, self)]
         while stack:
@@ -330,7 +399,8 @@ class Flow:
                 stack.extend([(f"{path}/{child.name}",
                                deeper if isinstance(child, Flow) else depth,
                                child)
-                              for child in reversed(node.children)])
+                              for child in reversed(node.children)
+                              if skip is None or not skip(child)])
 
     def count_steps(self) -> int:
         """Total steps in this flow, at any depth."""

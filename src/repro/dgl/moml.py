@@ -27,7 +27,14 @@ import xml.etree.ElementTree as ET
 from typing import List, Union
 
 from repro.errors import DGLParseError, DGLValidationError
-from repro.dgl.model import Flow, FlowLogic, Operation, Step, Variable
+from repro.dgl.model import (
+    DEFAULT_LOGIC,
+    Flow,
+    FlowLogic,
+    Operation,
+    Step,
+    Variable,
+)
 from repro.dgl.xml_io import (
     _build_tree,
     _get_value,
@@ -77,9 +84,10 @@ def _step_entity(step: Step) -> ET.Element:
     if step.operation.assign_to is not None:
         ET.SubElement(entity, "property", name="assignTo",
                       value=step.operation.assign_to)
-    for name in sorted(step.operation.parameters):
+    parameters = step.operation.parameters
+    for name in sorted(parameters):
         param = ET.SubElement(entity, "property", name=f"param:{name}")
-        _set_value(param, step.operation.parameters[name])
+        _set_value(param, parameters[name])
     return entity
 
 
@@ -133,7 +141,7 @@ def _entity_node(entity: ET.Element, children: list) -> Union[Flow, Step]:
         variables = [Variable(prop_name[len("var:"):], _get_value(prop))
                      for prop_name, prop in properties.items()
                      if prop_name.startswith("var:")]
-        logic = FlowLogic()
+        logic = DEFAULT_LOGIC
         named = properties.get("flowLogic")
         if named is not None:
             # The properties read as the attributes of an element named

@@ -33,6 +33,11 @@ class OperationRegistry:
     def __init__(self) -> None:
         self._handlers: Dict[str, OperationHandler] = {}
         self._required_params: Dict[str, tuple] = {}
+        # The token a step admitted under this registry's current state
+        # keeps (see check). A bare object() is not tracked by the
+        # collector, and unlike a counter it cannot repeat in another
+        # registry while a step still holds it.
+        self._token = object()
 
     def register(self, name: str, handler: OperationHandler,
                  replace: bool = False,
@@ -51,6 +56,7 @@ class OperationRegistry:
                 f"operation {name!r} is already registered")
         self._handlers[name] = handler
         self._required_params[name] = tuple(required_params)
+        self._token = object()
 
     def operation(self, name: str) -> Callable[[OperationHandler], OperationHandler]:
         """Decorator form of :meth:`register`."""
@@ -107,6 +113,60 @@ class OperationRegistry:
                     f"{where}: {operation.name} is missing required "
                     f"parameter(s) {', '.join(missing)}")
         return problems
+
+    def check(self, flow: Flow) -> Tuple[List[str], List[str], int]:
+        """:meth:`missing_operations`, :meth:`parameter_problems` and
+        ``flow.depth()``, from one walk.
+
+        A step whose operations are all registered with their required
+        parameters is marked with the registry's current token, which
+        :meth:`register` renews. Its definition is immutable, so a later
+        check under the same token skips it: it adds no problem, and a
+        step does not deepen the flow that holds it.
+        """
+        token = self._token
+        unknown = set()
+        problems: List[str] = []
+        deepest = 0
+        for path, depth, node in flow.walk():
+            if isinstance(node, Step):
+                if node._admitted is token:
+                    continue
+                where, rules = f"step {path!r}", node.rules
+                clean = self._check_operation(where, node.operation,
+                                              unknown, problems)
+            else:
+                if depth > deepest:
+                    deepest = depth
+                where, rules = f"flow {path!r}", node.logic.rules
+                clean = True
+            for rule in rules:
+                for action in rule.actions:
+                    clean &= self._check_operation(
+                        f"{where} rule {rule.name!r}", action.operation,
+                        unknown, problems)
+            if clean and isinstance(node, Step):
+                object.__setattr__(node, "_admitted", token)
+        return sorted(unknown), problems, deepest
+
+    def _check_operation(self, where: str, operation: Operation,
+                         unknown: set, problems: List[str]) -> bool:
+        """Note ``operation``'s problem, if any; True if it has none."""
+        name = operation.name
+        if name not in self._handlers:
+            unknown.add(name)
+            return False
+        required = self._required_params[name]
+        if required:
+            parameters = operation.parameters
+            missing = [parameter for parameter in required
+                       if parameter not in parameters]
+            if missing:
+                problems.append(
+                    f"{where}: {name} is missing required "
+                    f"parameter(s) {', '.join(missing)}")
+                return False
+        return True
 
     @staticmethod
     def is_timed(result: Any) -> bool:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import collections.abc
 import dataclasses
+import operator
 import typing
 from typing import List, Union
 
@@ -25,6 +26,9 @@ from repro.errors import DGLValidationError
 from repro.dgl.model import DataGridRequest, Flow, FlowStatusQuery
 
 __all__ = ["validate_flow", "validate_request", "structure_of"]
+
+#: True for a node :func:`validate_flow` has passed, with its subtree.
+_VALID = operator.attrgetter("_valid")
 
 
 # --------------------------------------------------------------------------
@@ -36,9 +40,13 @@ def validate_flow(flow: Flow) -> None:
     """Validate a flow tree; raises :class:`DGLValidationError` on problems.
 
     Nodes are checked in document order, so the error raised is the
-    first problem in the document.
+    first problem in the document. Every check reads one node, and a
+    tree is immutable, so a tree that passes is marked valid node by
+    node. A later call skips every marked subtree: it has nothing to
+    report, and the first problem stays the same.
     """
-    for path, _, node in flow.walk():
+    passed = []
+    for path, _, node in flow.walk(skip=_VALID):
         if isinstance(node, Flow):
             where, rules = f"flow {path!r}", node.logic.rules
         else:
@@ -51,6 +59,11 @@ def validate_flow(flow: Flow) -> None:
             if not rule.condition.strip():
                 raise DGLValidationError(
                     f"{where}: rule {rule.name!r} has an empty condition")
+            if not all(all(action.operation.parameters)
+                       for action in rule.actions):
+                raise DGLValidationError(
+                    f"{where}: rule {rule.name!r}: empty operation "
+                    "parameter name")
         if isinstance(node, Flow):
             # A switch default must name an actual child.
             default = getattr(node.logic.pattern, "default", None)
@@ -60,15 +73,23 @@ def validate_flow(flow: Flow) -> None:
         elif not all(node.operation.parameters):
             raise DGLValidationError(
                 f"{where}: empty operation parameter name")
+        passed.append(node)
+    for node in passed:
+        object.__setattr__(node, "_valid", True)
 
 
 def validate_request(request: DataGridRequest) -> None:
-    """Validate a full request document."""
+    """Validate a full request document.
+
+    A flow :func:`validate_flow` has passed stays valid, so it is not
+    walked again.
+    """
     if not request.user:
         raise DGLValidationError("request needs a grid user")
-    if isinstance(request.body, FlowStatusQuery):
+    body = request.body
+    if isinstance(body, FlowStatusQuery) or body._valid:
         return
-    validate_flow(request.body)
+    validate_flow(body)
 
 
 # --------------------------------------------------------------------------
@@ -133,7 +154,8 @@ def structure_of(cls, max_depth: int = 3) -> str:
         except Exception:
             hints = {field.name: field.type
                      for field in dataclasses.fields(klass)}
-        fields = dataclasses.fields(klass)
+        # Memo fields (init=False) are not part of the document.
+        fields = [field for field in dataclasses.fields(klass) if field.init]
         for index, field in enumerate(fields):
             last = index == len(fields) - 1
             connector = "└── " if last else "├── "

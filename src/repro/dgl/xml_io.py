@@ -21,6 +21,8 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.errors import DGLParseError
 from repro.dgl.model import (
+    DEFAULT_LOGIC,
+    SEQUENTIAL,
     Action,
     DataGridRequest,
     DataGridResponse,
@@ -225,9 +227,10 @@ def _operation_element(operation: Operation) -> ET.Element:
     element = ET.Element("operation", name=operation.name)
     if operation.assign_to is not None:
         element.set("assignTo", operation.assign_to)
-    for name in sorted(operation.parameters):
+    parameters = operation.parameters
+    for name in sorted(parameters):
         parameter = ET.SubElement(element, "parameter", name=name)
-        _set_value(parameter, operation.parameters[name])
+        _set_value(parameter, parameters[name])
     return element
 
 
@@ -264,11 +267,12 @@ def _step_element(step: Step) -> ET.Element:
     variables = _variables_element(step.variables)
     if variables is not None:
         element.append(variables)
-    if step.requirements:
+    requirements = step.requirements
+    if requirements:
         req_root = ET.SubElement(element, "requirements")
-        for name in sorted(step.requirements):
+        for name in sorted(requirements):
             requirement = ET.SubElement(req_root, "requirement", name=name)
-            _set_value(requirement, step.requirements[name])
+            _set_value(requirement, requirements[name])
     element.append(_operation_element(step.operation))
     for rule in step.rules:
         element.append(_rule_element(rule))
@@ -409,7 +413,7 @@ def _parse_variables(element: Optional[ET.Element]):
 
 def _parse_logic(element: Optional[ET.Element]) -> FlowLogic:
     if element is None:
-        return FlowLogic()
+        return DEFAULT_LOGIC
     pattern = None
     rules = []
     for child in element:
@@ -421,7 +425,7 @@ def _parse_logic(element: Optional[ET.Element]) -> FlowLogic:
             rules.append(_parse_rule(child))
         else:
             raise DGLParseError(f"unexpected element <{child.tag}> in flowLogic")
-    return FlowLogic(pattern=pattern or Sequential(), rules=rules)
+    return FlowLogic(pattern=pattern or SEQUENTIAL, rules=rules)
 
 
 def _parse_step(element: ET.Element) -> Step:

@@ -32,11 +32,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.dgl.builder import flow_builder
+from repro.dgl.builder import flow_builder, operation
 from repro.dgl.model import (
     DataGridRequest,
     FlowStatusQuery,
     RequestAcknowledgement,
+    Step,
 )
 from repro.sim.rng import RandomStreams
 
@@ -126,6 +127,7 @@ class TrafficGenerator:
         self.stats = TrafficStats()
         self._vos = sorted(self.profile.vo_mix)
         self._vo_weights = [self.profile.vo_mix[vo] for vo in self._vos]
+        self._steps = self._session_steps()
 
     def start(self) -> None:
         """Spawn the arrival process (sessions spawn themselves)."""
@@ -133,15 +135,23 @@ class TrafficGenerator:
 
     # -- internals -------------------------------------------------------------
 
-    def _flow(self, session_id: int):
+    def _session_steps(self) -> List[Step]:
+        """The steps of every session's flow. The profile fixes them, so
+        they are built once and every session's tree shares them."""
         profile = self.profile
-        builder = flow_builder(f"traffic-{session_id}")
+        steps = []
         if profile.query_collection is not None:
-            builder.step("lookup", "srb.query",
-                         collection=profile.query_collection)
-        for index in range(profile.flow_steps):
-            builder.step(f"s{index}", "dgl.sleep",
-                         duration=profile.step_duration_s)
+            steps.append(Step("lookup", operation(
+                "srb.query", collection=profile.query_collection)))
+        steps.extend(Step(f"s{index}", operation(
+            "dgl.sleep", duration=profile.step_duration_s))
+            for index in range(profile.flow_steps))
+        return steps
+
+    def _flow(self, session_id: int):
+        builder = flow_builder(f"traffic-{session_id}")
+        for step in self._steps:
+            builder.add_step(step)
         return builder.build()
 
     def _request(self, body, vo: str,

@@ -1,5 +1,7 @@
 """Tests for checkpoint/restart of long-run executions."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import CheckpointError
@@ -178,12 +180,25 @@ def edited_snapshot(dfms, edit):
 
 
 def _misspell_operation(request):
-    request.body.children[1].operation.name = "srb.putt"
+    flow = request.body
+    put = flow.children[1]
+    request.body = replace(flow, children=(
+        flow.children[0],
+        replace(put, operation=replace(put.operation, name="srb.putt")),
+        *flow.children[2:]))
 
 
 def _drop_required_parameters(request):
-    parameters = request.body.children[1].operation.parameters
-    del parameters["size"], parameters["resource"]
+    flow = request.body
+    put = flow.children[1]
+    parameters = {name: value
+                  for name, value in put.operation.parameters.items()
+                  if name not in ("size", "resource")}
+    request.body = replace(flow, children=(
+        flow.children[0],
+        replace(put, operation=replace(put.operation,
+                                       parameters=parameters)),
+        *flow.children[2:]))
 
 
 def _unknown_user(request):

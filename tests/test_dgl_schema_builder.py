@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import DGLValidationError, UnknownOperationError
 from repro.dgl import (
+    AFTER_EXIT,
     Action,
     DataGridRequest,
     Flow,
@@ -46,6 +47,27 @@ def test_empty_rule_condition_rejected():
     flow = Flow(name="f", logic=FlowLogic(rules=[rule]))
     with pytest.raises(DGLValidationError, match="empty condition"):
         validate_flow(flow)
+
+
+@pytest.mark.parametrize("owner", ["step", "flow"])
+def test_empty_rule_action_parameter_name_rejected(dfms, owner):
+    # The check a step's own operation gets, in an afterExit action too.
+    rule = UserDefinedRule(AFTER_EXIT, "true", [Action(
+        "log", Operation("dgl.log", {"": "x", "message": "m"}))])
+    step_rules, flow_rules = ([rule], []) if owner == "step" else ([], [rule])
+    flow = Flow(name="f", logic=FlowLogic(rules=flow_rules),
+                children=[Step("s", Operation("dgl.noop"),
+                               rules=step_rules)])
+    where = "step 'f/s'" if owner == "step" else "flow 'f'"
+    message = f"{where}: rule 'afterExit': empty operation parameter name"
+    with pytest.raises(DGLValidationError) as refused:
+        validate_flow(flow)
+    assert str(refused.value) == message
+    response = dfms.server.submit(DataGridRequest(
+        user=dfms.alice.qualified_name, virtual_organization="vo",
+        body=flow))
+    assert not response.body.valid
+    assert response.body.message == f"invalid DGL document: {message}"
 
 
 def test_validation_reports_nested_path():

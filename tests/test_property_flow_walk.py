@@ -17,7 +17,7 @@ parameters (in steps and in rule actions), unknown operations, pinned and
 unpinned ``exec`` steps, and for-each collections.
 """
 
-import copy
+from dataclasses import replace
 from types import SimpleNamespace
 
 from hypothesis import HealthCheck, Phase, find, given, settings
@@ -68,6 +68,12 @@ def _ref_check_rules(owner, rules):
         if not rule.condition.strip():
             raise DGLValidationError(
                 f"{owner}: rule {rule.name!r} has an empty condition")
+        for action in rule.actions:
+            for parameter in action.operation.parameters:
+                if not parameter:
+                    raise DGLValidationError(
+                        f"{owner}: rule {rule.name!r}: empty operation "
+                        "parameter name")
 
 
 def _ref_validate_step(step, path):
@@ -166,23 +172,23 @@ def ref_depth(flow):
 
 
 def ref_bind_flow_early(flow, virtual_organization, placer):
-    bound = copy.deepcopy(flow)
-
-    def _walk(node):
+    def _bind(node):
+        children = []
         for child in node.children:
             if isinstance(child, Flow):
-                _walk(child)
-                continue
-            if child.operation.name != "exec":
-                continue
-            if "compute" in child.operation.parameters:
-                continue
-            task = task_spec_for_exec(child)
-            resource = placer.place(virtual_organization, task)
-            child.operation.parameters["compute"] = resource.name
+                child = _bind(child)
+            elif (child.operation.name == "exec"
+                  and "compute" not in child.operation.parameters):
+                task = task_spec_for_exec(child)
+                resource = placer.place(virtual_organization, task)
+                child = replace(child, operation=replace(
+                    child.operation,
+                    parameters={**child.operation.parameters,
+                                "compute": resource.name}))
+            children.append(child)
+        return replace(node, children=children)
 
-    _walk(bound)
-    return bound
+    return _bind(flow)
 
 
 def ref_pinned_steps(flow):
