@@ -256,8 +256,9 @@ class Process(Event):
                 t = self.env.telemetry
                 if t is not None:
                     now = self.env._now
-                    t.sim_process_lifetimes.append(
-                        (now, now - self._spawned_at))
+                    add_time, add_value = t.sim_process_lifetimes
+                    add_time(now)
+                    add_value(now - self._spawned_at)
                 break
             except BaseException as exc:
                 self._ok = False
@@ -267,8 +268,9 @@ class Process(Event):
                 t = self.env.telemetry
                 if t is not None:
                     now = self.env._now
-                    t.sim_process_lifetimes.append(
-                        (now, now - self._spawned_at))
+                    add_time, add_value = t.sim_process_lifetimes
+                    add_time(now)
+                    add_value(now - self._spawned_at)
                 break
 
             if not isinstance(target, Event):

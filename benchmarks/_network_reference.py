@@ -57,6 +57,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.errors import NetworkError, TransferInterrupted
 from repro.network.topology import Link, Topology
 from repro.sim.kernel import Environment, Event, Timeout
+from repro.telemetry.tracing import TRANSFER
 
 __all__ = ["TransferService", "TransferStats"]
 
@@ -104,7 +105,8 @@ class _ActiveTransfer:
         self.remaining = stats.nbytes
         self.rate = 0.0
         self.done = done
-        #: Open telemetry span (None when no session is attached).
+        #: Open telemetry span as (tracer, span id), or None when no
+        #: session was attached at the start.
         self.span = span
         #: Bumped whenever the projected finish changes (or the transfer
         #: leaves the active set); heap entries carrying an older version
@@ -181,10 +183,9 @@ class TransferService:
             # step's span, via Process._tspan) parents the span, nesting
             # flow -> step -> transfer.
             active = self.env._active_process
-            span = t.tracer.begin(
-                "transfer", None if active is None else active._tspan,
-                {"src": src, "dst": dst, "nbytes": nbytes,
-                 "hops": len(links)})
+            span = (t.tracer, t.tracer.begin(
+                TRANSFER, None if active is None else active._tspan,
+                (src, dst, nbytes, len(links))))
         if not links or nbytes == 0:
             # Local (same-domain) or empty transfer: instantaneous.
             self._finish(stats, done, span)
@@ -246,10 +247,11 @@ class TransferService:
             # same-domain accesses are free (data virtualization's point).
             self.total_bytes_moved += stats.nbytes
         self.completed.append(stats)
+        if span is not None:
+            tracer, span_id = span
+            tracer.finish(span_id)
         t = self.env.telemetry
         if t is not None:
-            if span is not None:
-                t.tracer.finish(span)
             # Counters, duration samples, and the log record are all
             # derived from the stats object at export time
             # (Telemetry collect); the hot path only hands it over.
@@ -266,10 +268,11 @@ class TransferService:
             # The bytes that made it across count as WAN movement; the
             # resumed remainder accounts for the rest on completion.
             self.total_bytes_moved += transferred
+        if transfer.span is not None:
+            tracer, span_id = transfer.span
+            tracer.finish(span_id, status="interrupted")
         t = self.env.telemetry
         if t is not None:
-            if transfer.span is not None:
-                t.tracer.finish(transfer.span, status="interrupted")
             t.log.emit("net.interrupted", src=stats.src, dst=stats.dst,
                        link="--".join(sorted(link.ends)),
                        nbytes=stats.nbytes, transferred=transferred)

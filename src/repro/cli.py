@@ -258,7 +258,7 @@ def _cmd_telemetry(args) -> int:
     series = sum(len(list(m.series()))
                  for m in telemetry.metrics.metrics())
     print(f"  metric series:  {series}")
-    print(f"  spans recorded: {len(telemetry.tracer.finished)}")
+    print(f"  spans recorded: {len(telemetry.tracer)}")
     print(f"  event records:  {len(telemetry.log)}")
     print(f"  trigger firings: {len(manager.firing_log)}")
     # Histograms as operator-facing quantiles (exact, from raw samples),

@@ -64,6 +64,7 @@ from repro.dgl.operations import OperationRegistry
 from repro.grid.query import Query, parse_conditions
 from repro.sim.kernel import Environment
 from repro.sim.resources import Resource
+from repro.telemetry.tracing import EXECUTION, FLOW, STEP
 
 __all__ = ["EngineEvent", "FlowEngine", "FlowCancelled", "ON_ERROR"]
 
@@ -156,12 +157,10 @@ class FlowEngine:
         self._notify("execution_started", execution, "")
         t = self.env.telemetry
         # Spans are parented explicitly: each _run_* level holds its own
-        # span in a local and passes it down as the children's parent
+        # span id in a local and passes it down as the children's parent
         # (Tracer.begin/finish — no context-stack bookkeeping).
         span = None if t is None else t.tracer.begin(
-            "execution", None,
-            {"request_id": execution.request_id,
-             "flow": execution.flow.name})
+            EXECUTION, None, (execution.request_id, execution.flow.name))
         try:
             yield from self._run_flow(execution.flow, execution.status,
                                       ctx.scope, ctx, execution, "", span)
@@ -221,8 +220,7 @@ class FlowEngine:
         self._notify("flow_started", execution, key)
         t = self.env.telemetry
         span = None if t is None else t.tracer.begin(
-            "flow", parent_span,
-            {"key": key, "request_id": execution.request_id})
+            FLOW, parent_span, (key, execution.request_id))
         scope = Scope(parent=parent_scope)
         for variable in flow.variables:
             scope.declare(variable.name,
@@ -398,10 +396,10 @@ class FlowEngine:
         if t is None:
             span = active = prev_tspan = None
         else:
+            began = self.env._now
             span = t.tracer.begin(
-                "step", parent_span,
-                {"key": key, "operation": step.operation.name,
-                 "request_id": execution.request_id})
+                STEP, parent_span,
+                (key, step.operation.name, execution.request_id))
             # Make the step span this process's span context for the
             # step's duration, so synchronous transfers and spawned
             # handler processes (_invoke) parent under it.
@@ -430,11 +428,13 @@ class FlowEngine:
         self._settle("step", execution, key, status, t, span,
                      active=active, prev_tspan=prev_tspan)
         if span is not None:
-            # This run of the step, from its span: a looped or restarted
-            # node's status keeps its first start. Raw sample append;
-            # buckets fold at export (see Histogram).
-            t.dfms_step_duration.samples.append(
-                (span.end, span.end - span.start))
+            # This run of the step, timed as its span: a looped or
+            # restarted node's status keeps its first start. Raw column
+            # appends; buckets fold at export (see Histogram).
+            now = self.env._now
+            add_time, add_value = t.dfms_step_duration.appends
+            add_time(now)
+            add_value(now - began)
         execution.record_step(key, step_ctx.effects)
         self._notify("step_completed", execution, key,
                      operation=step.operation.name)

@@ -420,8 +420,10 @@ class DfMSGateway:
             self.queue_waits.append(wait)
             telemetry = self.env.telemetry
             if telemetry is not None:
-                telemetry.gateway_queue_wait.bound[self.name].samples.append(
-                    (entry.started_at, wait))
+                add_time, add_value = (
+                    telemetry.gateway_queue_wait.bound[self.name].appends)
+                add_time(entry.started_at)
+                add_value(wait)
             response = self.server.start_flow(entry.request, request_id)
             if response.body.valid:
                 execution = entry.execution = self.server.execution(

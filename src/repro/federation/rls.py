@@ -549,7 +549,9 @@ class ReplicaLocationService:
         rejected = digests_checked - lrc_queries
         if rejected:
             checks["reject"].inc(rejected)
-        telemetry.rls_staleness.samples.append((now, staleness))
+        add_time, add_value = telemetry.rls_staleness.appends
+        add_time(now)
+        add_value(staleness)
 
     def flush_all(self) -> None:
         """Flush every zone's pending digest publications immediately

@@ -45,6 +45,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.errors import NetworkError, TransferInterrupted
 from repro.network.topology import Link, Topology
 from repro.sim.kernel import Environment, Event, Timeout
+from repro.telemetry.tracing import TRANSFER
 
 __all__ = ["TransferService", "TransferStats"]
 
@@ -84,17 +85,20 @@ class TransferStats:
 class _ActiveTransfer:
     """Book-keeping for one streaming transfer (identity-hashed)."""
 
-    __slots__ = ("stats", "links", "remaining", "rate", "done", "span",
-                 "route_class", "finish", "seq")
+    __slots__ = ("stats", "links", "remaining", "rate", "done", "tracer",
+                 "span", "route_class", "finish", "seq")
 
     def __init__(self, stats: TransferStats, links: Tuple[Link, ...],
-                 done: Event, span: object = None) -> None:
+                 done: Event, tracer=None, span=None) -> None:
         self.stats = stats
         self.links = links
         self.remaining = stats.nbytes
         self.rate = 0.0
         self.done = done
-        #: Open telemetry span (None when no session is attached).
+        #: The open telemetry span's id and the tracer that minted it
+        #: (both None when no session was attached at the start): the
+        #: span closes there, whatever session is attached by then.
+        self.tracer = tracer
         self.span = span
         self.route_class: Optional[_RouteClass] = None
         #: Projected finish and the projection's sequence number; the
@@ -177,7 +181,7 @@ class TransferService:
                               hops=len(links), route=route.names)
         t = self.env.telemetry
         if t is None:
-            span = None
+            tracer = span = None
         else:
             if not self._collector_registered:
                 # Gauges only ever expose their latest value, so recording
@@ -189,16 +193,16 @@ class TransferService:
             # step's span, via Process._tspan) parents the span, nesting
             # flow -> step -> transfer.
             active = self.env._active_process
-            span = t.tracer.begin(
-                "transfer", None if active is None else active._tspan,
-                {"src": src, "dst": dst, "nbytes": nbytes,
-                 "hops": len(links)})
+            tracer = t.tracer
+            span = tracer.begin(
+                TRANSFER, None if active is None else active._tspan,
+                (src, dst, nbytes, len(links)))
         if not links or nbytes == 0:
             # Local (same-domain) or empty transfer: instantaneous.
-            self._finish(stats, done, span)
+            self._finish(stats, done, tracer, span)
             return done
         self.env.process(self._admit_after_latency(
-            route.latency_s, stats, links, done, span,
+            route.latency_s, stats, links, done, tracer, span,
             self.topology.version))
         return done
 
@@ -221,16 +225,16 @@ class TransferService:
 
     # -- internals ----------------------------------------------------------
 
-    def _admit_after_latency(self, latency, stats, links, done, span,
-                             version):
+    def _admit_after_latency(self, latency, stats, links, done, tracer,
+                             span, version):
         yield self.env.timeout(latency)
         if self.down_links:
             # A link on the path went down while this transfer was still
             # in its latency phase: it never streamed a byte.
             for link in links:
                 if link.ends in self.down_links:
-                    self._interrupt(
-                        _ActiveTransfer(stats, links, done, span), link)
+                    self._interrupt(_ActiveTransfer(
+                        stats, links, done, tracer, span), link)
                     return
         topology = self.topology
         if topology.version != version:
@@ -238,7 +242,7 @@ class TransferService:
             # the latency phase; stream over the links as they are now.
             links = tuple(topology.link_between(link.a, link.b) or link
                           for link in links)
-        transfer = _ActiveTransfer(stats, links, done, span)
+        transfer = _ActiveTransfer(stats, links, done, tracer, span)
         # end_time doubles as "last settled" during streaming; start the
         # clock at admission, not at the original call instant.
         stats.end_time = self.env.now
@@ -251,18 +255,18 @@ class TransferService:
         self._rerate(touched)
         self._arm_timer()
 
-    def _finish(self, stats: TransferStats, done: Event,
-                span=None) -> None:
+    def _finish(self, stats: TransferStats, done: Event, tracer=None,
+                span: Optional[int] = None) -> None:
         stats.end_time = self.env.now
         if stats.hops:
             # Only traffic that actually crossed a link is WAN movement;
             # same-domain accesses are free (data virtualization's point).
             self.total_bytes_moved += stats.nbytes
         self.completed.append(stats)
+        if span is not None:
+            tracer.finish(span)
         t = self.env.telemetry
         if t is not None:
-            if span is not None:
-                t.tracer.finish(span)
             # Counters, duration samples, and the log record are all
             # derived from the stats object at export time
             # (Telemetry collect); the hot path only hands it over.
@@ -279,10 +283,10 @@ class TransferService:
             # The bytes that made it across count as WAN movement; the
             # resumed remainder accounts for the rest on completion.
             self.total_bytes_moved += transferred
+        if transfer.span is not None:
+            transfer.tracer.finish(transfer.span, status="interrupted")
         t = self.env.telemetry
         if t is not None:
-            if transfer.span is not None:
-                t.tracer.finish(transfer.span, status="interrupted")
             t.log.emit("net.interrupted", src=stats.src, dst=stats.dst,
                        link="--".join(sorted(link.ends)),
                        nbytes=stats.nbytes, transferred=transferred)
@@ -532,7 +536,8 @@ class TransferService:
                 self._remove(transfer)
                 for link in transfer.links:
                     touched[link.ends] = None
-                self._finish(transfer.stats, transfer.done, transfer.span)
+                self._finish(transfer.stats, transfer.done, transfer.tracer,
+                             transfer.span)
             self._rerate(touched)
         self._arm_timer()
 

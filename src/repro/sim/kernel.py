@@ -249,10 +249,11 @@ class Process(Event):
         super().__init__(env)
         self._generator = generator
         self._spawned_at = env._now
-        #: Telemetry span context this process runs under. Spawners copy
-        #: their own span (or their own _tspan) here so work started in
-        #: the child — transfers, nested spawns — parents correctly. Dies
-        #: with the process, so no cleanup and no id()-reuse hazard.
+        #: Telemetry span context this process runs under: the int id
+        #: of a span (see ``Tracer.begin``), or None. Spawners copy their
+        #: own span id (or their own _tspan) here so work started in the
+        #: child — transfers, nested spawns — parents correctly. Dies
+        #: with the process, so no cleanup.
         self._tspan = None
         self._target: Optional[Event] = Initialize(env, self)
 
@@ -295,8 +296,9 @@ class Process(Event):
         escape exception, non-event yield): sets the outcome, schedules
         this process-as-event, and stashes the lifetime sample when a
         telemetry session is attached — via the environment's hoisted
-        ``_lifetimes`` list, so a detached run pays a single attribute
-        load here and nothing per event anywhere else.
+        ``_lifetimes`` pair of bound column appends, so a detached run
+        pays a single attribute load here and nothing per event anywhere
+        else.
         """
         self._ok = ok
         self._value = value
@@ -310,7 +312,9 @@ class Process(Event):
         lifetimes = env._lifetimes
         if lifetimes is not None:
             now = env._now
-            lifetimes.append((now, now - self._spawned_at))
+            add_time, add_value = lifetimes
+            add_time(now)
+            add_value(now - self._spawned_at)
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with ``event``'s outcome."""
@@ -444,11 +448,12 @@ class Environment:
         self._eid = 0
         self._active_process: Optional[Process] = None
         self._telemetry = None
-        #: Hoisted fast-path alias: the attached session's raw process
-        #: lifetime sample list, or None when detached. ``Process._finalize``
-        #: reads only this, so a telemetry-off run never touches the
-        #: session object on the hot path.
-        self._lifetimes: Optional[list] = None
+        #: Hoisted fast-path alias: the bound ``append``s of the attached
+        #: session's process-lifetime sample columns, ``(time, value)``,
+        #: or None when detached. ``Process._finalize`` reads only this,
+        #: so a telemetry-off run never touches the session object on
+        #: the hot path.
+        self._lifetimes: Optional[tuple] = None
         #: Attached schedule sanitizer (duck-typed — the kernel imports
         #: nothing from repro.analysis). While set, ``_urgent`` and
         #: ``_current`` are the sanitizer's own deque subclasses: their

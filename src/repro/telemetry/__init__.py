@@ -57,12 +57,12 @@ from repro.telemetry.slo import (
     default_probes,
     fault_coverage,
 )
-from repro.telemetry.tracing import Span, Tracer
+from repro.telemetry.tracing import Span, SpanKind, Tracer
 
 __all__ = [
     "Telemetry",
     "MetricsRegistry", "Counter", "Gauge", "Histogram",
-    "Tracer", "Span",
+    "Tracer", "Span", "SpanKind",
     "EventLog", "TelemetryRecord",
     "FlightRecorder", "FlightRecord",
     "SLOEngine", "Alert", "default_probes", "fault_coverage",

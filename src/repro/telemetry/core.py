@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from functools import partial
 from operator import itemgetter
-from typing import List, Tuple
+from typing import Callable, Tuple
 
 from repro.telemetry.events import (EventLog, TelemetryRecord,
                                    engine_fields, transfer_fields)
@@ -48,15 +48,17 @@ class Telemetry:
         self._eid_at_attach = env._eid
         self._queued_at_attach = self._queued()
         metric = self.metrics
-        #: Completed process (sim_time, lifetime_seconds) pairs. This IS
-        #: the lifetime histogram's raw sample list: the kernel appends
-        #: pairs here and collect() folds them into buckets (Histogram
-        #: defers bucket work to export for exactly this reason).
-        self.sim_process_lifetimes: List[Tuple[float, float]] = (
+        #: The lifetime histogram's bound column appends, ``(time,
+        #: value)``: the kernel hoists this pair onto the environment and
+        #: appends each completed process's (sim_time, lifetime_seconds)
+        #: through it; collect() folds the columns into buckets
+        #: (Histogram defers bucket work to export for exactly this
+        #: reason).
+        self.sim_process_lifetimes: Tuple[Callable, Callable] = (
             metric.histogram(
                 "sim_process_lifetime_seconds",
                 "Virtual lifetime of completed simulation processes")
-            .samples)
+            .appends)
         # -- DfMS engine ---------------------------------------------------
         self.dfms_engine_events = metric.counter(
             "dfms_engine_events_total",
@@ -306,7 +308,7 @@ class Telemetry:
         wan = self.net_transfers_wan
         local = self.net_transfers_local
         moved = self.net_bytes
-        samples = self.net_transfer_duration.samples
+        add_time, add_value = self.net_transfer_duration.appends
         for stats in pending:
             if type(stats) is tuple:   # (stats, fields) already encoded
                 stats, fields = stats
@@ -318,7 +320,8 @@ class Telemetry:
                 wan.last_updated = now
                 moved.value += stats.nbytes
                 moved.last_updated = now
-                samples.append((now, stats.duration))
+                add_time(now)
+                add_value(stats.duration)
             else:
                 local.value += 1.0
                 local.last_updated = now

@@ -109,7 +109,8 @@ def jsonl_lines(telemetry: Telemetry,
             labels = dict(zip(metric.labelnames,
                               label_values)) if metric.labelnames else {}
             if isinstance(series, Histogram):
-                for when, value in series.samples:
+                for when, value in zip(series.sample_times,
+                                       series.sample_values):
                     entries.append((when, 2, {
                         "type": "sample", "metric": metric.name,
                         "time": when, "value": value, "labels": labels}))
@@ -144,7 +145,8 @@ def histogram_summaries(telemetry: Telemetry,
         if metric.kind != "histogram":
             continue
         for label_values, series in metric.series():
-            values = [value for when, value in series.samples
+            values = [value for when, value in zip(series.sample_times,
+                                                   series.sample_values)
                       if window is None or window[0] <= when <= window[1]]
             if not values:
                 continue

@@ -21,6 +21,7 @@ been created, so a repeat update skips the keyword plumbing of
 from __future__ import annotations
 
 import bisect
+from array import array
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ReproError
@@ -160,8 +161,11 @@ class Histogram(_Instrument):
     """A distribution with cumulative buckets plus raw stamped samples.
 
     Besides the Prometheus-style bucket counts / sum / count, every
-    observation is kept as a ``(sim_time, value)`` pair so exports can
-    replay the full sample stream (the JSONL exporter does).
+    observation is kept so exports can replay the full sample stream
+    (the JSONL exporter does). Observations are two typed columns,
+    :attr:`sample_times` and :attr:`sample_values` (16 B a sample, no
+    object per sample); :attr:`samples` reads them back as
+    ``(sim_time, value)`` pairs.
     """
 
     kind = "histogram"
@@ -173,11 +177,22 @@ class Histogram(_Instrument):
         self.bucket_counts: List[int] = [0] * (len(self.buckets) + 1)
         self.sum = 0.0
         self.count = 0
-        #: Raw (sim_time, value) observations, in observation order.
-        #: Hot paths append here directly and leave the bucket work to
-        #: :meth:`_fold` (run by ``Telemetry.collect`` at export time).
-        self.samples: List[Tuple[float, float]] = []
+        #: Raw observations in observation order: sim time, and value.
+        self.sample_times = array("d")
+        self.sample_values = array("d")
+        #: The two columns' bound ``append``s, ``(time, value)``. Hot
+        #: writers call these, one per column, with no Python frame per
+        #: sample, and leave the bucket work to :meth:`_fold` (run by
+        #: ``Telemetry.collect`` at export time).
+        self.appends = (self.sample_times.append, self.sample_values.append)
         self._folded = 0
+
+    @property
+    def samples(self) -> List[Tuple[float, float]]:
+        """Every raw observation as a ``(sim_time, value)`` pair, in
+        observation order (a fresh list; write through :attr:`appends`
+        or :meth:`observe`)."""
+        return list(zip(self.sample_times, self.sample_values))
 
     def labels(self, **labels: object) -> "Histogram":
         """Child series; inherits this histogram's bucket boundaries."""
@@ -191,27 +206,29 @@ class Histogram(_Instrument):
         """Record one observation, at sim time ``at`` (default: now).
 
         Buckets, sum, and count update immediately. Hot paths skip this
-        method and append ``(at, value)`` to :attr:`samples` directly;
+        method and append to the columns through :attr:`appends`;
         :meth:`_fold` catches the buckets up at export time.
         """
-        self.samples.append((self._clock() if at is None else at, value))
+        # Value first: a non-number raises before either column grows.
+        self.sample_values.append(value)
+        self.sample_times.append(self._clock() if at is None else at)
         self._fold()
 
     def _fold(self) -> None:
         """Fold samples not yet in the buckets into them (idempotent)."""
-        samples = self.samples
+        values = self.sample_values
         folded = self._folded
-        total = len(samples)
+        total = len(values)
         if folded == total:
             return
         buckets = self.buckets
         counts = self.bucket_counts
-        for when, value in samples[folded:]:
+        for value in values[folded:]:
             counts[bisect.bisect_left(buckets, value)] += 1
             self.sum += value
         self.count = total
         self._folded = total
-        self.last_updated = samples[-1][0]
+        self.last_updated = self.sample_times[-1]
 
 
 class MetricsRegistry:

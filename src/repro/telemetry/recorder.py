@@ -86,8 +86,7 @@ class FlightRecorder:
         if active is None:
             span_id, process = None, ""
         else:
-            span = active._tspan
-            span_id = None if span is None else span.span_id
+            span_id = active._tspan
             process = getattr(active._generator, "__name__", "") or ""
         seq = self._seq
         self._seq = seq + 1

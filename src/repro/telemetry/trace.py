@@ -89,7 +89,8 @@ def build_span_forest(spans: Dict[str, dict]) -> List[SpanNode]:
     Roots are spans with no parent; spans whose parent is missing from
     the dump become roots too, flagged ``orphaned`` — a truncated export
     loses ancestors first (they finish last), so orphan promotion keeps
-    the surviving subtrees intact. Siblings sort on (start, span_id).
+    the surviving subtrees intact. Siblings sort on start, then on the
+    numeric span id (``s1000000`` after ``s999999``).
     """
     nodes = {span_id: SpanNode(span, [], False)
              for span_id, span in spans.items()}
@@ -104,7 +105,11 @@ def build_span_forest(spans: Dict[str, dict]) -> List[SpanNode]:
         else:
             roots.append(SpanNode(node.span, node.children, True))
             nodes[span_id] = roots[-1]
-    order = lambda n: (n.span.get("start", 0.0), n.span["span_id"])
+
+    def order(node):
+        # Exported ids are "s" + the zero-padded int id.
+        return node.span.get("start", 0.0), int(node.span["span_id"][1:])
+
     for node in nodes.values():
         node.children.sort(key=order)
     roots.sort(key=order)

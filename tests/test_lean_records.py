@@ -39,6 +39,7 @@ from repro.grid import EventKind
 from repro.ilm import ILMPolicy, PlacementRule
 from repro.sim.rng import RandomStreams
 from repro.storage import MB
+from repro.telemetry import attach_telemetry
 from repro.triggers import DatagridTrigger, TriggerManager
 from repro.workloads.traffic import TrafficGenerator, TrafficProfile
 
@@ -185,15 +186,17 @@ def test_every_producer_yields_tuples():
             assert not gc.is_tracked(sequence) or sequence, where
 
 
-def tracked_reachable(*roots):
+def tracked_reachable(*roots, skip_callables=False):
     """Tracked objects reachable from ``roots``, not counting classes and
-    enum members, which every record shares."""
+    enum members, which every record shares (nor, with
+    ``skip_callables``, anything callable, or what it reaches)."""
     seen = set()
     stack = list(roots)
     count = 0
     while stack:
         obj = stack.pop()
-        if id(obj) in seen or isinstance(obj, (type, enum.Enum)):
+        if (id(obj) in seen or isinstance(obj, (type, enum.Enum))
+                or (skip_callables and callable(obj))):
             continue
         seen.add(id(obj))
         count += gc.is_tracked(obj)
@@ -219,3 +222,25 @@ def test_tracked_objects_per_finished_step_are_pinned(dfms, n_steps):
     base = held(finished_execution(dfms, 1))
     grown = held(finished_execution(dfms, 1 + n_steps))
     assert (grown - base) == TRACKED_PER_STEP * n_steps
+
+
+@pytest.mark.parametrize("n_steps", [4, 16])
+def test_telemetry_keeps_no_object_per_finished_step(dfms, n_steps):
+    # Spans are rows and raw samples are columns, so once the collector
+    # has untracked the rows' value tuples, what the tracer and the
+    # metrics hold does not grow with the steps run. The walk does not
+    # follow callables: the session clock is a partial over the
+    # environment, which reaches the whole deployment.
+    telemetry = attach_telemetry(dfms.env, server=dfms.server)
+
+    def held():
+        gc.collect()
+        return tracked_reachable(telemetry.tracer, telemetry.metrics,
+                                 skip_callables=True)
+
+    finished_execution(dfms, 1)
+    base = held()
+    finished_execution(dfms, 1 + n_steps)
+    assert held() == base
+    # Two executions, each an execution and a flow span, and their steps.
+    assert len(telemetry.tracer) == 2 * 2 + 2 + n_steps

@@ -16,7 +16,7 @@ from repro.dgl import DataGridRequest, ExecutionState, flow_builder
 from repro.errors import SimError
 from repro.provenance import ProvenanceStore, attach_to_server
 from repro.sim import Environment
-from repro.telemetry import attach_observability, attach_telemetry
+from repro.telemetry import SpanKind, attach_observability, attach_telemetry
 from repro.telemetry.events import engine_fields
 from repro.telemetry.slo import (
     FaultWindowProbe,
@@ -86,7 +86,7 @@ def test_records_link_to_spans():
     tracer = obs.telemetry.tracer
 
     def worker():
-        span = tracer.begin("work", None, {})
+        span = tracer.begin(SpanKind("work", ()), None, ())
         process = env.active_process
         process._tspan = span
         obs.telemetry.log.emit("test.inside")
@@ -94,11 +94,11 @@ def test_records_link_to_spans():
         process._tspan = None
         tracer.finish(span)
         obs.telemetry.log.emit("test.outside")
-        return span.span_id
+        return span
 
     span_id = env.run_process(worker())
     inside, outside = obs.recorder.ring
-    assert inside.span_id == span_id
+    assert inside.span_id == span_id == tracer.finished[0].span_id
     assert inside.process == "worker"
     assert outside.span_id is None
 

@@ -10,10 +10,13 @@ from repro.dgl.model import Operation
 from repro.grid.events import EventKind
 from repro.grid.query import Query, parse_conditions
 from repro.ilm import ILMManager, imploding_star_policy
+from repro.network import Topology, TransferService
+from repro.sim import Environment
 from repro.storage import MB
 from repro.telemetry import (
     EventLog,
     MetricsRegistry,
+    SpanKind,
     Tracer,
     attach_telemetry,
     jsonl_lines,
@@ -113,20 +116,21 @@ def test_histogram_buckets_and_samples():
 
 def test_spans_nest_within_one_context():
     tracer = Tracer(lambda: 7.0)
-    outer = tracer.begin("outer", None, {"kind": "demo"})
-    inner = tracer.begin("inner", outer, {})
-    assert outer.parent_id is None
-    assert inner.parent_id == outer.span_id
+    outer = tracer.begin(SpanKind("outer", ("kind",)), None, ("demo",))
+    inner = tracer.begin(SpanKind("inner", ()), outer, ())
     tracer.finish(inner)
     tracer.finish(outer, status="error")
+    spans = {span.span_id: span for span in tracer.finished}
+    assert spans[outer].parent_id is None
+    assert spans[inner].parent_id == spans[outer].span_id
     assert [span.name for span in tracer.finished] == ["inner", "outer"]
-    assert outer.status == "error"
-    assert outer.attrs == {"kind": "demo"}
+    assert spans[outer].status == "error"
+    assert spans[outer].attrs == {"kind": "demo"}
     # Ending twice is a no-op, ids are deterministic.
     tracer.finish(outer)
     assert len(tracer.finished) == 2
-    assert outer.status == "error"
-    assert outer.span_id == 1
+    assert tracer.finished[1].status == "error"
+    assert tracer.finished[1].span_id == outer == 1
 
 
 # -- event log ------------------------------------------------------------
@@ -250,6 +254,38 @@ def test_spans_close_in_the_session_that_opened_them(dfms, replace):
     assert first.dfms_step_duration.samples == [(2.0, 2.0)]
     if replace:
         assert dfms.env.telemetry.tracer.finished == []
+
+
+@pytest.mark.parametrize("replace", [False, True])
+def test_transfer_span_closes_in_the_session_that_opened_it(replace):
+    # A transfer's span closes in the session attached when it started;
+    # its completion record goes to the session attached when it ends.
+    env = Environment()
+    topology = Topology()
+    topology.connect("A", "B", 0.0, 10 * MB)
+    service = TransferService(env, topology)
+    first = attach_telemetry(env)
+
+    def scenario():
+        done = service.transfer("A", "B", 20 * MB)
+        yield env.timeout(1.0)
+        env.telemetry = None
+        if replace:
+            attach_telemetry(env)
+        yield done
+
+    env.run_process(scenario())
+    assert [(span.span_id, span.name, span.status, span.end)
+            for span in first.tracer.finished] == [
+        (1, "transfer", "ok", 2.0)]
+    first.fold_log()
+    assert first.log.of_kind("net.transfer") == []
+    if replace:
+        second = env.telemetry
+        assert second.tracer.finished == [] and len(second.tracer) == 0
+        second.fold_log()
+        assert [record.time
+                for record in second.log.of_kind("net.transfer")] == [2.0]
 
 
 # -- listener hooks (ILM + triggers) --------------------------------------

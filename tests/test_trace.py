@@ -81,6 +81,17 @@ def test_span_forest_nests_and_sorts_siblings():
         "early", "late"]
 
 
+def test_span_forest_orders_siblings_by_numeric_id():
+    # Past 999 999 spans the exported id outgrows its zero padding, so
+    # the id string no longer sorts in mint order.
+    spans = {span_id: _span(span_id, "s000001", span_id, 1.0, 2.0)
+             for span_id in ("s1000000", "s999998", "s999999")}
+    spans["s000001"] = _span("s000001", None, "root", 0.0, 9.0)
+    roots = build_span_forest(spans)
+    assert [child.span["span_id"] for child in roots[0].children] == [
+        "s999998", "s999999", "s1000000"]
+
+
 def test_orphaned_spans_are_promoted_to_flagged_roots():
     # s000002's parent never made it into the dump (truncated export);
     # its own subtree must survive, flagged.
