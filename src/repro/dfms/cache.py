@@ -61,8 +61,9 @@ __all__ = ["DgmsCache", "attach_cache"]
 #: query uncacheable.
 _UNCACHEABLE_FIELDS = frozenset({"checksum"})
 
-#: Default entry lifetime, in sim seconds. Generous on purpose: the
-#: change feed does the real invalidation work; the TTL only bounds
+#: Entry lifetime, in sim seconds: every replica choice's, and a query
+#: entry's unless the cache is built with another. Generous on purpose:
+#: the change feed does the real invalidation work; the TTL only bounds
 #: staleness of surfaces the feed cannot see (none known — belt and
 #: braces) and the memory held by one-off queries.
 DEFAULT_TTL_S = 300.0
@@ -92,12 +93,10 @@ class DgmsCache:
     """
 
     def __init__(self, dgms, query_ttl_s: float = DEFAULT_TTL_S,
-                 replica_ttl_s: float = DEFAULT_TTL_S,
                  max_entries: int = 4096) -> None:
         self.dgms = dgms
         self.env = dgms.env
         self.query_ttl_s = float(query_ttl_s)
-        self.replica_ttl_s = float(replica_ttl_s)
         self.max_entries = int(max_entries)
         # (user, collection, conditions, recursive, limit) -> entry.
         # Insertion-ordered, so capacity eviction drops the oldest fill
@@ -163,7 +162,9 @@ class DgmsCache:
                 tuple(query.conditions), query.recursive, query.limit)
 
     def _run_filtered(self, user, query: Query) -> List:
-        return readable(user, query.run(self.dgms.namespace), Permission.READ)
+        return readable(user, query.run(self.dgms.namespace,
+                                        self.env.telemetry),
+                        Permission.READ)
 
     def _query_entry(self, user, query: Query) -> Optional[_QueryEntry]:
         """The live entry answering ``query`` for ``user``; None on bypass.
@@ -263,7 +264,7 @@ class DgmsCache:
             self._replicas.pop(next(iter(self._replicas)))
             self._evict("capacity")
         self._replicas[(obj.guid, to_domain, policy)] = (
-            self.env.now + self.replica_ttl_s,
+            self.env.now + DEFAULT_TTL_S,
             self._replica_stamp(obj, replicas), choice)
 
     # -- invalidation --------------------------------------------------------

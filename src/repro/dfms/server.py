@@ -33,7 +33,7 @@ from repro.dfms.context import ExecutionContext
 from repro.dfms.engine import MAX_NESTING_DEPTH, FlowEngine
 from repro.dfms.execution import FlowExecution
 from repro.dfms.idl import InfrastructureDescription
-from repro.dfms.scheduler.cost import CostModel, CostWeights
+from repro.dfms.scheduler.cost import CostModel
 from repro.dfms.scheduler.placer import Placer
 from repro.dfms.virtualdata import VirtualDataCatalog
 from repro.dgl.expressions import Scope
@@ -64,7 +64,6 @@ class DfMSServer:
                  registry: Optional[OperationRegistry] = None,
                  infrastructure: Optional[InfrastructureDescription] = None,
                  placement_policy: str = "greedy",
-                 cost_weights: Optional[CostWeights] = None,
                  streams: Optional[RandomStreams] = None) -> None:
         self.env = env
         self.dgms = dgms
@@ -73,7 +72,7 @@ class DfMSServer:
         self.engine = FlowEngine(env, self.registry)
         self.ids = IdFactory()
         self.virtual_data = VirtualDataCatalog(dgms)
-        self.cost_model = CostModel(dgms, weights=cost_weights)
+        self.cost_model = CostModel(dgms)
         self.placer: Optional[Placer] = None
         self._placement_policy = placement_policy
         # Randomized placement draws from a named substream of the

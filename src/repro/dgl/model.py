@@ -575,9 +575,5 @@ class DataGridResponse:
     metadata: DocumentMetadata = field(default_factory=DocumentMetadata)
 
     @property
-    def is_acknowledgement(self) -> bool:
-        return isinstance(self.body, RequestAcknowledgement)
-
-    @property
     def is_rejection(self) -> bool:
         return isinstance(self.body, RequestRejection)

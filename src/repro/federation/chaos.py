@@ -38,7 +38,7 @@ seeded; a violating schedule replays from its seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import FaultError
 from repro.faults.model import (
@@ -54,7 +54,6 @@ from repro.faults.recovery import RecoveryService, attach_recovery
 from repro.federation.placement import cross_zone_copy_by_guid
 from repro.federation.scenario import FederationScenario, federation_scenario
 from repro.sim.rng import RandomStreams
-from repro.storage import MB
 from repro.telemetry.instrument import attach_telemetry
 from repro.workloads.chaos import (
     CHAOS_POLICY,
@@ -90,17 +89,25 @@ WORKLOAD_STREAM = "federation/workload"
 #: Zone-scoped event kinds the random schedule picks between.
 FEDERATION_RANDOM_KINDS = ("zone-outage", "bridge-degradation")
 
+#: Sim-seconds the chaos workload spreads its copy starts (first half)
+#: and locate audits over; its fault windows start in the first three
+#: quarters.
+HORIZON = 60.0
+
+#: Objects each zone of the chaos scenario starts with.
+OBJECTS_PER_ZONE = 3
+
 
 def federation_fault_schedule(streams: RandomStreams, federation,
-                              horizon: float, n_events: int = 5,
-                              kinds: Sequence[str] = FEDERATION_RANDOM_KINDS
+                              horizon: float, n_events: int = 5
                               ) -> FaultSchedule:
     """A seeded random zone-scoped schedule against ``federation``.
 
     Draws only from the ``federation/fault-schedule`` substream (never
     perturbing intra-zone streams); starts land in the first three
     quarters of ``horizon``, windows last 5–20 % of it — the same
-    geometry as :meth:`~repro.faults.model.FaultSchedule.random`.
+    geometry as :meth:`~repro.faults.model.FaultSchedule.random`. A
+    federation without bridges draws only zone outages.
     """
     if horizon <= 0:
         raise FaultError(f"horizon must be positive: {horizon}")
@@ -110,10 +117,8 @@ def federation_fault_schedule(streams: RandomStreams, federation,
     if not zones:
         raise FaultError("federation has no zones to fault")
     bridges = federation.bridges()
-    usable = [kind for kind in kinds
+    usable = [kind for kind in FEDERATION_RANDOM_KINDS
               if kind != "bridge-degradation" or bridges]
-    if not usable:
-        raise FaultError(f"no usable fault kinds out of {tuple(kinds)!r}")
     rng = streams.stream(FEDERATION_SCHEDULE_STREAM)
     events: List[FaultEvent] = []
     for _ in range(n_events):
@@ -122,13 +127,11 @@ def federation_fault_schedule(streams: RandomStreams, federation,
         duration = rng.uniform(0.05 * horizon, 0.2 * horizon)
         if kind == "zone-outage":
             events.append(ZoneOutage(start, duration, rng.choice(zones)))
-        elif kind == "bridge-degradation":
+        else:
             bridge = rng.choice(bridges)
             events.append(BridgeDegradation(
                 start, duration, bridge.zone_a, bridge.zone_b,
                 round(rng.uniform(0.1, 0.6), 3)))
-        else:
-            raise FaultError(f"unknown federation fault kind {kind!r}")
     return FaultSchedule(events)
 
 
@@ -315,7 +318,7 @@ def federation_canonical_signature(scenario: FederationScenario) -> Tuple:
     )
 
 
-def _run_workload(scenario: FederationScenario, horizon: float,
+def _run_workload(scenario: FederationScenario,
                   placement_policy: str) -> Tuple[List[Dict], Dict]:
     """Cross-zone copies with staggered starts plus a rolling locate
     audit; returns (copy records, audit counters) once all complete."""
@@ -336,7 +339,7 @@ def _run_workload(scenario: FederationScenario, horizon: float,
             targets.append((name, guid))
             offset = 1 + (object_index % (n_zones - 1))
             dst = zone_names[(zone_index + offset) % n_zones]
-            start = rng.uniform(0.0, 0.5 * horizon)
+            start = rng.uniform(0.0, 0.5 * HORIZON)
             jobs.append({
                 "start": start, "guid": guid, "src": name, "dst": dst,
                 "dst_path": f"/data/from-{name}-obj-{object_index:04d}.dat",
@@ -366,7 +369,7 @@ def _run_workload(scenario: FederationScenario, horizon: float,
         # probe verifies the RLS answer against the authoritative
         # catalogs *at the same instant*, so "wrong" is exact.
         probes = 2 * len(targets)
-        period = horizon / max(1, probes)
+        period = HORIZON / max(1, probes)
         for probe_index in range(probes):
             yield env.timeout(period)
             origin, guid = targets[probe_index % len(targets)]
@@ -459,29 +462,25 @@ def _check_federation_invariants(scenario: FederationScenario,
 
 def run_federation_chaos(seed: int, faults: bool = True,
                          recovery: bool = True, n_zones: int = 3,
-                         domains_per_zone: int = 2,
-                         objects_per_zone: int = 3,
-                         object_size: float = 8 * MB,
-                         horizon: float = 60.0, n_fault_events: int = 5,
-                         sync_period_s: float = 4.0,
                          schedule: Optional[FaultSchedule] = None,
                          placement_policy: str = "bridge-cost-aware",
                          sanitize=None) -> FederationChaosReport:
     """One federation chaos run: cross-zone copies and a locate audit
     under a seeded zone-scoped fault schedule.
 
-    ``faults=False`` runs the identical workload with no schedule (the
-    bit-identity baseline); ``recovery=False`` leaves every zone
-    fail-fast. Pass ``schedule`` to replay a known schedule instead of
-    drawing one from the seed. ``sanitize`` attaches the schedule
-    sanitizer exactly as in :func:`repro.workloads.chaos.run_chaos` —
-    with permutation off the dispatch order (and therefore the pinned
+    Each zone is a stock :func:`federation_scenario` zone holding
+    :data:`OBJECTS_PER_ZONE` objects; the workload spans
+    :data:`HORIZON` sim-seconds. ``faults=False`` runs the identical
+    workload with no schedule (the bit-identity baseline);
+    ``recovery=False`` leaves every zone fail-fast. Pass ``schedule`` to
+    replay a known schedule instead of drawing one from the seed.
+    ``sanitize`` attaches the schedule sanitizer exactly as in
+    :func:`repro.workloads.chaos.run_chaos` — with permutation off the
+    dispatch order (and therefore the pinned
     :func:`federation_run_signature`) is untouched.
     """
     scenario = federation_scenario(
-        n_zones=n_zones, domains_per_zone=domains_per_zone,
-        objects_per_zone=objects_per_zone, object_size=object_size,
-        seed=seed, sync_period_s=sync_period_s)
+        n_zones=n_zones, objects_per_zone=OBJECTS_PER_ZONE, seed=seed)
     attach_telemetry(scenario.env)
     zones = scenario.zones
     state = {f"{name}.{part}": getattr(zones[name], part)
@@ -500,11 +499,10 @@ def run_federation_chaos(seed: int, faults: bool = True,
     if faults:
         if schedule is None:
             schedule = federation_fault_schedule(
-                scenario.streams, scenario.federation, horizon,
-                n_events=n_fault_events)
+                scenario.streams, scenario.federation, HORIZON)
         driver = attach_federation_faults(scenario.federation, schedule,
                                           scenario.streams)
-    copies, audits = _run_workload(scenario, horizon, placement_policy)
+    copies, audits = _run_workload(scenario, placement_policy)
     makespan = scenario.env.now
     # Drain fault windows still open past the workload's end, then flush
     # every syncer so the convergence invariant sees current digests.

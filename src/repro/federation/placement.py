@@ -75,18 +75,18 @@ def rank_source_zones(federation: Federation, locations: Sequence,
 
 
 def select_source_zone(federation: Federation, guid: str, dst_zone: str,
-                       nbytes: float = 0.0,
-                       policy: str = "bridge-cost-aware") -> Optional[str]:
+                       nbytes: float = 0.0) -> Optional[str]:
     """The zone a copy of ``guid`` into ``dst_zone`` should read from.
 
-    Resolves holders through the federation's RLS and ranks them; the
-    destination zone is excluded (nothing to copy). ``None`` when the
-    RLS knows no other holder — possibly staleness, possibly loss; the
-    caller decides whether to wait out the sync bound or fail.
+    Resolves holders through the federation's RLS and ranks them by
+    ``bridge-cost-aware``; the destination zone is excluded (nothing to
+    copy). ``None`` when the RLS knows no other holder — possibly
+    staleness, possibly loss; the caller decides whether to wait out the
+    sync bound or fail.
     """
     result = federation.locate(guid)
     ranked = rank_source_zones(federation, result.locations, dst_zone,
-                               nbytes=nbytes, policy=policy)
+                               nbytes=nbytes)
     for zone in ranked:
         if zone != dst_zone:
             return zone
@@ -119,8 +119,7 @@ def spread_zones(federation: Federation, guid: str, k: int) -> List[str]:
 def cross_zone_copy_by_guid(federation: Federation, user, guid: str,
                             dst_zone: str, dst_path: str,
                             dst_logical_resource: str,
-                            policy: str = "bridge-cost-aware",
-                            replica_policy: str = "nearest") -> Process:
+                            policy: str = "bridge-cost-aware") -> Process:
     """Placement-driven copy: locate ``guid``, pick the source zone by
     ``policy``, and run the federation's resilient cross-zone copy.
 
@@ -148,7 +147,7 @@ def cross_zone_copy_by_guid(federation: Federation, user, guid: str,
         if obj is not None:
             return federation.cross_zone_copy(
                 user, src_zone, obj.path, dst_zone, dst_path,
-                dst_logical_resource, replica_policy=replica_policy)
+                dst_logical_resource)
     raise FederationError(
         f"no zone other than {dst_zone!r} is known to hold {guid!r} "
         "(replica location may be stale; retry after the sync bound)")

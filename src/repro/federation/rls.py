@@ -147,10 +147,10 @@ class BloomDigest:
         self.count = 0
 
     @classmethod
-    def for_capacity(cls, n_entries: int,
-                     bits_per_entry: int = BITS_PER_ENTRY) -> "BloomDigest":
-        """A digest sized for ``n_entries`` keys."""
-        return cls(max(64, n_entries * bits_per_entry))
+    def for_capacity(cls, n_entries: int) -> "BloomDigest":
+        """A digest sized for ``n_entries`` keys, :data:`BITS_PER_ENTRY`
+        bits each."""
+        return cls(max(64, n_entries * BITS_PER_ENTRY))
 
     @classmethod
     def of_members(cls, members: _Members) -> "BloomDigest":
@@ -324,11 +324,6 @@ class ReplicaLocationIndex:
         """Replace ``zone_name``'s digest for one shard."""
         self._shards[shard_index][zone_name] = _ZoneDigest(digest,
                                                            published_at)
-
-    def withdraw(self, zone_name: str) -> None:
-        """Drop every digest a (decommissioned) zone published."""
-        for shard in self._shards:
-            shard.pop(zone_name, None)
 
     @property
     def size_bytes(self) -> int:

@@ -57,17 +57,16 @@ class FederationScenario:
 def federation_scenario(n_zones: int = 3, domains_per_zone: int = 2,
                         objects_per_zone: int = 4,
                         object_size: float = 8 * MB, seed: int = 0,
-                        sync_period_s: float = 4.0, n_shards: int = 16,
-                        replicate_within_zone: bool = True
+                        sync_period_s: float = 4.0, n_shards: int = 16
                         ) -> FederationScenario:
     """Build an ``n_zones``-zone federation on one shared kernel.
 
     Each zone ``z<i>`` is a full-mesh datagrid of domains ``z<i>-d<j>``
     with one disk per domain, an admin homed at ``d0``, and
     ``objects_per_zone`` objects under ``/data`` spread across the
-    domains' disks (plus one intra-zone replica each when
-    ``replicate_within_zone`` — so single-resource faults have somewhere
-    to fail over to). Zones are bridged all-to-all with deterministic,
+    domains' disks (plus one intra-zone replica each in the next domain
+    when the zone has more than one — so single-resource faults have
+    somewhere to fail over to). Zones are bridged all-to-all with deterministic,
     deliberately non-uniform bandwidth/latency; the RLS attaches with a
     :class:`~repro.federation.sync.DigestSyncer` per zone at
     ``sync_period_s``.
@@ -133,7 +132,7 @@ def federation_scenario(n_zones: int = 3, domains_per_zone: int = 2,
                     metadata={"zone": name, "index": object_index})
                 obj.acl.grant("*", Permission.READ)
                 scenario.paths[name].append(path)
-                if replicate_within_zone and domains_per_zone > 1:
+                if domains_per_zone > 1:
                     alternate = f"{name}-d{(object_index + 1) % domains_per_zone}"
                     yield dgms.replicate(admin, path, f"{alternate}-disk")
 

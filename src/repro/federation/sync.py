@@ -15,7 +15,7 @@ module models exactly that as seeded sim-time machinery:
   on the next change.
 
 Staleness is therefore **bounded**: an index answer can lag the
-authoritative catalogs by at most ``period_s * (1 + jitter)`` sim
+authoritative catalogs by at most ``period_s * (1 + SYNC_JITTER)`` sim
 seconds (:attr:`DigestSyncer.staleness_bound_s`), and because flushes
 ride kernel timeouts the bound is exact, visible, and testable in sim
 time — advance the clock past the bound and a fresh replica becomes
@@ -30,27 +30,27 @@ from typing import Dict, List, Optional
 
 from repro.sim.rng import RandomStreams
 
-__all__ = ["DigestSyncer", "SYNC_STREAM_PREFIX"]
+__all__ = ["DigestSyncer", "SYNC_JITTER", "SYNC_STREAM_PREFIX"]
 
 #: Per-zone substream prefix sync jitter draws from.
 SYNC_STREAM_PREFIX = "federation/sync/"
+
+#: Each flush lands a uniform ±20 % of the period after the change that
+#: armed it.
+SYNC_JITTER = 0.2
 
 
 class DigestSyncer:
     """Bounded-staleness digest publication for one zone."""
 
     def __init__(self, env, service, lrc, period_s: float = 5.0,
-                 jitter: float = 0.2,
                  streams: Optional[RandomStreams] = None) -> None:
         if period_s <= 0:
             raise ValueError(f"sync period must be positive: {period_s}")
-        if not 0.0 <= jitter < 1.0:
-            raise ValueError(f"jitter must be in [0, 1), got {jitter}")
         self.env = env
         self.service = service
         self.lrc = lrc
         self.period_s = float(period_s)
-        self.jitter = float(jitter)
         streams = streams if streams is not None else RandomStreams(0)
         self.rng = streams.stream(SYNC_STREAM_PREFIX + lrc.zone_name)
         # Dirty shard indexes (dict-as-ordered-set; sorted at flush).
@@ -64,7 +64,7 @@ class DigestSyncer:
     @property
     def staleness_bound_s(self) -> float:
         """Worst-case lag between a catalog change and its digest."""
-        return self.period_s * (1.0 + self.jitter)
+        return self.period_s * (1.0 + SYNC_JITTER)
 
     @property
     def pending_shards(self) -> List[int]:
@@ -78,9 +78,8 @@ class DigestSyncer:
         if self._flush_armed:
             return   # changes join the already-scheduled batch
         self._flush_armed = True
-        delay = self.period_s
-        if self.jitter > 0.0:
-            delay *= 1.0 + self.rng.uniform(-self.jitter, self.jitter)
+        delay = self.period_s * (
+            1.0 + self.rng.uniform(-SYNC_JITTER, SYNC_JITTER))
         timeout = self.env.timeout(delay)
         timeout.callbacks.append(self._flush)
 

@@ -271,7 +271,8 @@ class DataGridManagementSystem:
         """
         if self.cache is not None:
             return self.cache.run_query(user, query)
-        return readable(user, query.run(self.namespace), Permission.READ)
+        return readable(user, query.run(self.namespace, self.env.telemetry),
+                        Permission.READ)
 
     def query_paths(self, user: User, query: Query) -> List[str]:
         """The paths of :meth:`query`'s results, in the same order.

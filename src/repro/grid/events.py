@@ -70,7 +70,6 @@ class EventBus:
 
     def __init__(self) -> None:
         self._subscribers: List[Subscriber] = []
-        self.published_count = 0
 
     def subscribe(self, subscriber: Subscriber) -> None:
         """Add a subscriber; it sees every subsequent event."""
@@ -90,6 +89,5 @@ class EventBus:
         raises aborts delivery to later subscribers — exactly the kind of
         anomaly §2.2 flags as an open issue for non-transactional datagrids.
         """
-        self.published_count += 1
         for subscriber in list(self._subscribers):
             subscriber(event)

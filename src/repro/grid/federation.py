@@ -43,6 +43,11 @@ __all__ = ["Bridge", "Federation", "split_zone_path", "validate_zone_name",
 #: the path separator (either would make ``zone:/path`` ambiguous).
 _FORBIDDEN_IN_ZONE = (":", "/")
 
+#: Rate and latency of a bridge registered without its own numbers, and
+#: of the ad-hoc bridge a copy between two unbridged zones rides.
+BRIDGE_BANDWIDTH_BPS = 10 * 1024 * 1024
+BRIDGE_LATENCY_S = 0.2
+
 
 def validate_zone_name(zone: str) -> str:
     """Check ``zone`` is usable in ``zone:/path`` names; returns it.
@@ -219,8 +224,8 @@ class Federation:
     # -- bridges --------------------------------------------------------------
 
     def connect_zones(self, zone_a: str, zone_b: str,
-                      bandwidth_bps: float = 10 * 1024 * 1024,
-                      latency_s: float = 0.2) -> Bridge:
+                      bandwidth_bps: float = BRIDGE_BANDWIDTH_BPS,
+                      latency_s: float = BRIDGE_LATENCY_S) -> Bridge:
         """Install the inter-zone bridge ``zone_a ~~ zone_b``."""
         self.zone(zone_a)
         self.zone(zone_b)
@@ -263,32 +268,31 @@ class Federation:
 
     def cross_zone_copy(self, user: User, src_zone: str, src_path: str,
                         dst_zone: str, dst_path: str,
-                        dst_logical_resource: str,
-                        bridge_bandwidth_bps: float = 10 * 1024 * 1024,
-                        bridge_latency_s: float = 0.2,
-                        replica_policy: str = "nearest") -> Process:
+                        dst_logical_resource: str) -> Process:
         """Copy an object from one zone into another.
 
         The zones have independent namespaces and networks, so the copy is
-        read-out + inter-grid hop + put-in. The hop rides the registered
-        bridge between the zones when one exists; otherwise an ad-hoc
-        bridge with the given parameters (the pre-federation default, kept
-        so unbridged copies still work). When either zone has a recovery
-        service attached, a retryable failure of any leg backs the whole
-        copy off and reruns it (replicas already excluded by the source
-        zone's own failover are retried fresh — an outage may have ended);
-        without recovery the copy stays fail-fast.
+        read-out + inter-grid hop + put-in. The read takes the source
+        zone's nearest replica. The hop rides the registered bridge
+        between the zones when one exists; otherwise an ad-hoc bridge of
+        :data:`BRIDGE_BANDWIDTH_BPS` and :data:`BRIDGE_LATENCY_S` (the
+        pre-federation default, kept so unbridged copies still work).
+        When either zone has a recovery service attached, a retryable
+        failure of any leg backs the whole copy off and reruns it
+        (replicas already excluded by the source zone's own failover are
+        retried fresh — an outage may have ended); without recovery the
+        copy stays fail-fast.
         """
         bridge = self.bridge(src_zone, dst_zone)
         if bridge is None:
-            bridge = Bridge(src_zone, dst_zone, bridge_bandwidth_bps,
-                            bridge_latency_s)
+            bridge = Bridge(src_zone, dst_zone, BRIDGE_BANDWIDTH_BPS,
+                            BRIDGE_LATENCY_S)
         return self.env.process(self._cross_zone_copy(
             user, src_zone, src_path, dst_zone, dst_path,
-            dst_logical_resource, bridge, replica_policy))
+            dst_logical_resource, bridge))
 
     def _cross_zone_copy(self, user, src_zone, src_path, dst_zone, dst_path,
-                         dst_logical_resource, bridge, replica_policy):
+                         dst_logical_resource, bridge):
         source = self.zone(src_zone)
         target = self.zone(dst_zone)
         obj = source.namespace.resolve_object(src_path)
@@ -305,7 +309,7 @@ class Federation:
             try:
                 copied = yield from self._copy_once(
                     user, source, target, obj, src_zone, src_path, src_name,
-                    dst_path, dst_logical_resource, bridge, replica_policy)
+                    dst_path, dst_logical_resource, bridge)
             except Exception as exc:
                 if recovery is None or not isinstance(exc, Retryable):
                     self._note_copy("failed")
@@ -326,8 +330,7 @@ class Federation:
             return copied
 
     def _copy_once(self, user, source, target, obj, src_zone, src_path,
-                   src_name, dst_path, dst_logical_resource, bridge,
-                   replica_policy):
+                   src_name, dst_path, dst_logical_resource, bridge):
         """Generator: one attempt at read → bridge hop → put."""
         good = obj.good_replicas()
         if not good:
@@ -337,13 +340,11 @@ class Federation:
         # (no WAN hop inside the source grid; the bridge below charges
         # the inter-zone cost). The anchor replica — lowest replica
         # number — only seeds the destination-domain choice; the actual
-        # source replica is the policy's pick for that destination, and
-        # a recovery-attached get fails over between replicas on its own.
+        # source replica is the nearest one to that destination, and a
+        # recovery-attached get fails over between replicas on its own.
         anchor = min(good, key=lambda r: r.replica_number).domain
-        replica = source.select_replica(obj, to_domain=anchor,
-                                        policy=replica_policy)
-        yield source.get(user, src_path, to_domain=replica.domain,
-                         replica_policy=replica_policy)
+        replica = source.select_replica(obj, to_domain=anchor)
+        yield source.get(user, src_path, to_domain=replica.domain)
         yield self.env.timeout(bridge.transfer_time(obj.size))
         self._note_bridge_bytes(obj.size)
         # The copy keeps the source guid: it is a *replica of the same

@@ -345,9 +345,6 @@ class LogicalNamespace:
 
     def __init__(self) -> None:
         self.catalog = GridCatalog()
-        #: Attached telemetry session (set by ``attach_telemetry``); the
-        #: query planner reports access-path metrics through it.
-        self.telemetry = None
         #: GUID authority tag. Empty for a standalone grid (guids are
         #: namespace-scoped); :meth:`~repro.grid.federation.Federation.
         #: add_zone` sets it to the zone name so every federated zone

@@ -163,9 +163,14 @@ class Query:
                 return False
         return True
 
-    def run(self, namespace: LogicalNamespace) -> List[DataObject]:
-        """Evaluate against ``namespace``, in deterministic path order."""
-        telemetry = getattr(namespace, "telemetry", None)
+    def run(self, namespace: LogicalNamespace,
+            telemetry=None) -> List[DataObject]:
+        """Evaluate against ``namespace``, in deterministic path order.
+
+        ``telemetry`` is the session that counts the access path and the
+        candidates examined (None counts nothing); callers pass the
+        environment's current session.
+        """
         scope = namespace.resolve_collection(self.collection)
         if not self.recursive:
             children = [c for c in scope.children()

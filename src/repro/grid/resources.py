@@ -119,10 +119,6 @@ class ResourceRegistry:
         except KeyError:
             raise LogicalResourceError(f"unknown physical resource {name!r}") from None
 
-    def logical_names(self) -> List[str]:
-        """Logical resource names, sorted."""
-        return sorted(self._logical)
-
     def physical_names(self) -> List[str]:
         """Physical resource names, sorted."""
         return sorted(self._physical)

@@ -75,20 +75,19 @@ def exploding_star_flow(
         name: str,
         collection: str,
         tier_resources: Sequence[Sequence[str]],
-        query: str = "",
-        max_concurrent_per_tier: int = 0) -> Flow:
+        query: str = "") -> Flow:
     """Staged tiered replication outward from the producing domain.
 
     ``tier_resources`` lists, per tier, the logical resources that tier's
     sites serve (e.g. ``[["t1-ral", "t1-fnal"], ["t2-a", "t2-b"]]``). Tiers
-    replicate sequentially; sites within a tier replicate in parallel.
+    replicate sequentially; sites within a tier replicate in parallel,
+    all at once.
     """
     if not tier_resources or not all(tier_resources):
         raise PolicyError("exploding star needs at least one non-empty tier")
     per_object = flow_builder("stage-out").sequential()
     for tier_index, resources in enumerate(tier_resources, start=1):
-        tier = flow_builder(f"tier-{tier_index}").parallel(
-            max_concurrent=max_concurrent_per_tier)
+        tier = flow_builder(f"tier-{tier_index}").parallel()
         for resource in resources:
             tier.step(f"to-{resource}", "srb.replicate",
                       path="${f}", resource=resource)

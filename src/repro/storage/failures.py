@@ -68,11 +68,6 @@ class FailureInjector:
                    rng=streams.stream(f"{STREAM_PREFIX}/{resource_name}"),
                    fail_ops=fail_ops)
 
-    @property
-    def op_count(self) -> int:
-        """Operations checked so far."""
-        return self._op_count
-
     def should_fail(self) -> bool:
         """Record one operation and report whether it fails."""
         self._op_count += 1

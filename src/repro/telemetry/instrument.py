@@ -4,8 +4,8 @@ Instrumentation points live inside each subsystem, guarded on
 ``env.telemetry is None`` — this module is only the attach surface:
 
 * :func:`attach_telemetry` — create a session on one environment and
-  (optionally) subscribe it to a DfMS server's engine event bus and a
-  DGMS's namespace, covering all six instrumented subsystems.
+  (optionally) subscribe it to a DfMS server's engine event bus,
+  covering all six instrumented subsystems.
 * :func:`instrument_scenario` — one-call convenience for the workload
   scenario builders.
 
@@ -25,34 +25,28 @@ __all__ = ["attach_telemetry", "instrument_scenario",
            "attach_observability", "Observability"]
 
 
-def attach_telemetry(env, server=None, dgms=None) -> Telemetry:
+def attach_telemetry(env, server=None) -> Telemetry:
     """Create a telemetry session and wire it to a deployment.
 
     ``env`` gains a ``telemetry`` attribute the sim kernel, DfMS engine,
-    ILM manager, trigger manager, and transfer service all read. When a
-    ``server`` is given, the session subscribes to its engine's listener
-    bus — the same emission path :class:`~repro.dfms.monitoring.
-    ExecutionMonitor` uses — and its DGMS's namespace is tagged so the
-    catalog query planner can report access-path metrics. Attaching twice
-    returns the existing session.
+    ILM manager, trigger manager, transfer service and every DGMS's
+    catalog queries all read when they record. When a ``server`` is
+    given, the session subscribes to its engine's listener bus — the
+    same emission path :class:`~repro.dfms.monitoring.ExecutionMonitor`
+    uses. Attaching twice returns the existing session.
     """
     existing: Optional[Telemetry] = getattr(env, "telemetry", None)
     telemetry = existing if existing is not None else Telemetry(env)
     env.telemetry = telemetry
-    if server is not None and dgms is None:
-        dgms = server.dgms
     if server is not None:
         if telemetry.engine_listener not in server.engine.listeners:
             server.engine.listeners.append(telemetry.engine_listener)
-    if dgms is not None:
-        dgms.namespace.telemetry = telemetry
     return telemetry
 
 
 def instrument_scenario(scenario) -> Telemetry:
     """Attach telemetry to a :class:`~repro.workloads.scenarios.Scenario`."""
-    return attach_telemetry(scenario.env, server=scenario.server,
-                            dgms=scenario.dgms)
+    return attach_telemetry(scenario.env, server=scenario.server)
 
 
 class Observability(NamedTuple):
@@ -63,7 +57,7 @@ class Observability(NamedTuple):
     slo: object        # SLOEngine
 
 
-def attach_observability(env, server=None, dgms=None,
+def attach_observability(env, server=None,
                          capacity: Optional[int] = None,
                          probes=None,
                          dump_path: Optional[str] = None) -> Observability:
@@ -82,7 +76,7 @@ def attach_observability(env, server=None, dgms=None,
     from repro.telemetry.recorder import DEFAULT_CAPACITY, FlightRecorder
     from repro.telemetry.slo import SLOEngine
 
-    telemetry = attach_telemetry(env, server=server, dgms=dgms)
+    telemetry = attach_telemetry(env, server=server)
     recorder = telemetry.recorder
     if recorder is None:
         recorder = FlightRecorder(

@@ -9,7 +9,6 @@ from repro.workloads.chaos import (
     sweep_fingerprint,
 )
 from repro.workloads.generators import (
-    lognormal_sizes,
     populate_collection,
     random_task_graph,
     sleep_bag_flow,
@@ -33,7 +32,7 @@ from repro.workloads.traffic import (
 )
 
 __all__ = [
-    "populate_collection", "uniform_sizes", "lognormal_sizes",
+    "populate_collection", "uniform_sizes",
     "sleep_bag_flow", "sleep_chain_flow", "random_task_graph",
     "Scenario", "bbsrc_scenario", "cms_scenario", "scec_scenario",
     "ucsd_library_scenario",

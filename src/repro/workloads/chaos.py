@@ -525,7 +525,6 @@ def run_chaos(seed: int, faults: bool = True, recovery: bool = True,
     obs = None
     if observe:
         obs = attach_observability(scenario.env, server=scenario.server,
-                                   dgms=scenario.dgms,
                                    dump_path=observe_dump_path)
     streams = RandomStreams(seed)
     dgms = scenario.dgms

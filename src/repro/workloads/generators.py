@@ -19,7 +19,7 @@ from repro.grid.users import User
 from repro.storage import MB
 
 __all__ = [
-    "populate_collection", "uniform_sizes", "lognormal_sizes",
+    "populate_collection", "uniform_sizes",
     "sleep_bag_flow", "sleep_chain_flow", "random_task_graph",
 ]
 
@@ -28,14 +28,6 @@ def uniform_sizes(rng: random.Random, low: float = MB,
                   high: float = 100 * MB) -> Callable[[], float]:
     """Sampler: uniform object sizes in [low, high]."""
     return lambda: rng.uniform(low, high)
-
-
-def lognormal_sizes(rng: random.Random, median: float = 10 * MB,
-                    sigma: float = 1.0) -> Callable[[], float]:
-    """Sampler: heavy-tailed object sizes (the realistic archive shape)."""
-    import math
-    mu = math.log(median)
-    return lambda: rng.lognormvariate(mu, sigma)
 
 
 def populate_collection(dgms: DataGridManagementSystem, user: User,
@@ -83,24 +75,19 @@ def sleep_chain_flow(name: str, depth: int, duration: float) -> Flow:
     return inner.build()
 
 
-def random_task_graph(rng: random.Random, count: int,
-                      duration_low: float = 10.0,
-                      duration_high: float = 100.0,
-                      edge_probability: float = 0.25,
-                      edge_bytes: float = 10 * MB) -> TaskGraph:
+def random_task_graph(rng: random.Random, count: int) -> TaskGraph:
     """A random layered DAG of ``count`` tasks (for HEFT benchmarks).
 
-    Edges only point from earlier to later tasks, so the graph is acyclic
-    by construction.
+    Each task runs for 10–100 s. Each earlier task feeds each later one
+    10 MB with probability 0.25; edges only point from earlier to later
+    tasks, so the graph is acyclic by construction.
     """
     graph = TaskGraph()
     names = [f"task-{index:04d}" for index in range(count)]
     for name in names:
-        graph.add_task(TaskSpec(
-            name=name,
-            duration=rng.uniform(duration_low, duration_high)))
+        graph.add_task(TaskSpec(name=name, duration=rng.uniform(10.0, 100.0)))
     for i, producer in enumerate(names):
         for consumer in names[i + 1:]:
-            if rng.random() < edge_probability:
-                graph.add_edge(producer, consumer, nbytes=edge_bytes)
+            if rng.random() < 0.25:
+                graph.add_edge(producer, consumer, nbytes=10 * MB)
     return graph

@@ -237,8 +237,7 @@ def run_saturation_point(arrival_rate: float, seed: int = 0,
 
     scenario = cms_scenario(n_tier1=2, n_tier2_per_t1=1, n_events=0,
                             seed=seed)
-    attach_telemetry(scenario.env, server=scenario.server,
-                     dgms=scenario.dgms)
+    attach_telemetry(scenario.env, server=scenario.server)
     tier = attach_cache(scenario.dgms) if cache else None
     gateway = DfMSGateway(
         scenario.env, scenario.server, workers=workers,

@@ -252,8 +252,8 @@ def test_zone_federated_after_attach_is_indexed(sync_period_s):
         # Same sync mode as the zones present at attach.
         syncer = rls.syncers["z9"]
         reference = rls.syncers["z0"]
-        assert (syncer.period_s, syncer.jitter) == (reference.period_s,
-                                                    reference.jitter)
+        assert (syncer.period_s, syncer.staleness_bound_s) == (
+            reference.period_s, reference.staleness_bound_s)
 
     def ingest():
         obj = yield dgms.put(admin, "/data/late.dat", 2 * MB, "z9-d0-disk")

@@ -430,6 +430,40 @@ def test_registered_bridge_paces_the_copy():
     assert elapsed >= bridge.transfer_time(10 * MB) == pytest.approx(11.0)
 
 
+def test_unbridged_copy_rides_a_stock_bridge():
+    # Without a registered bridge the hop rides an ad-hoc one of 10 MiB/s
+    # and 0.2 s: the copy takes exactly as long as over a bridge
+    # registered with those numbers.
+    def copy_time(bridged):
+        env = Environment()
+        fed = Federation(env)
+        us, us_admin = make_mesh_zone(env, "us", ["sdsc"])
+        uk, uk_admin = make_mesh_zone(env, "uk", ["ral"])
+        fed.add_zone("usgrid", us)
+        fed.add_zone("ukgrid", uk)
+        if bridged:
+            fed.connect_zones("usgrid", "ukgrid",
+                              bandwidth_bps=10 * 1024 * 1024, latency_s=0.2)
+
+        def scenario():
+            yield us.put(us_admin, "/data/obs.dat", 10 * MB, "sdsc-disk")
+            us.grant(us_admin, "/data/obs.dat", uk_admin.qualified_name,
+                     Permission.READ)
+            start = env.now
+            yield fed.cross_zone_copy(
+                uk_admin, "usgrid", "/data/obs.dat",
+                "ukgrid", "/data/obs.dat", "ral-disk")
+            return env.now - start
+
+        elapsed = env.run_process(scenario())
+        assert (fed.bridge("usgrid", "ukgrid") is not None) == bridged
+        return elapsed
+
+    unbridged = copy_time(bridged=False)
+    assert unbridged > 0.2
+    assert unbridged == copy_time(bridged=True)
+
+
 def test_bridge_registry_and_costs():
     env = Environment()
     fed = Federation(env)

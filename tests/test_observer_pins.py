@@ -74,7 +74,7 @@ def _cms_run(provenance=None):
     scenario = cms_scenario(n_tier1=2, n_tier2_per_t1=1, n_events=4,
                             event_size=16 * MB, seed=11)
     env, server, dgms = scenario.env, scenario.server, scenario.dgms
-    obs = attach_observability(env, server=server, dgms=dgms)
+    obs = attach_observability(env, server=server)
     monitor = ExecutionMonitor(server)
     watched = []
     monitor.watch(watched.append)

@@ -1,12 +1,14 @@
 """DGF005 whitelist audit: the linter's Retryable list IS the hierarchy.
 
 Recovery dispatches on :class:`repro.errors.Retryable`; the linter's
-DGF005 rule enforces the same contract statically from a name whitelist
-in ``[tool.dgflint]``. Those two views must never drift: a new error
-type that joins (or leaves) the Retryable hierarchy without updating
-the whitelist would make the linter either miss real violations or cry
-wolf — and, worse, lets the new type slip past the documented recovery
-semantics unreviewed. This audit walks the real class tree and compares.
+DGF005 rule enforces the same contract statically from a name whitelist,
+``DEFAULT_RETRYABLE`` in :mod:`repro.analysis.config` (the repository's
+``[tool.dgflint]`` table does not override it). Those two views must
+never drift: a new error type that joins (or leaves) the Retryable
+hierarchy without updating the whitelist would make the linter either
+miss real violations or cry wolf — and, worse, lets the new type slip
+past the documented recovery semantics unreviewed. This audit walks the
+real class tree and compares.
 """
 
 import inspect
@@ -33,14 +35,14 @@ def _actual_retryable_names():
 def test_whitelist_matches_the_class_hierarchy():
     config = load_config([str(REPO_ROOT / "src")])
     assert set(config.retryable) == _actual_retryable_names(), (
-        "the [tool.dgflint] retryable whitelist drifted from the real "
-        "Retryable hierarchy in repro.errors — update both together so "
-        "recovery dispatch and DGF005 agree")
+        "the retryable whitelist this tree lints with drifted from the "
+        "real Retryable hierarchy in repro.errors — update "
+        "DEFAULT_RETRYABLE so recovery dispatch and DGF005 agree")
 
 
 def test_shipped_default_matches_too():
-    # The in-code default must not lag the pyproject config: a checkout
-    # linted without its pyproject still enforces the right hierarchy.
+    # A checkout linted without its pyproject still enforces the right
+    # hierarchy.
     assert set(DEFAULT_RETRYABLE) == _actual_retryable_names()
 
 

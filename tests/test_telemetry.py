@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.dfms.cache import attach_cache
 from repro.errors import ReproError
 from repro.dgl import DataGridRequest, flow_builder
 from repro.dgl.model import Operation
@@ -153,7 +154,7 @@ def test_attach_is_idempotent(dfms):
     second = attach_telemetry(dfms.env, server=dfms.server)
     assert first is second
     assert dfms.server.engine.listeners.count(first.engine_listener) == 1
-    assert dfms.dgms.namespace.telemetry is first
+    assert dfms.env.telemetry is first
 
 
 def test_disabled_by_default(dfms):
@@ -288,6 +289,33 @@ def test_transfer_span_closes_in_the_session_that_opened_it(replace):
                 for record in second.log.of_kind("net.transfer")] == [2.0]
 
 
+@pytest.mark.parametrize("cache", [False, True])
+def test_catalog_queries_count_in_the_session_attached_now(dfms, cache):
+    # Like every other subsystem, a catalog query records in the session
+    # attached when it runs: never in one since replaced or detached.
+    if cache:
+        attach_cache(dfms.dgms)
+    first = attach_telemetry(dfms.env, server=dfms.server)
+    dfms.put_file("/home/alice/a.dat", size=MB)
+
+    def query(limit):
+        # A new limit each time, so an attached cache misses and plans.
+        dfms.dgms.query(dfms.alice, Query(collection="/home", limit=limit))
+
+    def counted(telemetry):
+        return sum(child.value
+                   for _, child in telemetry.catalog_queries.series())
+
+    query(1)
+    dfms.env.telemetry = None
+    second = attach_telemetry(dfms.env)
+    query(2)
+    assert (counted(first), counted(second)) == (1, 1)
+    dfms.env.telemetry = None
+    query(3)
+    assert (counted(first), counted(second)) == (1, 1)
+
+
 # -- listener hooks (ILM + triggers) --------------------------------------
 
 def test_ilm_listener_hook(dfms):
@@ -348,7 +376,7 @@ def _exercise_all_subsystems(dfms):
     dfms.run(ilm.run_pass_sync("archive", dfms.alice))
     query = Query(collection="/home",
                   conditions=parse_conditions("name like '*.dat'"))
-    assert query.run(dfms.dgms.namespace)
+    assert dfms.dgms.query(dfms.alice, query)
     return telemetry
 
 
