@@ -250,12 +250,6 @@ class TransferService:
         if span is not None:
             tracer, span_id = span
             tracer.finish(span_id)
-        t = self.env.telemetry
-        if t is not None:
-            # Counters, duration samples, and the log record are all
-            # derived from the stats object at export time
-            # (Telemetry collect); the hot path only hands it over.
-            t.transfer_completed(stats)
         done.succeed(stats)
 
     def _interrupt(self, transfer: _ActiveTransfer, link: Link) -> None:

@@ -10,28 +10,39 @@ no matter how old the grid gets. Each size's audit is the best of
 1k audit, and one round of it moved by almost 2x between runs.
 
 E12b feeds the store what a DfMS run feeds it: engine events and DGMS
-operation records, which an in-memory store keeps unconverted until the
-first read. That first read converts every entry that arrived since the
-last one, so its cost is O(entries since the last read), not
-O(history of the object). Gate: appending the entries and reading once
-costs no more than building one ``ProvenanceRecord`` per entry as it
-arrives — deferring moves the conversion, it adds none.
+operation records. The store encodes each as one journal row and builds
+no record; the first audit indexes the rows by subject, so its cost is
+O(rows since the last read), not O(history of the object). Gate:
+appending the entries and reading once costs no more than building one
+``ProvenanceRecord`` per entry as it arrives (the way the store builds
+the records it reads) and appending that — keeping rows adds no work
+over keeping records. Later audits are indexed too, but the store keeps
+no record, so each audit builds the records it returns from their rows:
+its cost grows with the subject's history (E12b reports it, ungated),
+where an audit of kept records (E12a) only copies references.
+
+Both write ``BENCH_provenance.json`` at the repo root: E12a's audit µs per
+history size, and E12b's append, first-read and eager ms per size.
 """
 
 import time
 
-from _helpers import BenchGrid  # noqa: F401  (sys.path side effect only)
+from _helpers import REPO_ROOT, merge_results
 from repro.dfms.engine import EngineEvent
+from repro.errors import ProvenanceError
 from repro.grid.dgms import OperationRecord
 from repro.provenance import ProvenanceRecord, ProvenanceStore
+from repro.provenance.record import _filled
+
+_RESULT_PATH = REPO_ROOT / "BENCH_provenance.json"
 
 HISTORY_SIZES = (1_000, 10_000, 100_000)
 N_SUBJECTS = 500
 QUERIES = 200
 #: Best-of rounds per E12a audit and per E12b measurement.
 ROUNDS = 3
-#: E12b: appending unconverted entries and reading once may cost at most
-#: this much more than converting each entry as it arrives.
+#: E12b: appending entries as rows and reading once may cost at most
+#: this much more than building a record per entry as it arrives.
 DEFERRAL_SLACK = 1.25
 
 
@@ -72,14 +83,16 @@ def test_e12_provenance(benchmark, experiment):
                     "grow linearly")
     audits = {}
     rounds = {}
+    scans = {}
     for size in HISTORY_SIZES:
         store = build_store(size)
         rounds[size] = [time_audit(store) for _ in range(ROUNDS)]
         audits[size] = min(rounds[size])
+        scans[size] = time_scan(store)
         report.row(size, round(size * 3600 / (365 * 86400), 1),
                    audits[size],
                    "/".join(f"{value:.2f}" for value in rounds[size]),
-                   time_scan(store))
+                   scans[size])
 
     # 100x more history must not make audits more than ~10x slower.
     assert audits[HISTORY_SIZES[-1]] < audits[HISTORY_SIZES[0]] * 10 + 50
@@ -93,6 +106,15 @@ def test_e12_provenance(benchmark, experiment):
     benchmark.extra_info["audit_rounds_us"] = {
         str(size): [round(value, 2) for value in values]
         for size, values in rounds.items()}
+    merge_results(_RESULT_PATH, audit={
+        "queries": QUERIES,
+        "subjects": N_SUBJECTS,
+        "rounds": ROUNDS,
+        "audit_us": {str(size): round(value, 2)
+                     for size, value in audits.items()},
+        "full_scan_us": {str(size): round(value, 1)
+                         for size, value in scans.items()},
+    })
 
 
 def producer_records(n_records: int) -> list:
@@ -114,13 +136,27 @@ def producer_records(n_records: int) -> list:
 
 
 def convert(entry) -> ProvenanceRecord:
+    """The record an eager store would build for ``entry``, the way the
+    store builds the records it reads: the operation checked, the slots
+    filled directly by ``_filled``."""
     if type(entry) is EngineEvent:
-        return ProvenanceRecord.from_engine_event(entry)
-    return ProvenanceRecord.from_operation(entry)
+        kind, request_id, instance_key, time_s, detail, user = entry
+        if not kind:
+            raise ProvenanceError("operation cannot be empty")
+        subject = (f"{request_id}/{instance_key}" if instance_key
+                   else request_id)
+        return _filled("engine", kind, subject, time_s, user, None, detail)
+    operation, user, path, start_time, end_time, detail = entry
+    if not operation:
+        raise ProvenanceError("operation cannot be empty")
+    if type(detail) is not dict:
+        detail = dict(detail)
+    return _filled("dgms", operation, path, start_time, user, end_time,
+                   detail)
 
 
 def time_deferred(entries: list) -> tuple:
-    """Seconds to append ``entries`` unconverted, then to the first audit."""
+    """Seconds to append ``entries`` as rows, then to the first audit."""
     store = ProvenanceStore()
     started = time.perf_counter()
     for entry in entries:
@@ -141,12 +177,13 @@ def time_eager(entries: list) -> float:
 
 def test_e12_first_read_after_producer_records(experiment):
     report = experiment(
-        "E12b", "First audit after unconverted engine/DGMS entries",
-        header=["pending", "append_ms", "first_read_ms", "eager_ms",
+        "E12b", "First audit after engine/DGMS entries kept as rows",
+        header=["entries", "append_ms", "first_read_ms", "eager_ms",
                 "audit_us"],
-        expectation="the first read converts what arrived since the last "
+        expectation="the first read indexes what arrived since the last "
                     "one (linear); append + first read <= eager build")
     totals = {}
+    rows = {}
     for size in HISTORY_SIZES:
         entries = producer_records(size)
         deferred = min((time_deferred(entries) for _ in range(ROUNDS)),
@@ -158,11 +195,16 @@ def test_e12_first_read_after_producer_records(experiment):
         store.records()
         audit_us = time_producer_audit(store)
         totals[size] = (sum(deferred), eager)
-        report.row(size, round(deferred[0] * 1e3, 2),
-                   round(deferred[1] * 1e3, 2), round(eager * 1e3, 2),
-                   round(audit_us, 2))
+        rows[str(size)] = {"append_ms": round(deferred[0] * 1e3, 2),
+                           "first_read_ms": round(deferred[1] * 1e3, 2),
+                           "eager_ms": round(eager * 1e3, 2),
+                           "audit_us": round(audit_us, 2)}
+        report.row(size, *rows[str(size)].values())
     report.conclusion = ("the first read pays O(entries since the last "
-                         "read); later audits are indexed as in E12")
+                         "read); later audits are indexed, and build "
+                         "each record they return")
+    merge_results(_RESULT_PATH, first_read={
+        "rounds": ROUNDS, "slack": DEFERRAL_SLACK, "sizes": rows})
     for size, (deferred_s, eager_s) in totals.items():
         assert deferred_s < eager_s * DEFERRAL_SLACK, (
             f"{size} entries: append + first read {deferred_s * 1e3:.1f} ms "

@@ -9,9 +9,11 @@ hold those claims:
   must fingerprint byte-identical to ``chaos_sweep_baseline.sha256``,
   the hash recorded before observability existed. Recording, ring
   eviction, and probe evaluation may not move a single float.
-* **overhead** — a fully observed chaos run (recorder teeing every
-  event, engine listener live, probes evaluated at the end) must cost
-  under **10%** wall time over the same run with plain telemetry. Same
+* **overhead** — fully observed chaos runs (recorder teeing every
+  event, probes evaluated at the end) must cost under **10%** wall time
+  over the same runs with plain telemetry. Each sample runs chaos seeds
+  0–5 back to back (~20 ms on a 2-vCPU host), so the bound is
+  resolvable: one ~4–5 ms run left ~0.4 ms to decide the verdict. Same
   methodology as E19: modes interleaved within each round so clock drift
   folds out, gc disabled in the timed region, best-of-N per mode.
 * **alert fidelity** — per seed, every injected fault window raises its
@@ -38,13 +40,15 @@ _RESULT_PATH = REPO_ROOT / "BENCH_observe.json"
 
 OVERHEAD_GATE_PCT = 10.0
 REPEATS = 5
-BENCH_SEED = 5
+#: The chaos seeds one E23a sample runs, back to back.
+BENCH_SEEDS = tuple(range(6))
 SEEDS = shape(full=list(range(20)), smoke=list(range(6)))
 
 
 def _timed_chaos(observe: bool) -> float:
-    """Wall seconds for one chaos run."""
-    return timed(lambda: run_chaos(BENCH_SEED, observe=observe))
+    """Wall seconds for the :data:`BENCH_SEEDS` chaos runs."""
+    return timed(lambda: [run_chaos(seed, observe=observe)
+                          for seed in BENCH_SEEDS])
 
 
 def test_e23_observability_overhead(benchmark, experiment):
@@ -71,7 +75,7 @@ def test_e23_observability_overhead(benchmark, experiment):
     benchmark.extra_info["overhead_pct"] = round(overhead_pct, 2)
 
     merge_results(_RESULT_PATH, overhead={
-        "seed": BENCH_SEED,
+        "seeds": list(BENCH_SEEDS),
         "repeats": REPEATS,
         "plain_s": round(best["plain"], 4),
         "observed_s": round(best["observed"], 4),

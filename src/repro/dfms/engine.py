@@ -17,12 +17,14 @@ Executes a :class:`~repro.dgl.model.Flow` over the simulation kernel:
   restarted without redoing work (§2.1: ILM processes "could be started,
   stopped and restarted at any time").
 
-Observability: every progress notification is one :class:`EngineEvent`
-handed to all ``listeners`` (shared by provenance,
-:class:`~repro.dfms.monitoring.ExecutionMonitor` push-watchers and the
-telemetry layer), and when a telemetry session is attached to the
-environment the engine additionally opens execution → flow → step tracing
-spans, propagating span context into the separate simulation processes it
+Observability: every progress notification is one row of the
+environment's run journal for all enrolled row readers (provenance and
+the telemetry session; see :mod:`repro.sim.journal`) and one
+:class:`EngineEvent`, built only while a live listener such as an
+:class:`~repro.dfms.monitoring.ExecutionMonitor` push-watcher is
+subscribed. When a telemetry session is attached to the environment the
+engine additionally opens execution → flow → step tracing spans,
+propagating span context into the separate simulation processes it
 spawns for parallel branches and timed operation handlers.
 """
 
@@ -62,6 +64,7 @@ from repro.dgl.model import (
 )
 from repro.dgl.operations import OperationRegistry
 from repro.grid.query import Query, parse_conditions
+from repro.sim.journal import Journal
 from repro.sim.kernel import Environment
 from repro.sim.resources import Resource
 from repro.telemetry.tracing import EXECUTION, FLOW, STEP
@@ -94,8 +97,8 @@ def _collected(branch) -> None:
 
 
 class EngineEvent(NamedTuple):
-    """One engine progress event, built once and shared by every listener
-    (so ``detail`` is read-only to all of them)."""
+    """One engine progress event, built once and shared by every live
+    listener (so ``detail`` is read-only to all of them)."""
 
     kind: str                 # step_started / step_completed / paused / ...
     request_id: str
@@ -112,8 +115,14 @@ class FlowEngine:
         self.env = env
         self.registry = registry
         #: Observers of engine progress; each is called as
-        #: listener(event) with the one :class:`EngineEvent` per event.
+        #: listener(event) with the one :class:`EngineEvent` per event,
+        #: except the entries of row readers (see :meth:`enroll`).
         self.listeners: List[Callable[[EngineEvent], None]] = []
+        #: The listed entries of enrolled row readers.
+        self.readers: List[Callable] = []
+        #: Where the rows go: the environment's journal, once a row
+        #: reader enrolls.
+        self.journal: Optional[Journal] = None
 
     # -- public entry -----------------------------------------------------
 
@@ -123,14 +132,50 @@ class FlowEngine:
 
     # -- notifications ------------------------------------------------------
 
+    def enroll(self, entry: Callable) -> Journal:
+        """Enroll a row reader whose entry in :attr:`listeners` is
+        ``entry`` (listed once), and return the journal its rows land in.
+
+        An event is one row of :attr:`journal` for every enrolled reader
+        together; their entries are not called, so a run with only row
+        readers builds no :class:`EngineEvent`.
+        """
+        if entry not in self.readers:
+            self.readers.append(entry)
+        if entry not in self.listeners:
+            self.listeners.append(entry)
+        self.journal = self.env.journal
+        return self.journal
+
     def _notify(self, kind: str, execution: FlowExecution, key: str,
-                **detail) -> None:
+                operation: Optional[str] = None,
+                failure: Optional[Dict[str, str]] = None) -> None:
+        """Announce one event of ``execution``'s node ``key``: a step's
+        ``operation`` name, or a ``failure``'s error and error type.
+
+        :attr:`listeners` are walked in order: the first row reader's
+        entry appends the event's row, and each other listener gets the
+        one :class:`EngineEvent`, built at the first of them.
+        """
         listeners = self.listeners
         if listeners:
-            event = tuple.__new__(EngineEvent, (
-                kind, execution.request_id, key, self.env._now, detail,
-                execution.user_name))
+            readers = self.readers
+            row = event = None
             for listener in listeners:
+                if listener in readers:
+                    if row is None:
+                        now = self.env._now
+                        row = self.journal.add(
+                            kind, self, execution.request_id, key, now, now,
+                            execution.user_name, operation, failure)
+                    continue
+                if event is None:
+                    detail = (failure if failure is not None
+                              else {} if operation is None
+                              else {"operation": operation})
+                    event = tuple.__new__(EngineEvent, (
+                        kind, execution.request_id, key, self.env._now,
+                        detail, execution.user_name))
                 listener(event)
 
     # -- control gate --------------------------------------------------------
@@ -170,8 +215,8 @@ class FlowEngine:
         except Exception as exc:
             execution.finish(ExecutionState.FAILED, error=str(exc),
                              failure=exc)
-            self._notify("execution_failed", execution, "", error=str(exc),
-                         error_type=type(exc).__name__)
+            self._notify("execution_failed", execution, "", failure={
+                "error": str(exc), "error_type": type(exc).__name__})
         else:
             execution.finish(ExecutionState.COMPLETED)
             self._notify("execution_completed", execution, "")
@@ -200,8 +245,8 @@ class FlowEngine:
         else:
             status.state, outcome = ExecutionState.FAILED, "error"
             status.error = str(exc)
-            self._notify(f"{kind}_failed", execution, key, error=str(exc),
-                         error_type=type(exc).__name__)
+            self._notify(f"{kind}_failed", execution, key, failure={
+                "error": str(exc), "error_type": type(exc).__name__})
         if span is not None:
             if active is not None:
                 active._tspan = prev_tspan

@@ -9,7 +9,7 @@ makes the whole shape embarrassingly parallel. This package is the one
 runner all of those sweeps go through:
 
 * :func:`run_farm` — map a task over items, inline or on a process pool
-  as the first item's measured cost says, in item order;
+  as the measured cost of the first and last items says, in item order;
 * :func:`default_jobs` — how many cores this process may use;
 * :class:`FarmWorkerError` — a task failure, re-raised in the parent
   with the worker's full traceback and the offending item;

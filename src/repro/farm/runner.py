@@ -3,13 +3,18 @@
 One deliberately small primitive: :func:`run_farm` maps a picklable task
 over a list of items and returns the results *in item order*, as if a
 plain list comprehension had run, inline or on a process pool as the
-first item's measured cost says. Processes, not threads: a seed run is
-pure Python burning CPU in the sim kernel, so threads serialize on the GIL.
+measured cost of its first and last items says. Processes, not threads:
+a seed run is pure Python burning CPU in the sim kernel, so threads
+serialize on the GIL.
 
-Each worker gets one strided chunk (item ``i`` of the rest goes to worker
-``i % w``) and sends its results home at once, so no item pays a round
-trip of its own, and a sweep ordered by kind (the sanitizer's slow chaos
-proofs, then its quick federation ones) still splits evenly.
+Sweeps are often listed in order of cost: a saturation curve's loads
+rise, the sanitizer runs its slow chaos proofs before its quick
+federation ones. So the first and the last item both run inline, timed,
+and the items between them are estimated at the mean of the two.
+
+Each worker gets one strided chunk (item ``i`` of the middle goes to
+worker ``i % w``) and sends its results home at once, so no item pays a
+round trip of its own, and a sweep ordered by kind still splits evenly.
 
 A task that raises stops its chunk; the parent raises
 :class:`FarmWorkerError` for the first failing item in item order, with
@@ -30,14 +35,14 @@ from repro.errors import ReproError
 
 __all__ = ["FarmWorkerError", "POOL_PAYBACK_S", "default_jobs", "run_farm"]
 
-#: Estimated serial seconds of the items after the first below which they
-#: run inline, because a pool would not pay for itself. Measured on a
-#: 2-vCPU host with chaos sweeps, each sample a fresh process, nine
-#: alternating pairs per size: two workers with strided chunks lost all
-#: nine pairs at 30 seeds (0.24 s inline), won five of nine at 45 (0.36 s)
-#: and all nine at 60 (0.49 s). On that sweep the estimate (items left
-#: times the first item's time) reads about 1.3x the real serial time,
-#: since the first seed also warms caches, so 0.5 s is about 0.38 s of work.
+#: Estimated serial seconds of the items between the first and the last
+#: below which they run inline, because a pool would not pay for itself.
+#: Measured on a 2-vCPU host with chaos sweeps, each sample a fresh
+#: process, nine alternating pairs per size: two workers with strided
+#: chunks lost all nine pairs at 30 seeds (0.24 s inline), won five of
+#: nine at 45 (0.36 s) and all nine at 60 (0.49 s). On that flat sweep an
+#: estimate from the first item alone read about 1.3x the real serial
+#: time, since the first seed also warms caches.
 POOL_PAYBACK_S = 0.5
 
 
@@ -109,9 +114,9 @@ def _mp_context():
 
 def _run_pooled(task: Callable[..., Any], items: List[Any], kwargs: dict,
                 workers: int) -> List[Any]:
-    """``task`` over ``items[1:]``, one strided chunk per worker; the
+    """``task`` over ``items[1:-1]``, one strided chunk per worker; the
     results in item order."""
-    rest = items[1:]
+    rest = items[1:-1]
     with ProcessPoolExecutor(max_workers=workers,
                              mp_context=_mp_context()) as pool:
         futures = [pool.submit(_run_chunk, task, rest[offset::workers],
@@ -145,13 +150,28 @@ def _run_pooled(task: Callable[..., Any], items: List[Any], kwargs: dict,
     return results
 
 
+def _timed_inline(task: Callable[..., Any], items: List[Any], index: int,
+                  kwargs: dict) -> tuple:
+    """``(result, seconds)`` of item ``index`` run inline; the result is
+    the :class:`FarmWorkerError` itself if the task raised."""
+    # Wall clock, deliberately: it times one item only to decide where
+    # the others run, and no result depends on it.
+    started = time.perf_counter()  # dgf: noqa[DGF001]: host-side sizing of a sweep, outside every simulation; it picks inline or pooled, never a result
+    try:
+        result = _run_inline(task, items, index, kwargs)
+    except FarmWorkerError as exc:
+        result = exc
+    return result, time.perf_counter() - started  # dgf: noqa[DGF001]: the other end of the same host-side sizing read
+
+
 def run_farm(task: Callable[..., Any], items: Iterable[Any],
              kwargs: Optional[dict] = None) -> List[Any]:
     """``[task(item, **kwargs) for item in items]``: the same values in
-    the same order. The items after the first go to
-    ``min(default_jobs(), len(items) - 1)`` worker processes when that is
-    two or more and they would take :data:`POOL_PAYBACK_S` or more at the
-    first item's pace; otherwise they run inline. ``task`` must pickle
+    the same order. The first and the last item run inline, timed; the
+    items between them go to ``min(default_jobs(), len(items) - 2)``
+    worker processes when that is two or more and they would take
+    :data:`POOL_PAYBACK_S` or more at the mean pace of the first and the
+    last; otherwise they run inline too. ``task`` must pickle
     (module-level).
 
     Raises :class:`FarmWorkerError` if any task raised or any worker
@@ -162,14 +182,19 @@ def run_farm(task: Callable[..., Any], items: Iterable[Any],
     kwargs = kwargs or {}
     if not items:
         return []
-    # Wall clock, deliberately: it times the first item only to decide
-    # where the rest run, and no result depends on it.
-    started = time.perf_counter()  # dgf: noqa[DGF001]: host-side sizing of a sweep, outside every simulation; it picks inline or pooled, never a result
-    first = _run_inline(task, items, 0, kwargs)
-    first_s = time.perf_counter() - started  # dgf: noqa[DGF001]: the other end of the same host-side sizing read
-    remaining = len(items) - 1
-    workers = min(default_jobs(), remaining)
-    if workers > 1 and remaining * first_s >= POOL_PAYBACK_S:
-        return [first] + _run_pooled(task, items, kwargs, workers)
-    return [first] + [_run_inline(task, items, index, kwargs)
-                      for index in range(1, len(items))]
+    first, first_s = _timed_inline(task, items, 0, kwargs)
+    if isinstance(first, FarmWorkerError):
+        raise first
+    if len(items) == 1:
+        return [first]
+    last, last_s = _timed_inline(task, items, len(items) - 1, kwargs)
+    middle = len(items) - 2
+    workers = min(default_jobs(), middle)
+    if workers > 1 and middle * (first_s + last_s) / 2 >= POOL_PAYBACK_S:
+        between = _run_pooled(task, items, kwargs, workers)
+    else:
+        between = [_run_inline(task, items, index, kwargs)
+                   for index in range(1, len(items) - 1)]
+    if isinstance(last, FarmWorkerError):
+        raise last
+    return [first, *between, last]

@@ -10,7 +10,9 @@ administrative domains (§1). It exposes:
   the caller yields on;
 * instant catalog operations (collections, metadata, ACLs, queries, moves);
 * before/after namespace events on :attr:`events` (the trigger hook);
-* an operation log callback list (the provenance hook).
+* operation listeners and row readers (the provenance hook): each
+  completed operation is one run-journal row for the readers, and one
+  :class:`OperationRecord` for live listeners.
 
 Every mutating call takes the acting :class:`~repro.grid.users.User` first
 and enforces ACLs, because domain autonomy — who may touch what — is the
@@ -48,6 +50,7 @@ from repro.grid.resources import RegisteredResource, ResourceRegistry
 from repro.grid.users import User, UserRegistry
 from repro.network.topology import Topology
 from repro.network.transfer import TransferService
+from repro.sim.journal import Journal
 from repro.sim.kernel import Environment, Process
 from repro.storage.resource import PhysicalStorageResource
 
@@ -55,8 +58,8 @@ __all__ = ["DataGridManagementSystem", "OperationRecord"]
 
 
 class OperationRecord(NamedTuple):
-    """One completed DGMS operation, built once and shared by every
-    provenance listener (so ``detail`` is read-only to all of them)."""
+    """One completed DGMS operation, built once and shared by every live
+    listener (so ``detail`` is read-only to all of them)."""
 
     operation: str
     user: Optional[str]
@@ -80,8 +83,14 @@ class DataGridManagementSystem:
         self.domains = DomainRegistry()
         self.resources = ResourceRegistry()
         self.events = EventBus()
-        #: Provenance listeners; each receives every OperationRecord.
+        #: Operation listeners; each receives every OperationRecord,
+        #: except the entries of row readers (see :meth:`enroll`).
         self.operation_listeners: List[Callable[[OperationRecord], None]] = []
+        #: The listed entries of enrolled row readers.
+        self.readers: List[Callable] = []
+        #: Where the rows go: the environment's journal, once a row
+        #: reader enrolls.
+        self.journal: Optional[Journal] = None
         #: Recovery service (duck-typed; see
         #: :func:`repro.faults.recovery.attach_recovery`). ``None`` means
         #: every operation takes its original, fail-fast code path —
@@ -140,14 +149,43 @@ class DataGridManagementSystem:
             kind, phase, path, self.env._now,
             user.qualified_name if user else None, detail)))
 
+    def enroll(self, entry: Callable) -> Journal:
+        """Enroll a row reader whose entry in :attr:`operation_listeners`
+        is ``entry`` (listed once), and return the journal its rows land
+        in.
+
+        An operation is one row of :attr:`journal` for every enrolled
+        reader together; their entries are not called, so a grid with
+        only row readers builds no :class:`OperationRecord`.
+        """
+        if entry not in self.readers:
+            self.readers.append(entry)
+        if entry not in self.operation_listeners:
+            self.operation_listeners.append(entry)
+        self.journal = self.env.journal
+        return self.journal
+
     def _record(self, operation: str, user: Optional[User], path: str,
                 start_time: float, **detail) -> None:
+        """Announce one completed operation: the first row reader's entry
+        in :attr:`operation_listeners` appends its row, and each other
+        listener gets the one :class:`OperationRecord`."""
         listeners = self.operation_listeners
         if listeners:
-            record = tuple.__new__(OperationRecord, (
-                operation, user.qualified_name if user else None, path,
-                start_time, self.env._now, detail))
+            readers = self.readers
+            name = user.qualified_name if user else None
+            now = self.env._now
+            row = record = None
             for listener in listeners:
+                if listener in readers:
+                    if row is None:
+                        row = self.journal.add(operation, self, path, None,
+                                               start_time, now, name, None,
+                                               detail)
+                    continue
+                if record is None:
+                    record = tuple.__new__(OperationRecord, (
+                        operation, name, path, start_time, now, detail))
                 listener(record)
 
     def _registered(self, replica: Replica) -> RegisteredResource:

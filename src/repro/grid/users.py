@@ -25,9 +25,10 @@ class User:
     domain: str
     groups: FrozenSet[str] = frozenset()
 
-    @property
+    @functools.cached_property
     def qualified_name(self) -> str:
-        """The globally unique ``name@domain`` form."""
+        """The globally unique ``name@domain`` form, built once per user
+        so every record of the user's shares one string."""
         return f"{self.name}@{self.domain}"
 
     @functools.cached_property

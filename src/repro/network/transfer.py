@@ -38,12 +38,16 @@ from __future__ import annotations
 
 import heapq
 import math
+import weakref
+from array import array
 from dataclasses import dataclass
+from functools import partial
 from operator import attrgetter
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.errors import NetworkError, TransferInterrupted
 from repro.network.topology import Link, Topology
+from repro.sim.journal import TRANSFER_KIND, RowView
 from repro.sim.kernel import Environment, Event, Timeout
 from repro.telemetry.tracing import TRANSFER
 
@@ -156,7 +160,19 @@ class TransferService:
         #: earliest projected finish moves.
         self._timer: Optional[Timeout] = None
         self.total_bytes_moved = 0.0
-        self.completed: List[TransferStats] = []
+        self.journal = env.journal
+        #: Journal rows of this service's finished transfers, in
+        #: completion order.
+        self._rows = array("q")
+        #: Position -> weak reference to the stats object the transfer's
+        #: event carried, while anyone still holds it (dropped as it
+        #: dies), so :attr:`completed` hands back that same object.
+        self._held: Dict[int, weakref.ref] = {}
+        #: Every finished transfer, in completion order: a read-only view
+        #: that builds :class:`TransferStats` from the journal rows on
+        #: each read (``len`` builds nothing).
+        self.completed: Sequence[TransferStats] = RowView(self._stats,
+                                                         self._rows)
         #: Link ends currently in a fault-injected outage. Maintained by a
         #: :class:`~repro.faults.model.FaultDriver`; empty (and checked
         #: with one falsy test) when no fault schedule is attached.
@@ -257,21 +273,38 @@ class TransferService:
 
     def _finish(self, stats: TransferStats, done: Event, tracer=None,
                 span: Optional[int] = None) -> None:
-        stats.end_time = self.env.now
+        now = stats.end_time = self.env._now
         if stats.hops:
             # Only traffic that actually crossed a link is WAN movement;
             # same-domain accesses are free (data virtualization's point).
             self.total_bytes_moved += stats.nbytes
-        self.completed.append(stats)
         if span is not None:
             tracer.finish(span)
-        t = self.env.telemetry
-        if t is not None:
-            # Counters, duration samples, and the log record are all
-            # derived from the stats object at export time
-            # (Telemetry collect); the hot path only hands it over.
-            t.transfer_completed(stats)
+        # One journal row: the completed view reads it, and so does the
+        # attached telemetry session's fold (counters, duration samples
+        # and the log record are derived from it at export time).
+        rows = self._rows
+        held = self._held
+        held[len(rows)] = weakref.ref(stats, partial(held.pop, len(rows)))
+        rows.append(self.journal.add(
+            TRANSFER_KIND, self, stats.src, stats.dst, stats.start_time, now,
+            self.env.telemetry, stats.route, stats.nbytes))
         done.succeed(stats)
+
+    def _stats(self, position: int) -> TransferStats:
+        """The stats of finished transfer ``position``: the object its
+        event carried while that lives, else one rebuilt from its row."""
+        held = self._held.get(position)
+        stats = None if held is None else held()
+        if stats is None:
+            journal = self.journal
+            row = self._rows[position]
+            route = journal.signatures[row][3]
+            stats = TransferStats(
+                src=journal.subjects[row], dst=journal.keys[row],
+                nbytes=journal.details[row], start_time=journal.starts[row],
+                end_time=journal.ends[row], hops=len(route), route=route)
+        return stats
 
     def _interrupt(self, transfer: _ActiveTransfer, link: Link) -> None:
         """Fail a (settled, already-removed) transfer's done event with a

@@ -15,10 +15,9 @@ paper's requirement:
 * ``pipeline`` — application-level annotations recorded explicitly by
   business logic (the archival-pipeline operations).
 
-The first two are built from the producers' own records
-(:meth:`ProvenanceRecord.from_operation`,
-:meth:`ProvenanceRecord.from_engine_event`), which the store keeps as
-they are until the first read.
+The store keeps the first two as rows of the run journal (see
+:mod:`repro.provenance.store`) and builds a record from a row only when
+someone reads it.
 """
 
 from __future__ import annotations
@@ -38,11 +37,10 @@ class ProvenanceRecord:
     """One immutable provenance fact.
 
     Building one checks the category and that the operation is not
-    empty. The two converters check the operation (their category is
-    fixed) and fill a new record's slots directly, which takes less than
-    half the time of the keyword ``__init__`` (1.6 against 3.6 µs per
-    engine event on a 2-vCPU host): the store converts one record per
-    engine event and DGMS operation at its first read.
+    empty. The store checks rows as they arrive and builds the records
+    it reads with :func:`_filled`, which fills the slots directly in
+    less than half the time of the keyword ``__init__`` (1.6 against
+    3.6 µs per record on a 2-vCPU host).
     """
 
     category: str                 # dgms | engine | pipeline
@@ -65,32 +63,6 @@ class ProvenanceRecord:
         return asdict(self)
 
     @classmethod
-    def from_operation(cls, record) -> "ProvenanceRecord":
-        """The ``dgms`` record of one
-        :class:`~repro.grid.dgms.OperationRecord`."""
-        operation, user, path, start_time, end_time, detail = record
-        if not operation:
-            raise ProvenanceError("operation cannot be empty")
-        # The producer's read-only default detail becomes a plain dict,
-        # so to_dict and the JSON-lines store can serialize it.
-        if type(detail) is not dict:
-            detail = dict(detail)
-        return _filled("dgms", operation, path, start_time, user, end_time,
-                       detail)
-
-    @classmethod
-    def from_engine_event(cls, event) -> "ProvenanceRecord":
-        """The ``engine`` record of one
-        :class:`~repro.dfms.engine.EngineEvent`; its subject is
-        ``request_id/instance_key``, or the request id for the root."""
-        kind, request_id, instance_key, time, detail, user = event
-        if not kind:
-            raise ProvenanceError("operation cannot be empty")
-        subject = (f"{request_id}/{instance_key}" if instance_key
-                   else request_id)
-        return _filled("engine", kind, subject, time, user, None, detail)
-
-    @classmethod
     def from_dict(cls, data: dict) -> "ProvenanceRecord":
         try:
             return cls(category=data["category"], operation=data["operation"],
@@ -110,7 +82,7 @@ class ProvenanceRecord:
 def _filled(category, operation, subject, time, actor, end_time, detail
             ) -> ProvenanceRecord:
     """A record with its slots set directly, skipping ``__init__`` and
-    its checks: the converters check the operation themselves."""
+    its checks: the store checked the row when it arrived."""
     record = object.__new__(ProvenanceRecord)
     _set_category(record, category)
     _set_operation(record, operation)

@@ -1,12 +1,15 @@
 """Wiring provenance capture into a DGMS and a DfMS server.
 
-The capture points are the two listener surfaces the substrates already
-expose — :attr:`DataGridManagementSystem.operation_listeners` for datagrid
-operations and :attr:`FlowEngine.listeners` for engine events — so
-provenance is strictly observational: removing it changes nothing about
-execution. Each surface calls :meth:`ProvenanceStore.append` with the
-record its producer built (an ``OperationRecord`` or ``EngineEvent``);
-the store keeps it as it is until the first read.
+The capture points are the two producers the substrates already expose —
+:class:`~repro.grid.dgms.DataGridManagementSystem` for datagrid
+operations and :class:`~repro.dfms.engine.FlowEngine` for engine events
+— so provenance is strictly observational: removing it changes nothing
+about execution. The store enrolls with each producer as a row reader:
+its ``append`` is listed among the producer's listeners, and the
+producer writes each operation or event as one row of the environment's
+:class:`~repro.sim.journal.Journal` instead of calling it. The store
+reads those rows through its own cursor and builds a record only when
+someone reads it.
 """
 
 from __future__ import annotations
@@ -22,12 +25,13 @@ __all__ = ["attach_to_dgms", "attach_to_server", "record_pipeline_operation"]
 def attach_to_dgms(store: ProvenanceStore,
                    dgms: DataGridManagementSystem) -> None:
     """Record every DGMS operation into ``store``."""
-    dgms.operation_listeners.append(store.append)
+    store._enroll(dgms, "dgms", dgms.enroll(store.append))
 
 
 def attach_to_server(store: ProvenanceStore, server: DfMSServer) -> None:
     """Record every engine event of ``server`` into ``store``."""
-    server.engine.listeners.append(store.append)
+    engine = server.engine
+    store._enroll(engine, "engine", engine.enroll(store.append))
 
 
 def record_pipeline_operation(store: ProvenanceStore, operation: str,

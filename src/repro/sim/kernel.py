@@ -49,6 +49,7 @@ from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 from repro.errors import Interrupt, SimError, SimStopped
+from repro.sim.journal import Journal
 
 __all__ = ["Environment", "Event", "Timeout", "Process", "Condition"]
 
@@ -431,7 +432,7 @@ class Environment:
     # access skips the instance-dict lookup on every one of those.
     __slots__ = ("_now", "_queue", "_current", "_urgent", "_eid",
                  "_active_process", "_telemetry", "_lifetimes",
-                 "_sanitizer", "__weakref__")
+                 "_sanitizer", "_journal", "__weakref__")
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
@@ -462,6 +463,7 @@ class Environment:
         #: ``begin_batch(now)`` and ``end_batch()`` once per batch, so
         #: detached runs pay nothing per event.
         self._sanitizer = None
+        self._journal: Optional[Journal] = None
 
     # -- clock ------------------------------------------------------------
 
@@ -490,6 +492,16 @@ class Environment:
         # samples in Process._finalize) goes through this alias.
         self._lifetimes = (None if session is None
                            else session.sim_process_lifetimes)
+
+    @property
+    def journal(self) -> Journal:
+        """The deployment's run :class:`~repro.sim.journal.Journal`:
+        engine events, DGMS operations and finished transfers of every
+        producer on this environment, as rows (made at the first read)."""
+        journal = self._journal
+        if journal is None:
+            journal = self._journal = Journal()
+        return journal
 
     # -- event construction -------------------------------------------------
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, NamedTuple
 
-__all__ = ["TelemetryRecord", "EventLog", "engine_fields", "transfer_fields"]
+__all__ = ["TelemetryRecord", "EventLog"]
 
 
 class TelemetryRecord(NamedTuple):
@@ -56,21 +56,3 @@ class EventLog:
 
     def __len__(self) -> int:
         return len(self.records)
-
-
-# -- the one encoder per deferred record kind (export fold and recorder) ---
-
-def engine_fields(event) -> Dict[str, object]:
-    """Fields of an ``engine.<kind>`` record for one engine event."""
-    fields = {"request_id": event.request_id, "key": event.instance_key}
-    detail = event.detail
-    if detail:
-        fields.update(detail)
-    return fields
-
-
-def transfer_fields(stats) -> Dict[str, object]:
-    """Fields of a ``net.transfer`` record for one completed transfer."""
-    return {"src": stats.src, "dst": stats.dst, "nbytes": stats.nbytes,
-            "hops": stats.hops, "links": list(stats.route),
-            "duration": stats.duration}

@@ -4,8 +4,8 @@ Instrumentation points live inside each subsystem, guarded on
 ``env.telemetry is None`` — this module is only the attach surface:
 
 * :func:`attach_telemetry` — create a session on one environment and
-  (optionally) subscribe it to a DfMS server's engine event bus,
-  covering all six instrumented subsystems.
+  (optionally) enroll it with a DfMS server's engine, covering all six
+  instrumented subsystems.
 * :func:`instrument_scenario` — one-call convenience for the workload
   scenario builders.
 
@@ -31,16 +31,17 @@ def attach_telemetry(env, server=None) -> Telemetry:
     ``env`` gains a ``telemetry`` attribute the sim kernel, DfMS engine,
     ILM manager, trigger manager, transfer service and every DGMS's
     catalog queries all read when they record. When a ``server`` is
-    given, the session subscribes to its engine's listener bus — the
-    same emission path :class:`~repro.dfms.monitoring.ExecutionMonitor`
-    uses. Attaching twice returns the existing session.
+    given, the session enrolls with its engine as a row reader: its
+    entry sits on the listener list
+    :class:`~repro.dfms.monitoring.ExecutionMonitor` uses, and the engine
+    writes each event as a journal row the session folds at export.
+    Attaching twice returns the existing session.
     """
     existing: Optional[Telemetry] = getattr(env, "telemetry", None)
     telemetry = existing if existing is not None else Telemetry(env)
     env.telemetry = telemetry
     if server is not None:
-        if telemetry.engine_listener not in server.engine.listeners:
-            server.engine.listeners.append(telemetry.engine_listener)
+        telemetry.enroll(server.engine)
     return telemetry
 
 
@@ -83,8 +84,7 @@ def attach_observability(env, server=None,
             telemetry,
             capacity=DEFAULT_CAPACITY if capacity is None else capacity,
             dump_path=dump_path)
-        telemetry.recorder = recorder
-        telemetry.log.recorder = recorder
+        telemetry.attach_recorder(recorder)
     slo = telemetry.slo
     if slo is None:
         slo = SLOEngine(telemetry, probes=probes, server=server)

@@ -9,9 +9,10 @@ a monotonic sequence number, the sim time, the span context of the
 process that produced it (so records link back into the trace tree), and
 the producing process's name. Its one feed is the telemetry session:
 every :class:`~repro.telemetry.events.EventLog` ``emit`` tees one
-record, and the session passes each engine event and completed transfer
-on at once (it defers its own records to export time; a crash dump
-cannot), with fields from the encoders its export-time fold uses.
+record, and the session's journal tap passes each engine event and
+finished transfer on as its row arrives (the session folds its own
+records at export time; a crash dump cannot wait), with the very fields
+dict the fold later logs.
 
 Recording is append-to-a-``deque(maxlen=N)`` plus one span-context read:
 near-zero overhead, no allocation beyond the record tuple, no kernel

@@ -361,15 +361,17 @@ class SLOEngine:
         telemetry.fold_log()
         instant = telemetry.env.now if now is None else now
         fresh: List[Alert] = []
+        seen = self._seen
+        counters = self.counter.bound
         for probe in self.probes:
             for alert in probe.evaluate(self, instant):
                 key = (alert.probe, alert.window, alert.labels)
-                if key in self._seen:
+                if key in seen:
                     continue
-                self._seen.add(key)
+                seen.add(key)
                 fresh.append(alert)
                 self.alerts.append(alert)
-                self.counter.labels(probe=alert.probe).inc()
+                counters[alert.probe].inc()
                 telemetry.log.emit(
                     "slo.alert", probe=alert.probe,
                     severity=alert.severity,
@@ -391,8 +393,10 @@ def fault_coverage(engine: SLOEngine):
     windows = [(record.fields["fault"], record.fields["target"], record.time)
                for record in engine.telemetry.log.records
                if record.kind == "fault.begin"]
-    alerted = {(dict(alert.labels)["fault"], dict(alert.labels)["target"],
-                alert.window[0])
-               for alert in engine.alerts if alert.probe == "fault-window"}
+    alerted = set()
+    for alert in engine.alerts:
+        if alert.probe == "fault-window":
+            labels = dict(alert.labels)
+            alerted.add((labels["fault"], labels["target"], alert.window[0]))
     uncovered = [window for window in windows if window not in alerted]
     return windows, uncovered

@@ -123,8 +123,9 @@ def dfms():
 def farm_cores(monkeypatch):
     """Pretend the host grants ``n`` cores and that every sweep pays for a
     pool: after ``farm_cores(1)`` :func:`repro.farm.run_farm` runs inline,
-    and after ``farm_cores(2)`` it sends the items after the first to two
-    worker processes however cheap they are. Call again to switch."""
+    and after ``farm_cores(2)`` it sends the items between the first and
+    the last to two worker processes however cheap they are, when there
+    are two or more of them. Call again to switch."""
     from repro.farm import runner
 
     def force(cores: int) -> None:

@@ -138,10 +138,10 @@ def test_sanitize_proves_the_same_report_inline_and_pooled(capsys,
     for cores in (1, 2):
         farm_cores(cores)
         assert main(["sanitize", "--chaos-seeds", "2",
-                     "--federation-seeds", "1", "--format", "json"]) == 0
+                     "--federation-seeds", "2", "--format", "json"]) == 0
         reports.append(capsys.readouterr().out)
     assert reports[0] == reports[1]
     sanitizer = json.loads(reports[0])["sanitizer"]
     assert sanitizer["proved"] is True
     assert [(s["kind"], s["seed"]) for s in sanitizer["scenarios"]] == [
-        ("chaos", 0), ("chaos", 1), ("federation", 0)]
+        ("chaos", 0), ("chaos", 1), ("federation", 0), ("federation", 1)]

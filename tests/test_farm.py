@@ -64,17 +64,19 @@ def test_completion_order_does_not_leak_into_results(farm_cores):
 
 def test_kwargs_forwarded_to_every_task(farm_cores):
     farm_cores(2)
-    assert run_farm(square, [1, 2, 3],
-                    kwargs={"offset": 10}) == [11, 14, 19]
+    assert run_farm(square, [1, 2, 3, 4],
+                    kwargs={"offset": 10}) == [11, 14, 19, 26]
 
 
 def test_single_item_runs_inline(farm_cores, monkeypatch):
-    # One item, or one after the first, runs inline with cores to spare:
-    # a pool of one worker would only add its start-up to the serial time.
+    # One item, or one between the first and the last, runs inline with
+    # cores to spare: a pool of one worker would only add its start-up to
+    # the serial time.
     farm_cores(8)
     monkeypatch.setattr(runner, "ProcessPoolExecutor", no_pool)
     assert run_farm(square, [3]) == [9]
     assert run_farm(square, [3, 4]) == [9, 16]
+    assert run_farm(square, [3, 4, 5]) == [9, 16, 25]
 
 
 def test_cheap_sweep_never_builds_a_pool(monkeypatch):
@@ -95,7 +97,7 @@ def test_empty_items():
 def test_task_failure_names_item_and_carries_traceback(farm_cores, cores):
     farm_cores(cores)
     with pytest.raises(FarmWorkerError) as excinfo:
-        run_farm(explode_on, [0, 1, 2], kwargs={"bad": (1,)})
+        run_farm(explode_on, [0, 1, 2, 3], kwargs={"bad": (1,)})
     err = excinfo.value
     assert err.item == 1
     assert err.index == 1
@@ -115,17 +117,18 @@ def test_first_failing_item_in_item_order_wins(farm_cores):
 
 
 def test_failure_deep_in_a_chunk_names_its_own_item(farm_cores):
-    # Item 5 is the third of its worker's chunk (1, 3, 5).
+    # Item 5 is the third of its worker's chunk (1, 3, 5); 0 and 7 run
+    # inline.
     farm_cores(2)
     with pytest.raises(FarmWorkerError) as excinfo:
-        run_farm(explode_on, list(range(6)), kwargs={"bad": (5,)})
+        run_farm(explode_on, list(range(8)), kwargs={"bad": (5,)})
     assert (excinfo.value.item, excinfo.value.index) == (5, 5)
 
 
 def test_hard_worker_death_is_surfaced(farm_cores):
     farm_cores(2)
     with pytest.raises(FarmWorkerError) as excinfo:
-        run_farm(kill_worker, [0, 1, 2])
+        run_farm(kill_worker, [0, 1, 2, 3])
     assert excinfo.value.index >= 1
     assert excinfo.value.__cause__ is not None
 
@@ -133,7 +136,7 @@ def test_hard_worker_death_is_surfaced(farm_cores):
 # -- the chaos sweep on the farm -------------------------------------------
 
 def test_chaos_sweep_pooled_matches_serial_bit_for_bit(farm_cores):
-    seeds = [0, 1, 2]
+    seeds = [0, 1, 2, 3]
     farm_cores(1)
     serial = run_chaos_sweep(seeds=seeds)
     farm_cores(2)
@@ -168,3 +171,55 @@ def test_cli_farm_seed_count_form(capsys, farm_cores):
     farm_cores(2)
     assert main(["farm", "--seeds", "3"]) == 0
     assert "3 seeds in " in capsys.readouterr().out
+
+
+# -- sizing -----------------------------------------------------------------
+
+class _FakeClock:
+    """A clock that only the tasks advance: item ``i`` costs ``cost(i)``."""
+
+    def __init__(self, cost):
+        self.now = 0.0
+        self.cost = cost
+
+    def perf_counter(self):
+        return self.now
+
+    def run(self, n):
+        self.now += self.cost(n)
+        return n
+
+
+def test_rising_sweep_is_sized_from_its_first_and_last_items(monkeypatch):
+    # Ten items whose cost rises from 10 ms to 190 ms, like a saturation
+    # curve's loads: at the first item's pace the other nine would take
+    # 0.09 s and stay inline, but at the mean of the first and the last
+    # the middle eight take 0.8 s, past the payback, so they pool.
+    clock = _FakeClock(lambda n: 0.01 + 0.02 * n)
+    pooled = []
+
+    def fake_pool(task, items, kwargs, workers):
+        pooled.append((items[1:-1], workers))
+        return [task(item, **kwargs) for item in items[1:-1]]
+
+    monkeypatch.setattr(runner, "time", clock)
+    monkeypatch.setattr(runner, "default_jobs", lambda: 2)
+    monkeypatch.setattr(runner, "_run_pooled", fake_pool)
+    items = list(range(10))
+    assert 9 * clock.cost(0) < runner.POOL_PAYBACK_S
+    assert run_farm(clock.run, items) == items
+    assert pooled == [(items[1:-1], 2)]
+    # The same items listed cheapest-last stay sized by both ends: still
+    # pooled, and still in item order.
+    pooled.clear()
+    assert run_farm(clock.run, items[::-1]) == items[::-1]
+    assert pooled == [(items[::-1][1:-1], 2)]
+
+
+def test_last_item_failure_yields_to_an_earlier_one(farm_cores):
+    # The last item runs second, but an earlier failing item still wins.
+    farm_cores(2)
+    for bad, first in (((5, 2), 2), ((5,), 5)):
+        with pytest.raises(FarmWorkerError) as excinfo:
+            run_farm(explode_on, list(range(6)), kwargs={"bad": bad})
+        assert (excinfo.value.item, excinfo.value.index) == (first, first)

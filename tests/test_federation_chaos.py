@@ -208,9 +208,9 @@ def test_without_recovery_copies_fail_terminally_not_silently():
 
 def test_sweep_is_farm_order_independent(farm_cores):
     farm_cores(1)
-    serial = run_federation_sweep(seeds=[0, 1, 2])
+    serial = run_federation_sweep(seeds=[0, 1, 2, 3])
     farm_cores(2)
-    farmed = run_federation_sweep(seeds=[0, 1, 2])
+    farmed = run_federation_sweep(seeds=[0, 1, 2, 3])
     assert [r.signature for r in serial] == [r.signature for r in farmed]
     assert sweep_fingerprint(serial) == sweep_fingerprint(farmed)
 

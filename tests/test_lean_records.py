@@ -37,6 +37,7 @@ from repro.dgl.moml import flow_to_moml, moml_to_flow
 from repro.dgl.xml_io import request_from_xml, request_to_xml
 from repro.grid import EventKind
 from repro.ilm import ILMPolicy, PlacementRule
+from repro.provenance import ProvenanceStore, attach_to_dgms, attach_to_server
 from repro.sim.rng import RandomStreams
 from repro.storage import MB
 from repro.telemetry import attach_telemetry
@@ -186,11 +187,12 @@ def test_every_producer_yields_tuples():
             assert not gc.is_tracked(sequence) or sequence, where
 
 
-def tracked_reachable(*roots, skip_callables=False):
+def tracked_reachable(*roots, skip_callables=False, stop=()):
     """Tracked objects reachable from ``roots``, not counting classes and
     enum members, which every record shares (nor, with
-    ``skip_callables``, anything callable, or what it reaches)."""
-    seen = set()
+    ``skip_callables``, anything callable, or what it reaches, nor the
+    objects in ``stop`` and what only they reach)."""
+    seen = {id(obj) for obj in stop}
     stack = list(roots)
     count = 0
     while stack:
@@ -244,3 +246,33 @@ def test_telemetry_keeps_no_object_per_finished_step(dfms, n_steps):
     assert held() == base
     # Two executions, each an execution and a flow span, and their steps.
     assert len(telemetry.tracer) == 2 * 2 + 2 + n_steps
+
+
+@pytest.mark.parametrize("n_steps", [4, 16])
+def test_provenance_and_session_keep_no_object_per_finished_step(dfms,
+                                                                 n_steps):
+    # Engine events are journal rows: references to strings the run
+    # shares and times in array columns, none of them tracked, so what an
+    # attached store and session hold does not grow with the steps run.
+    # The walk stops at the deployment (the journal's source column names
+    # the producers) and does not follow callables.
+    store = ProvenanceStore()
+    attach_to_dgms(store, dfms.dgms)
+    attach_to_server(store, dfms.server)
+    telemetry = attach_telemetry(dfms.env, server=dfms.server)
+    deployment = (dfms.env, dfms.server, dfms.server.engine, dfms.dgms,
+                  dfms.dgms.transfers)
+
+    def held():
+        gc.collect()
+        return tracked_reachable(store, telemetry, skip_callables=True,
+                                 stop=deployment)
+
+    finished_execution(dfms, 1)
+    base = held()
+    recorded = len(store)
+    finished_execution(dfms, 1 + n_steps)
+    assert held() == base
+    # The second execution: its start, flow start and end, and end, and
+    # a start and a completion per step.
+    assert len(store) - recorded == 4 + 2 * (1 + n_steps)

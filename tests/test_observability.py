@@ -17,7 +17,6 @@ from repro.errors import SimError
 from repro.provenance import ProvenanceStore, attach_to_server
 from repro.sim import Environment
 from repro.telemetry import SpanKind, attach_observability, attach_telemetry
-from repro.telemetry.events import engine_fields
 from repro.telemetry.slo import (
     FaultWindowProbe,
     QueueDepthProbe,
@@ -180,20 +179,23 @@ def test_each_engine_event_is_one_object(dfms):
            .step("a", "dgl.sleep", duration=1).build())
     dfms.env.run()
     event, = watched
-    # With a recorder attached, each pending entry pairs the engine's
-    # event with the fields the recorder already holds.
-    pending = [entry for entry, _ in obs.telemetry._engine_pending
-               if entry.kind == "step_completed"]
-    assert len(pending) == 1 and pending[0] is event
+    # The store and the session read the event's one journal row; the
+    # monitor, the one live listener, got the one EngineEvent.
+    journal = dfms.env.journal
+    rows = [row for row in range(len(journal))
+            if journal.signatures[row][0] == "step_completed"]
+    assert len(rows) == 1
+    assert journal.signatures[rows[0]][1] is dfms.server.engine
     record = next(record for record in store.records()
                   if record.operation == "step_completed")
-    assert record.detail is event.detail
+    assert record.detail == event.detail == {"operation": "dgl.sleep"}
     assert record.actor == event.user == dfms.alice.qualified_name
     # The recorder's live record and the export's folded record carry
     # the same fields, encoded once.
     live = next(entry for entry in obs.recorder.ring
                 if entry.kind == "engine.step_completed")
-    assert live.fields == engine_fields(event)
+    assert live.fields == {"request_id": event.request_id,
+                           "key": event.instance_key, **event.detail}
     obs.telemetry.collect()
     folded, = [entry for entry in obs.telemetry.log.records
                if entry.kind == "engine.step_completed"]

@@ -139,6 +139,22 @@ def test_provenance_queryable_long_after_execution(dfms):
     assert dfms.env.now - trail[0].time > 6e7    # genuinely years later
 
 
+def test_each_producer_is_recorded_from_its_own_attach(dfms):
+    # Another store already reads the engine, so its events are journal
+    # rows before `store` attaches to it: they are not `store`'s.
+    bystander = ProvenanceStore()
+    attach_to_server(bystander, dfms.server)
+    store = ProvenanceStore()
+    attach_to_dgms(store, dfms.dgms)
+    noop = flow_builder("noop").step("s", "dgl.noop").build()
+    before = dfms.submit_sync(noop).request_id
+    attach_to_server(store, dfms.server)
+    after = dfms.submit_sync(noop).request_id
+    assert {r.subject.split("/")[0] for r in bystander.records()} == {
+        before, after}
+    assert {r.subject.split("/")[0] for r in store.records()} == {after}
+
+
 def test_pipeline_operations_recorded():
     store = ProvenanceStore()
     record_pipeline_operation(store, "ocr", "/library/scan-1.tiff",
@@ -208,7 +224,7 @@ def _live_provenance_records():
                if type(obj) is ProvenanceRecord)
 
 
-def test_no_provenance_record_is_built_before_the_first_read():
+def test_reading_the_store_keeps_no_record():
     before = _live_provenance_records()
     scenario = cms_scenario(n_tier1=2, n_tier2_per_t1=1, n_events=4,
                             event_size=16 * MB, seed=11)
@@ -221,13 +237,46 @@ def test_no_provenance_record_is_built_before_the_first_read():
         user=scenario.users["physicist"].qualified_name,
         virtual_organization="cms", body=stage.build())))
     assert response.body.state.value == "completed"
-    recorded = len(scenario.provenance)
+    store = scenario.provenance
+    recorded = len(store)
     assert recorded > 0
-    assert _live_provenance_records() == before
-    records = scenario.provenance.records()
+    records = store.records()
     assert len(records) == recorded
+    assert _live_provenance_records() == before
+    # Iterating, indexing and slicing build fresh records that nobody
+    # keeps: once the reader drops them, none is left.
     assert {record.category for record in records} == {"dgms", "engine"}
-    assert _live_provenance_records() == before + recorded
+    assert records[-1] == records[recorded - 1]
+    assert records[-1] is not records[-1]
+    assert records[1:3] == list(records)[1:3]
+    assert [record.subject for record in store.for_subject(
+        records[0].subject)][0] == records[0].subject
+    assert store.query(category="engine")
+    assert _live_provenance_records() == before
+
+
+def test_a_closed_file_backed_store_refuses_entries(tmp_path, grid):
+    path = tmp_path / "provenance.jsonl"
+    store = ProvenanceStore(str(path))
+    store.append(rec(subject="/kept"))
+    store.close()
+    for entry in (rec(subject="/lost"),
+                  EngineEvent("step_started", "dgr-1", "s", 2.0, {}, None)):
+        with pytest.raises(ProvenanceError, match="closed"):
+            store.append(entry)
+    # An attached producer's operation after the `with` block ends fails
+    # loudly instead of being kept only in memory.
+    with ProvenanceStore(str(path)) as attached:
+        attach_to_dgms(attached, grid.dgms)
+        grid.put_file("/home/alice/before.dat")
+    with pytest.raises(ProvenanceError, match="closed"):
+        grid.put_file("/home/alice/after.dat")
+    assert len(store) == 1
+    assert len(attached) == 2
+    assert len(path.read_text().splitlines()) == 2
+    with ProvenanceStore(str(path)) as reopened:
+        assert [record.subject for record in reopened.records()] == [
+            "/kept", "/home/alice/before.dat"]
 
 
 @pytest.mark.parametrize("path", [None, "provenance.jsonl"])
@@ -245,3 +294,18 @@ def test_entries_are_checked_when_appended(tmp_path, path):
     store.append(OperationRecord("put", None, "/a", 3.0, 4.0))
     assert [r.subject for r in store.records()] == ["dgr-1/s", "/a"]
     assert len(store) == 2
+
+
+def test_a_record_whose_times_are_not_numbers_is_refused():
+    # Times are array columns: a record that cannot be encoded is
+    # refused whole, and the store keeps what it had.
+    store = ProvenanceStore()
+    store.append(rec(subject="/a", time=1.0))
+    for bad in (rec(subject="/b", time=None),
+                rec(subject="/c", time=2.0, end_time="later")):
+        with pytest.raises(ProvenanceError, match="cannot record"):
+            store.append(bad)
+    store.append(rec(subject="/d", time=3.0))
+    assert [record.subject for record in store.records()] == ["/a", "/d"]
+    assert [record.subject for record in store.query(since=0.0)] == [
+        "/a", "/d"]
